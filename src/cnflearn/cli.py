@@ -6,7 +6,7 @@ import argparse
 import sys
 from typing import Optional, Sequence
 
-from .core import BoundViolation
+from .core import BoundViolation, NumericalError
 from .harness import (
     ALGORITHMS,
     REDUCTIONS,
@@ -125,6 +125,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except BoundViolation as exc:
         sys.stderr.write(f"bound violation: {exc}\n")
         return 3
+    except NumericalError as exc:
+        sys.stderr.write(f"numerical error: {exc}\n")
+        return 4
     except (ValueError, OSError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2

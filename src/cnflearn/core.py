@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, NamedTuple, Optional, Sequence, Union
+from typing import Iterable, Iterator, NamedTuple, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -18,10 +18,12 @@ LN2 = math.log(2.0)
 BitVector = Union[Sequence[int], np.ndarray]
 
 __all__ = [
+    "BLOCK_BITS",
     "BitVector",
     "BoundViolation",
     "Example",
     "LossLedger",
+    "NumericalError",
     "OnlinePredictor",
     "Prediction",
     "as_bits",
@@ -30,7 +32,12 @@ __all__ = [
     "log1mexp2_arr",
     "logsumexp2",
     "pack_key",
+    "row_blocks",
 ]
+
+# Batched scoring works through traces in row blocks of about this many
+# feature bits, so no whole mapped matrix is ever held at once.
+BLOCK_BITS = 1 << 16
 
 
 class BoundViolation(RuntimeError):
@@ -38,6 +45,14 @@ class BoundViolation(RuntimeError):
 
     Raised by the experiment harness; it means the implementation is wrong,
     not the data.
+    """
+
+
+class NumericalError(ValueError):
+    """An internal computation lost the precision its result needs.
+
+    Raised when a computed distribution fails its normalisation check; it
+    means the arithmetic broke down, not that the input was bad.
     """
 
 
@@ -88,8 +103,20 @@ def as_bits(values: BitVector, d: Optional[int] = None) -> np.ndarray:
     arr = np.asarray(values)
     if arr.ndim != 1:
         raise ValueError(f"side information must be one-dimensional, got shape {arr.shape}")
-    if d is not None and arr.shape[0] != d:
-        raise ValueError(f"expected {d} bits, got {arr.shape[0]}")
+    return _checked_bits(arr, d)
+
+
+def as_bit_matrix(values, d: int) -> np.ndarray:
+    """Validate an (n, d) matrix of side-information rows, as `as_bits` does one."""
+    arr = np.asarray(values)
+    if arr.ndim != 2:
+        raise ValueError(f"side information matrix must be two-dimensional, got shape {arr.shape}")
+    return _checked_bits(arr, d)
+
+
+def _checked_bits(arr: np.ndarray, d: Optional[int]) -> np.ndarray:
+    if d is not None and arr.shape[-1] != d:
+        raise ValueError(f"expected {d} bits, got {arr.shape[-1]}")
     if arr.dtype == np.uint8:
         if arr.size and int(arr.max(initial=0)) > 1:
             raise ValueError("side information bits must be 0 or 1")
@@ -106,6 +133,13 @@ def pack_key(bits: np.ndarray) -> bytes:
     return bits.tobytes()
 
 
+def row_blocks(n: int, width: int) -> Iterator[slice]:
+    """Consecutive row slices covering n rows, each about BLOCK_BITS wide."""
+    rows = max(1, BLOCK_BITS // max(1, width))
+    for start in range(0, n, rows):
+        yield slice(start, min(start + rows, n))
+
+
 @dataclass(frozen=True)
 class Prediction:
     """A distribution over a binary label, stored as (log2 p0, log2 p1)."""
@@ -116,7 +150,7 @@ class Prediction:
     def __post_init__(self):
         total = 2.0 ** self.log_p0 + 2.0 ** self.log_p1
         if not abs(total - 1.0) <= 1e-9:
-            raise ValueError(
+            raise NumericalError(
                 f"prediction must sum to 1, got p0+p1 = {total!r} "
                 f"(log_p0={self.log_p0!r}, log_p1={self.log_p1!r})"
             )
@@ -182,6 +216,15 @@ def _check_label(label) -> int:
     raise ValueError(f"label must be 0 or 1, got {label!r}")
 
 
+def _check_labels(labels, n: int) -> np.ndarray:
+    arr = np.asarray(labels)
+    if arr.shape != (n,):
+        raise ValueError(f"expected {n} labels, got shape {arr.shape}")
+    if arr.dtype != bool and arr.size and not bool(np.isin(arr, (0, 1)).all()):
+        raise ValueError("labels must be 0 or 1")
+    return arr.astype(np.uint8)
+
+
 class OnlinePredictor:
     """Contract for sequential binary predictors over d-bit side information.
 
@@ -207,6 +250,28 @@ class OnlinePredictor:
         None means a tie is counted against the predictor.
         """
         return None
+
+    def score_trace(self, sides, labels) -> Tuple[np.ndarray, np.ndarray]:
+        """Predict then update on each (row, label) in order.
+
+        Returns the per-step log2 probability of the realised label and
+        the per-step correctness: probability above 1/2, or an exact 1/2
+        tie whose `tie_label` is the realised label. Leaves the predictor
+        in the state that `predict`/`update` over the same rows would.
+        """
+        sides, labels = self._check_trace(sides, labels)
+        log_p = np.empty(labels.shape[0], dtype=np.float64)
+        correct = np.empty(labels.shape[0], dtype=bool)
+        for t, (bits, label) in enumerate(zip(sides, labels.tolist())):
+            lp = self._predict(bits).log_prob(label)
+            log_p[t] = lp
+            correct[t] = lp > -1.0 or (lp == -1.0 and self.tie_label(bits) == label)
+            self._update(bits, label)
+        return log_p, correct
+
+    def _check_trace(self, sides, labels) -> Tuple[np.ndarray, np.ndarray]:
+        sides = as_bit_matrix(sides, self.d)
+        return sides, _check_labels(labels, sides.shape[0])
 
     def _predict(self, bits: np.ndarray) -> Prediction:
         raise NotImplementedError

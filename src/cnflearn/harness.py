@@ -2,9 +2,10 @@
 
 Synthetic trials follow the online protocol: sample a target hypothesis,
 stream uniform random side information, label it with the target (through
-the configured feature transform, if any) and feed the predictor one step
-at a time. For the two predictors with realizable-trace guarantees the
-harness hard-asserts the guarantee on every trial; a violation raises
+the feature map of the predictor that runs, if any) and score the
+predictor on the trace with `score_trace`. For the predictors with
+realizable-trace guarantees the harness hard-asserts the guarantee, at the
+built predictor's dimension, on every trial; a violation raises
 BoundViolation because it falsifies the implementation, not the data.
 
 Trials are independent: trial i of a run seeded s uses the RNG stream
@@ -24,7 +25,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .core import BoundViolation, Example, OnlinePredictor, log1mexp2_arr
+from .core import BoundViolation, Example, OnlinePredictor, row_blocks
 from .madnb import Madnb
 from .oracles import (
     count_consistent,
@@ -39,7 +40,6 @@ from .predictors import (
     HybridPredictor,
     Memorizer,
     PracticalPredictor,
-    hybrid_log2_one_minus_alpha,
 )
 from .reductions import (
     DEFAULT_FEATURE_BUDGET,
@@ -50,7 +50,6 @@ from .reductions import (
     ExpandedPractical,
     ReducedPredictor,
     build_basis,
-    expand_matrix,
 )
 
 __all__ = [
@@ -223,85 +222,32 @@ def build_predictor(
     return ReducedPredictor(base(basis.d_prime), ClauseMap(basis)), basis.d_prime
 
 
-def _trial_stream(rng, config: SyntheticConfig, d_prime: int, basis):
-    """Sides and labels for one trial; labels realizable by construction."""
+def _feature_map(predictor: OnlinePredictor):
+    """The map from original sides to the features the predictor learns
+    over, or None when it learns over the sides themselves."""
+    if isinstance(predictor, ReducedPredictor):
+        return predictor.mapping
+    if isinstance(predictor, (ExpandedPractical, ExpandedHybrid)):
+        return ClauseMap(predictor.basis)
+    return None
+
+
+def _trial_stream(rng, config: SyntheticConfig, mapping):
+    """Sides and labels for one trial; labels realizable by construction.
+
+    The target is a monotone conjunction over the mapped features, so the
+    trace is realizable for the predictor behind the map.
+    """
+    d_prime = config.d if mapping is None else mapping.d_prime
     mask = _sample_mask(rng, d_prime)
     sides = rng.integers(0, 2, size=(config.n, config.d), dtype=np.uint8)
-    if config.reduction == "none":
-        transformed = sides
-    elif config.reduction == "conj":
-        transformed = np.concatenate([sides, 1 - sides], axis=1)
-    elif config.reduction == "disj":
-        transformed = 1 - sides
-    else:
-        transformed = expand_matrix(basis, sides)
-    labels = transformed[:, mask].all(axis=1) if config.n else np.zeros(0, bool)
-    if config.reduction == "disj":
+    labels = np.zeros(config.n, dtype=bool)
+    for rows in row_blocks(config.n, d_prime):
+        features = sides[rows] if mapping is None else mapping.features_matrix(sides[rows])
+        labels[rows] = features[:, mask].all(axis=1)
+    if mapping is not None and mapping.flip:
         labels = ~labels
     return sides, labels.astype(np.uint8)
-
-
-def _surviving_history(sides_bool: np.ndarray, positive: np.ndarray) -> np.ndarray:
-    """Row t = which coordinates were on in every positive side before t."""
-    n, d = sides_bool.shape
-    masked = np.where(positive[:, None], sides_bool, True)
-    running = np.logical_and.accumulate(masked, axis=0)
-    return np.vstack([np.ones((1, d), dtype=bool), running[:-1]])
-
-
-def _fast_practical_trial(sides: np.ndarray, labels: np.ndarray) -> Tuple[float, int]:
-    n = sides.shape[0]
-    if n == 0:
-        return 0.0, 0
-    sides_bool = sides.astype(bool)
-    positive = labels.astype(bool)
-    before = _surviving_history(sides_bool, positive)
-    structural = (sides_bool | ~before).all(axis=1)
-    t = np.arange(1, n + 1, dtype=np.float64)
-    hit = positive == structural
-    loss = np.log2(t + 1.0) - np.where(hit, np.log2(t), 0.0)
-    # t = 1 is an exact tie resolved by the structural label, so `hit`
-    # doubles as the per-step correctness indicator
-    return float(loss.sum()), int(np.count_nonzero(hit))
-
-
-def _fast_hybrid_trial(
-    sides: np.ndarray, labels: np.ndarray, log2_one_minus_alpha: float
-) -> Tuple[float, int]:
-    n = sides.shape[0]
-    if n == 0:
-        return 0.0, 0
-    sides_bool = sides.astype(bool)
-    positive = labels.astype(bool)
-    before = _surviving_history(sides_bool, positive)
-    violations = np.count_nonzero(before & ~sides_bool, axis=1)
-    vl = violations * log2_one_minus_alpha
-    # a side repeats with the same label on realizable data, so any
-    # non-first occurrence of a negative side is already memorized
-    _, inverse = np.unique(sides, axis=0, return_inverse=True)
-    first = np.full(int(inverse.max()) + 1, n, dtype=np.int64)
-    np.minimum.at(first, inverse, np.arange(n))
-    memorized = (np.arange(n) > first[inverse]) & ~positive
-    loss = np.where(positive, -vl, -log1mexp2_arr(vl))
-    loss[memorized] = 0.0
-    correct = np.where(positive, vl > -1.0, vl < -1.0)
-    correct[memorized] = True
-    return float(loss.sum()), int(np.count_nonzero(correct))
-
-
-def _generic_trial(predictor: OnlinePredictor, stream) -> Tuple[float, int]:
-    total = 0.0
-    correct = 0
-    for side, label in stream:
-        pred = predictor.predict(side)
-        log_p = pred.log_prob(label)
-        if log_p > -1.0:
-            correct += 1
-        elif log_p == -1.0 and predictor.tie_label(side) == label:
-            correct += 1
-        total += -log_p
-        predictor.update(side, label)
-    return total, correct
 
 
 def _check_bound(
@@ -318,38 +264,21 @@ def _check_bound(
 
 def run_synthetic(config: SyntheticConfig) -> RunReport:
     started = time.perf_counter()
-    basis = None
-    if config.reduction == "kcnf":
-        basis = build_basis(config.d, config.k)
-        d_prime = basis.d_prime
-    elif config.reduction == "conj":
-        d_prime = 2 * config.d
-    else:
-        d_prime = config.d
-    bound = _bound_bits(config.algorithm, d_prime, config.n)
-    fast = config.algorithm in ("alg1", "alg2") and config.reduction == "none"
-    penalty = None
-    if fast and config.algorithm == "alg1":
-        penalty = hybrid_log2_one_minus_alpha(config.d)
-
     trial_bits: List[float] = []
     correct_total = 0
     infinite = 0
     for trial in range(config.repeats):
+        predictor, d_prime = build_predictor(
+            config.algorithm, config.d, config.reduction, config.k
+        )
+        bound = _bound_bits(config.algorithm, d_prime, config.n)
         rng = np.random.default_rng(np.random.SeedSequence([config.seed, trial]))
-        sides, labels = _trial_stream(rng, config, d_prime, basis)
-        if fast and config.algorithm == "alg2":
-            total, correct = _fast_practical_trial(sides, labels)
-        elif fast:
-            total, correct = _fast_hybrid_trial(sides, labels, penalty)
-        else:
-            predictor, _ = build_predictor(
-                config.algorithm, config.d, config.reduction, config.k
-            )
-            total, correct = _generic_trial(predictor, zip(sides, labels))
+        sides, labels = _trial_stream(rng, config, _feature_map(predictor))
+        log_p, correct = predictor.score_trace(sides, labels)
+        total = 0.0 - float(log_p.sum())
         _check_bound(config.algorithm, total, bound, d_prime, trial)
         trial_bits.append(total)
-        correct_total += correct
+        correct_total += int(np.count_nonzero(correct))
         if math.isinf(total):
             infinite += 1
 
@@ -460,8 +389,18 @@ def run_dataset(
     predictor, d_prime = build_predictor(
         algorithm, dataset.d, reduction, k, max_features
     )
-    total, correct = _generic_trial(predictor, dataset.examples)
     n = dataset.n
+    total = 0.0
+    correct = 0
+    # blocks are sized by the stacked width; a reduced predictor maps
+    # each one in blocks of its own feature width
+    for rows in row_blocks(n, dataset.d):
+        block = dataset.examples[rows]
+        log_p, hit = predictor.score_trace(
+            np.stack([ex.side for ex in block]), [ex.label for ex in block]
+        )
+        total -= float(log_p.sum())
+        correct += int(np.count_nonzero(hit))
     return RunReport(
         algorithm=algorithm,
         reduction=reduction,
@@ -530,18 +469,29 @@ def emit_report(report: RunReport, fmt: str = "csv") -> str:
             "repeats": report.repeats,
             "seed": report.seed,
             "source": report.source,
-            "max_bits": report.max_bits,
-            "mean_bits": report.mean_bits,
+            "max_bits": _json_bits(report.max_bits),
+            "mean_bits": _json_bits(report.mean_bits),
             "bound_bits": report.bound_bits,
             "infinite_losses": report.infinite_losses,
             "correct": report.correct,
             "mistakes": report.mistakes,
             "accuracy": report.accuracy,
-            "trial_bits": list(report.trial_bits),
+            "trial_bits": [_json_bits(b) for b in report.trial_bits],
             "wall_time": report.wall_time,
         }
-        return json.dumps(payload, indent=2) + "\n"
+        return json.dumps(payload, indent=2, allow_nan=False) + "\n"
     raise ValueError(f"unknown format {fmt!r}; choose csv or json")
+
+
+def _json_bits(bits: float):
+    """Strict JSON has no infinity: an infinite loss is the string "inf"."""
+    if math.isinf(bits):
+        return "inf" if bits > 0 else "-inf"
+    return bits
+
+
+def _parse_bits(value) -> float:
+    return float(value) if value in ("inf", "-inf") else value
 
 
 def parse_report(text: str) -> RunReport:
@@ -557,14 +507,14 @@ def parse_report(text: str) -> RunReport:
         repeats=data["repeats"],
         seed=data["seed"],
         source=data["source"],
-        max_bits=data["max_bits"],
-        mean_bits=data["mean_bits"],
+        max_bits=_parse_bits(data["max_bits"]),
+        mean_bits=_parse_bits(data["mean_bits"]),
         bound_bits=data["bound_bits"],
         infinite_losses=data["infinite_losses"],
         correct=data["correct"],
         mistakes=data["mistakes"],
         accuracy=data["accuracy"],
-        trial_bits=tuple(data["trial_bits"]),
+        trial_bits=tuple(_parse_bits(b) for b in data["trial_bits"]),
         wall_time=data["wall_time"],
     )
 

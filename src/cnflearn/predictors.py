@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import FrozenSet, Optional, Sequence
+from typing import FrozenSet, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -29,6 +29,7 @@ from .core import (
     Prediction,
     as_bits,
     log1mexp2,
+    log1mexp2_arr,
     logsumexp2,
     pack_key,
 )
@@ -164,6 +165,30 @@ class ColumnMixture:
         return self.violations(bits) * self.log2_one_minus_alpha
 
 
+def _columns_before(cols: np.ndarray, sides: np.ndarray, labels: np.ndarray):
+    """Column state before each row, starting from `cols`, and after the last.
+
+    Row t of the first result is `cols` ANDed with every positive side
+    before step t: the prefix-AND that the column state runs through.
+    """
+    running = np.logical_and.accumulate(
+        np.where(labels[:, None] == 1, sides, 1).astype(bool), axis=0
+    )
+    cols = cols.astype(bool)
+    states = np.vstack([cols[None, :], cols & running])
+    return states[:-1], states[-1]
+
+
+def _side_groups(sides: np.ndarray) -> np.ndarray:
+    """Index of each row's distinct side, from 0; equal exactly where the rows are."""
+    d = sides.shape[1]
+    if d <= 63:
+        # pack each row into one int64 key and find distinct keys in 1-D
+        keys = sides.astype(np.int64) @ np.left_shift(np.int64(1), np.arange(d, dtype=np.int64))
+        return np.unique(keys, return_inverse=True)[1]
+    return np.unique(sides, axis=0, return_inverse=True)[1].reshape(-1)
+
+
 def positive_trace_log2(alpha: float, sides: Sequence[BitVector], d: int) -> float:
     """Closed-form log2 mixture probability of an all-positive trace.
 
@@ -283,6 +308,39 @@ class HybridPredictor(OnlinePredictor):
         else:
             self._neg.add(pack_key(bits))
 
+    def score_trace(self, sides, labels) -> Tuple[np.ndarray, np.ndarray]:
+        """Vectorised `OnlinePredictor.score_trace`; exact on any labels.
+
+        A step is memorised when its side is already in the negative store
+        or was seen with label 0 earlier in the trace; every other step is
+        priced from the column state before it.
+        """
+        sides, labels = self._check_trace(sides, labels)
+        n = labels.shape[0]
+        before, after = _columns_before(self._cols.cols, sides, labels)
+        violations = np.count_nonzero(before & (sides == 0), axis=1)
+        vl = violations * self.log2_one_minus_alpha
+        log_p = np.where(labels == 1, vl, log1mexp2_arr(vl))
+
+        group = _side_groups(sides)
+        steps = np.arange(n)
+        # first negative step of each distinct side, n where there is none
+        first = np.full(n, n)
+        negative = steps[labels == 0]
+        np.minimum.at(first, group[negative], negative)
+        memorised = first[group] < steps
+        if self._neg:
+            row = np.empty(int(group.max(initial=-1)) + 1, dtype=np.int64)
+            row[group] = steps  # one row of each distinct side
+            stored = np.array([pack_key(sides[i]) in self._neg for i in row], dtype=bool)
+            memorised |= stored[group]
+        log_p[memorised] = np.where(labels[memorised] == 1, -math.inf, 0.0)
+
+        self._cols.cols = after.astype(np.uint8)
+        self._neg.update(pack_key(sides[i]) for i in first[first < n])
+        # this predictor has no tie label, so an exact 1/2 tie is a mistake
+        return log_p, log_p > -1.0
+
 
 class PracticalPredictor(OnlinePredictor):
     """Surviving-coordinate conjunction with a t/(t+1) confidence schedule.
@@ -327,3 +385,17 @@ class PracticalPredictor(OnlinePredictor):
         if label:
             self._mask &= bits
         self._t += 1
+
+    def score_trace(self, sides, labels) -> Tuple[np.ndarray, np.ndarray]:
+        """Vectorised `OnlinePredictor.score_trace` by a prefix-AND."""
+        sides, labels = self._check_trace(sides, labels)
+        before, after = _columns_before(self._mask, sides, labels)
+        structural = (sides.astype(bool) | ~before).all(axis=1)
+        t = self._t + np.arange(labels.shape[0], dtype=np.float64)
+        # an exact 1/2 tie (t = 1) is scored by the structural label, so a
+        # hit is exactly a correct step
+        hit = structural == labels.astype(bool)
+        log_p = np.where(hit, np.log2(t), 0.0) - np.log2(t + 1.0)
+        self._mask = after.astype(np.uint8)
+        self._t += labels.shape[0]
+        return log_p, hit

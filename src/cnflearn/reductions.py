@@ -25,7 +25,7 @@ from typing import List, Optional, Tuple
 
 import numpy as np
 
-from .core import BitVector, OnlinePredictor, Prediction, as_bits, pack_key
+from .core import BitVector, OnlinePredictor, Prediction, as_bits, pack_key, row_blocks
 from .predictors import hybrid_log2_one_minus_alpha
 
 DEFAULT_FEATURE_BUDGET = 4_000_000
@@ -223,6 +223,23 @@ class ReducedPredictor(OnlinePredictor):
         if tie is None:
             return None
         return 1 - tie if self.mapping.flip else tie
+
+    def score_trace(self, sides, labels) -> Tuple[np.ndarray, np.ndarray]:
+        """Map the trace block by block and score it with the inner predictor.
+
+        A flipped map flips the inner labels; the wrapper's probability of
+        a label is the inner one's of the flipped label, and its tie label
+        is flipped the same way, so both results carry over unchanged.
+        """
+        sides, labels = self._check_trace(sides, labels)
+        if self.mapping.flip:
+            labels = 1 - labels
+        log_p = np.empty(labels.shape[0], dtype=np.float64)
+        correct = np.empty(labels.shape[0], dtype=bool)
+        for rows in row_blocks(labels.shape[0], self.d_prime):
+            features = self.mapping.features_matrix(sides[rows])
+            log_p[rows], correct[rows] = self.inner.score_trace(features, labels[rows])
+        return log_p, correct
 
 
 class _SurvivingClauses(OnlinePredictor):

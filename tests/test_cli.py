@@ -2,7 +2,9 @@ import json
 
 import pytest
 
+from cnflearn import cli
 from cnflearn.cli import main
+from cnflearn.core import Prediction
 
 
 def run(capsys, *argv):
@@ -58,6 +60,15 @@ class TestSyntheticCommand:
     def test_unknown_algorithm_rejected_by_parser(self, capsys):
         with pytest.raises(SystemExit):
             main(["synthetic", "--algo", "sgd", "--d", "3"])
+
+    def test_numerical_failure_exits_4(self, capsys, monkeypatch):
+        def unnormalised(config):
+            return Prediction(0.0, 0.0)  # p0 + p1 = 2
+
+        monkeypatch.setattr(cli, "run_synthetic", unnormalised)
+        code, out, err = run(capsys, "synthetic", "--algo", "alg2", "--d", "3")
+        assert code == 4 and out == ""
+        assert "numerical error" in err and "must sum to 1" in err
 
 
 class TestDatasetCommand:

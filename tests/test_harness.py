@@ -1,18 +1,21 @@
 import math
 
+import json
+
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
-from cnflearn.core import BoundViolation
+from cnflearn.core import BLOCK_BITS, BoundViolation
 from cnflearn.harness import (
-    Dataset,
+    ALGORITHMS,
     DatasetConfig,
     SyntheticConfig,
     _check_bound,
-    _fast_hybrid_trial,
-    _fast_practical_trial,
-    _generic_trial,
+    _feature_map,
     _trial_stream,
+    build_predictor,
     emit_report,
     ingest_dataset,
     parse_report,
@@ -22,11 +25,7 @@ from cnflearn.harness import (
     run_synthetic,
     sample_hypothesis,
 )
-from cnflearn.predictors import (
-    HybridPredictor,
-    PracticalPredictor,
-    hybrid_log2_one_minus_alpha,
-)
+from cnflearn.predictors import HybridPredictor
 from cnflearn.reductions import basis_size
 
 
@@ -120,38 +119,134 @@ class TestRunSynthetic:
     def test_reduction_dimensions(self):
         base = dict(algorithm="alg2", n=16, repeats=1, seed=0)
         assert run_synthetic(SyntheticConfig(d=3, reduction="conj", **base)).d_prime == 6
-        assert run_synthetic(SyntheticConfig(d=3, reduction="disj", **base)).d_prime == 3
+        assert run_synthetic(SyntheticConfig(d=3, reduction="disj", **base)).d_prime == 6
         kcnf = run_synthetic(SyntheticConfig(d=3, reduction="kcnf", k=2, **base))
         assert kcnf.d_prime == basis_size(3, 2)
+
+    def test_disj_bound_is_taken_at_the_built_dimension(self):
+        # alg1 behind the disj map learns over 2d features, so its bound
+        # is 2 * (2d)^2; at d' = d this seed's trials exceeded 2 * d^2
+        report = run_synthetic(
+            SyntheticConfig("alg1", 4, 64, 100, 1, reduction="disj")
+        )
+        assert report.d_prime == 8 and report.bound_bits == 128.0
+        assert report.max_bits > 2.0 * 4 * 4
 
     def test_hybrid_needs_two_dimensions(self):
         with pytest.raises(ValueError, match="d >= 2"):
             run_synthetic(SyntheticConfig(algorithm="alg1", d=1, n=8, repeats=1, seed=0))
 
 
-class TestFastPathsMatchSequentialPredictors:
-    def test_agreement_on_random_trials(self):
-        meta = np.random.default_rng(99)
-        for _ in range(25):
-            d = int(meta.integers(2, 8))
-            n = int(meta.integers(0, 90))
-            config = SyntheticConfig(
-                algorithm="alg2", d=d, n=n, repeats=1, seed=int(meta.integers(1 << 20))
-            )
-            rng = np.random.default_rng(np.random.SeedSequence([config.seed, 0]))
-            sides, labels = _trial_stream(rng, config, d, None)
+def sequential(predictor, sides, labels):
+    """Reference for score_trace: predict/update one step at a time."""
+    log_p, correct = [], []
+    for side, label in zip(sides, labels):
+        lp = predictor.predict(side).log_prob(label)
+        log_p.append(lp)
+        correct.append(lp > -1.0 or (lp == -1.0 and predictor.tie_label(side) == label))
+        predictor.update(side, label)
+    return np.array(log_p, dtype=np.float64), np.array(correct, dtype=bool)
 
-            fast_bits, fast_correct = _fast_practical_trial(sides, labels)
-            bits, correct = _generic_trial(PracticalPredictor(d), zip(sides, labels))
-            assert fast_bits == pytest.approx(bits, abs=1e-9)
-            assert fast_correct == correct
 
-            fast_bits, fast_correct = _fast_hybrid_trial(
-                sides, labels, hybrid_log2_one_minus_alpha(d)
-            )
-            bits, correct = _generic_trial(HybridPredictor(d), zip(sides, labels))
-            assert fast_bits == pytest.approx(bits, abs=1e-9)
-            assert fast_correct == correct
+def assert_same_scores(got, want):
+    (got_bits, got_correct), (want_bits, want_correct) = got, want
+    assert got_bits.shape == want_bits.shape
+    # infinite steps must agree exactly, finite ones to 1e-9 bits
+    assert np.array_equal(np.isinf(got_bits), np.isinf(want_bits))
+    assert np.array_equal(got_bits[np.isinf(got_bits)], want_bits[np.isinf(want_bits)])
+    finite = np.isfinite(want_bits)
+    assert np.allclose(got_bits[finite], want_bits[finite], rtol=0.0, atol=1e-9)
+    assert abs(got_bits[finite].sum() - want_bits[finite].sum()) <= 1e-9
+    assert np.array_equal(got_correct, want_correct)
+
+
+def switching_run(make, sides, labels, cut1, cut2):
+    """predict/update before cut1, score_trace up to cut2, then predict/update."""
+    predictor = make()
+    head = sequential(predictor, sides[:cut1], labels[:cut1])
+    middle = predictor.score_trace(sides[cut1:cut2], labels[cut1:cut2])
+    tail = sequential(predictor, sides[cut2:], labels[cut2:])
+    return tuple(np.concatenate(parts) for parts in zip(head, middle, tail))
+
+
+REDUCTION_CASES = [("none", None), ("conj", None), ("disj", None), ("kcnf", 1), ("kcnf", 2)]
+
+
+@st.composite
+def traces(draw):
+    algorithm = draw(st.sampled_from(sorted(ALGORITHMS)))
+    reduction, k = draw(st.sampled_from(REDUCTION_CASES))
+    # bayes-exact enumerates 2**d' hypotheses, so it gets the smallest d
+    d = 2 if algorithm == "bayes-exact" and reduction != "none" else draw(st.integers(2, 4))
+    n = draw(st.integers(0, 60))
+    seed = draw(st.integers(0, 2 ** 32 - 1))
+    coin_flip = draw(st.booleans())
+    cut1 = draw(st.integers(0, n))
+    cut2 = draw(st.integers(cut1, n))
+    return algorithm, reduction, k, d, n, seed, coin_flip, cut1, cut2
+
+
+class TestScoreTraceMatchesSequentialLoop:
+    @settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(traces())
+    def test_every_algorithm_and_reduction(self, case):
+        algorithm, reduction, k, d, n, seed, coin_flip, cut1, cut2 = case
+        make = lambda: build_predictor(algorithm, d, reduction, k)[0]
+        config = SyntheticConfig(algorithm, d, n, 1, seed, reduction, k)
+        rng = np.random.default_rng(seed)
+        # at most 16 distinct sides, so sides repeat, and coin-flip labels
+        # relabel memorised negatives (+inf steps for alg1)
+        sides, labels = _trial_stream(rng, config, _feature_map(make()))
+        if coin_flip:
+            labels = rng.integers(0, 2, size=n, dtype=np.uint8)
+        try:
+            want = sequential(make(), sides, labels)
+        except RuntimeError:
+            # bayes-exact has no hypothesis left on non-realizable labels
+            with pytest.raises(RuntimeError):
+                make().score_trace(sides, labels)
+            return
+        assert_same_scores(make().score_trace(sides, labels), want)
+        assert_same_scores(switching_run(make, sides, labels, cut1, cut2), want)
+
+    @pytest.mark.parametrize("algorithm", ["alg1", "alg2", "memorize", "madnb"])
+    def test_trace_crossing_block_boundaries(self, algorithm):
+        predictor, d_prime = build_predictor(algorithm, 40, "conj")
+        n = 2 * (BLOCK_BITS // d_prime) + 17
+        rng = np.random.default_rng(5)
+        sides = rng.integers(0, 2, size=(n, 40), dtype=np.uint8)
+        sides[1::3] = sides[::3][: len(sides[1::3])]  # repeats, some relabelled
+        labels = rng.integers(0, 2, size=n, dtype=np.uint8)
+        labels[: n // 2] = sides[: n // 2, :3].all(axis=1)
+        want = sequential(build_predictor(algorithm, 40, "conj")[0], sides, labels)
+        assert_same_scores(predictor.score_trace(sides, labels), want)
+
+    @pytest.mark.parametrize("d", [63, 64, 100])
+    def test_alg1_wide_sides_with_infinite_steps(self, d):
+        rng = np.random.default_rng(d)
+        pool = rng.integers(0, 2, size=(12, d), dtype=np.uint8)
+        pool[:6, :-8] = pool[0, :-8]  # half the sides differ only in the last 8 bits
+        sides = pool[rng.integers(0, 12, size=300)]
+        labels = rng.integers(0, 2, size=300, dtype=np.uint8)
+        want = sequential(HybridPredictor(d), sides, labels)
+        assert np.isinf(want[0]).any()
+        assert_same_scores(HybridPredictor(d).score_trace(sides, labels), want)
+        assert_same_scores(
+            switching_run(lambda: HybridPredictor(d), sides, labels, 100, 200), want
+        )
+
+    def test_rejects_bad_matrices(self):
+        predictor = HybridPredictor(3)
+        with pytest.raises(ValueError, match="two-dimensional"):
+            predictor.score_trace([1, 0, 1], [1])
+        with pytest.raises(ValueError, match="expected 3 bits"):
+            predictor.score_trace(np.zeros((2, 4), dtype=np.uint8), [0, 1])
+        with pytest.raises(ValueError, match="0 or 1"):
+            predictor.score_trace(np.full((2, 3), 2, dtype=np.uint8), [0, 1])
+        with pytest.raises(ValueError, match="labels"):
+            predictor.score_trace(np.zeros((2, 3), dtype=np.uint8), [0, 2])
+        with pytest.raises(ValueError, match="expected 2 labels"):
+            predictor.score_trace(np.zeros((2, 3), dtype=np.uint8), [0])
 
 
 class TestBoundCheck:
@@ -266,6 +361,25 @@ class TestRunDataset:
         with pytest.raises(ValueError, match="budget"):
             run_dataset(DatasetConfig(path, "class", "e"), "alg2", "kcnf", 2, max_features=10)
 
+    def test_blocks_match_sequential_loop(self, tmp_path):
+        rows = ["color,size,shape,class"]
+        rng = np.random.default_rng(8)
+        for _ in range(3000):
+            color, size, shape = rng.choice(list("rgb")), rng.choice(list("sl")), rng.choice(list("xyz"))
+            noisy = rng.random() < 0.05
+            rows.append(f"{color},{size},{shape},{'e' if (color == 'r' or size == 'l') != noisy else 'p'}")
+        path = write_csv(tmp_path, "big.csv", "\n".join(rows) + "\n")
+        config = DatasetConfig(path, "class", "e")
+        report = run_dataset(config, "alg2", "kcnf", 2)
+        predictor, d_prime = build_predictor("alg2", report.d, "kcnf", 2)
+        assert report.n > BLOCK_BITS // d_prime  # more than one block
+        examples = ingest_dataset(config).examples
+        log_p, correct = sequential(
+            predictor, [ex.side for ex in examples], [ex.label for ex in examples]
+        )
+        assert report.trial_bits[0] == pytest.approx(-log_p.sum(), rel=1e-5)  # 6 digits
+        assert report.correct == int(correct.sum())
+
     def test_bound_field_reported_not_asserted(self, tmp_path):
         path = self.sample_file(tmp_path)
         report = run_dataset(DatasetConfig(path, "class", "e"), "madnb")
@@ -281,6 +395,19 @@ class TestReports:
     def test_json_round_trip(self):
         report = run_synthetic(self.config())
         assert parse_report(emit_report(report, "json")) == report
+
+    def test_infinite_loss_round_trips_as_strict_json(self, tmp_path):
+        # the negative side "x" recurs labelled 1, which alg1 prices at zero
+        path = write_csv(tmp_path, "t.csv", "a,class\nx,p\ny,e\nx,e\ny,p\nx,p\n")
+        report = run_dataset(DatasetConfig(path, "class", "e"), "alg1")
+        assert math.isinf(report.max_bits) and report.infinite_losses == 1
+        text = emit_report(report, "json")
+
+        def no_constants(name):
+            raise AssertionError(f"non-standard JSON constant {name}")
+
+        assert json.loads(text, parse_constant=no_constants)["max_bits"] == "inf"
+        assert parse_report(text) == report
 
     def test_emission_is_deterministic(self):
         report = run_synthetic(self.config())
