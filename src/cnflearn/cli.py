@@ -6,7 +6,7 @@ import argparse
 import sys
 from typing import Optional, Sequence
 
-from .core import BoundViolation, NumericalError
+from .core import BoundViolation, NumericalError, UnrealizableTrace
 from .harness import (
     ALGORITHMS,
     REDUCTIONS,
@@ -128,7 +128,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except NumericalError as exc:
         sys.stderr.write(f"numerical error: {exc}\n")
         return 4
-    except (ValueError, OSError) as exc:
+    except (ValueError, OSError, UnrealizableTrace) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2
 

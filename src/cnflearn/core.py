@@ -26,6 +26,7 @@ __all__ = [
     "NumericalError",
     "OnlinePredictor",
     "Prediction",
+    "UnrealizableTrace",
     "as_bits",
     "cumulative_loss",
     "log1mexp2",
@@ -45,6 +46,14 @@ class BoundViolation(RuntimeError):
 
     Raised by the experiment harness; it means the implementation is wrong,
     not the data.
+    """
+
+
+class UnrealizableTrace(RuntimeError):
+    """No hypothesis of the predictor's class fits the trace seen so far.
+
+    Raised by predictors that cannot continue on contradictory data; it
+    means the input does not fit the algorithm, not that the code is wrong.
     """
 
 

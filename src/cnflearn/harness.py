@@ -21,7 +21,7 @@ import json
 import math
 import time
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -205,21 +205,35 @@ def build_predictor(
     max_features: int = DEFAULT_FEATURE_BUDGET,
 ) -> Tuple[OnlinePredictor, int]:
     """Predictor for original d-bit sides, plus the effective dimension."""
+    make, d_prime = _predictor_maker(algorithm, d, reduction, k, max_features)
+    return make(), d_prime
+
+
+def _predictor_maker(
+    algorithm: str,
+    d: int,
+    reduction: str = "none",
+    k: Optional[int] = None,
+    max_features: int = DEFAULT_FEATURE_BUDGET,
+) -> Tuple[Callable[[], OnlinePredictor], int]:
+    """A maker of fresh `build_predictor` predictors, plus the effective
+    dimension. A clause basis is built once, here, and shared by every
+    predictor the maker returns, which only ever reads it."""
     base = ALGORITHMS[algorithm]
     if reduction == "none":
-        return base(d), d
+        return lambda: base(d), d
     if reduction == "conj":
         mapping = ConjunctionMap(d)
-        return ReducedPredictor(base(mapping.d_prime), mapping), mapping.d_prime
-    if reduction == "disj":
+    elif reduction == "disj":
         mapping = DisjunctionMap(d)
-        return ReducedPredictor(base(mapping.d_prime), mapping), mapping.d_prime
-    basis = build_basis(d, k, max_features)
-    if algorithm == "alg2":
-        return ExpandedPractical(basis), basis.d_prime
-    if algorithm == "alg1":
-        return ExpandedHybrid(basis), basis.d_prime
-    return ReducedPredictor(base(basis.d_prime), ClauseMap(basis)), basis.d_prime
+    else:
+        basis = build_basis(d, k, max_features)
+        if algorithm == "alg2":
+            return lambda: ExpandedPractical(basis), basis.d_prime
+        if algorithm == "alg1":
+            return lambda: ExpandedHybrid(basis), basis.d_prime
+        mapping = ClauseMap(basis)
+    return lambda: ReducedPredictor(base(mapping.d_prime), mapping), mapping.d_prime
 
 
 def _feature_map(predictor: OnlinePredictor):
@@ -267,11 +281,10 @@ def run_synthetic(config: SyntheticConfig) -> RunReport:
     trial_bits: List[float] = []
     correct_total = 0
     infinite = 0
+    make, d_prime = _predictor_maker(config.algorithm, config.d, config.reduction, config.k)
+    bound = _bound_bits(config.algorithm, d_prime, config.n)
     for trial in range(config.repeats):
-        predictor, d_prime = build_predictor(
-            config.algorithm, config.d, config.reduction, config.k
-        )
-        bound = _bound_bits(config.algorithm, d_prime, config.n)
+        predictor = make()
         rng = np.random.default_rng(np.random.SeedSequence([config.seed, trial]))
         sides, labels = _trial_stream(rng, config, _feature_map(predictor))
         log_p, correct = predictor.score_trace(sides, labels)

@@ -24,11 +24,13 @@ from typing import Iterable, Sequence, Tuple
 
 import numpy as np
 
-from .core import OnlinePredictor, Prediction, logsumexp2
+from .core import NumericalError, OnlinePredictor, Prediction, logsumexp2, row_blocks
 from .oracles import BRUTE_FORCE_CAP
 
 LN2 = math.log(2.0)
 _LN_PI = math.log(math.pi)
+# Madnb.score_trace takes row blocks of BLOCK_BITS / (_BLOCK_SCALE * d) rows
+_BLOCK_SCALE = 4
 
 __all__ = [
     "Madnb",
@@ -212,3 +214,100 @@ class Madnb(OnlinePredictor):
         self._marg[self._idx, s] += 1
         self._cond[label, self._idx, s] += 1
         self._kt_cond[label] = self._fresh_kt(label)
+
+    def score_trace(self, sides, labels) -> Tuple[np.ndarray, np.ndarray]:
+        """Vectorised `OnlinePredictor.score_trace` by prefix sums of the counts.
+
+        Every count before a row is the state plus an exclusive cumulative
+        sum over the rows before it, and each row is priced with
+        `_predict`'s arithmetic on the same lgamma tables, so the results
+        equal the loop's. A row whose prediction fails the normalisation
+        check raises `NumericalError` as `_predict` does, with the rows
+        before it absorbed.
+        """
+        sides, labels = self._check_trace(sides, labels)
+        log_p = np.empty(labels.shape[0], dtype=np.float64)
+        # about six (rows, d) arrays of 8-byte values are live per block
+        for rows in row_blocks(labels.shape[0], _BLOCK_SCALE * self.d):
+            log_p[rows] = self._score_block(sides[rows], labels[rows])
+        return log_p, log_p > -1.0
+
+    def _score_block(self, sides: np.ndarray, labels: np.ndarray) -> np.ndarray:
+        """log2 p of each realised label in one block, then absorb the block."""
+        n, d = sides.shape
+        steps = np.arange(n)
+        done = int(self._cls.sum())  # rows absorbed before the block
+        cls1 = int(self._cls[1]) + np.cumsum(labels, dtype=np.int64) - labels
+        cls = (done + steps - cls1, cls1)  # label counts before each row
+        half = _HALF.ensure(done + n)
+        ints = _INTS.ensure(done + n)
+        sums = np.zeros((n + 1, d), dtype=np.int64)  # row t: a column sum over rows < t
+        ones = np.empty((n, d), dtype=np.int64)
+        scratch = np.empty((n, d), dtype=np.float64)
+
+        def log2_kt_into(out: np.ndarray, total: np.ndarray) -> None:
+            # _log2_kt_arr of (total - ones, ones), in its order of operations;
+            # leaves the zero counts in `ones`
+            np.take(half, ones, out=out, mode="clip")
+            np.subtract(total[:, None], ones, out=ones)
+            np.take(half, ones, out=scratch, mode="clip")
+            out += scratch
+            out -= _LN_PI
+            out -= ints[total][:, None]
+            out /= LN2
+
+        # the marginal counts with each row's own symbol added
+        np.cumsum(sides, axis=0, dtype=np.int64, out=sums[1:])
+        np.add(sums[1:], self._marg[:, 1], out=ones)
+        marg_next = np.empty((n, d), dtype=np.float64)
+        log2_kt_into(marg_next, done + steps + 1)
+        # row 0 of kt[y]: the cached log2 KT of the y-conditional counts;
+        # row t + 1: the same with row t's symbol counted under label y,
+        # which is the cache after row t when row t is labelled y
+        kt = np.empty((2, n + 1, d), dtype=np.float64)
+        for y in (0, 1):
+            np.cumsum(sides * (labels == y)[:, None], axis=0, dtype=np.int64, out=sums[1:])
+            np.add(sums[:-1], sides, out=ones)
+            ones += self._cond[y, :, 1]
+            kt[y, 0] = self._kt_cond[y]
+            log2_kt_into(kt[y, 1:], cls[y] + 1)
+
+        log_nb = np.empty((2, n), dtype=np.float64)
+        for y in (0, 1):
+            other = labels == 1 - y
+            # the row of kt[1 - y] holding the cache before each row
+            last = np.maximum.accumulate(np.where(other, steps + 1, 0))
+            cached = np.concatenate([[0], last[:-1]])
+            np.take(kt[1 - y], cached, axis=0, out=scratch, mode="clip")
+            scratch += kt[y, 1:]
+            np.logaddexp2(marg_next, scratch, out=scratch)
+            scratch -= 1.0
+            scratch.sum(axis=1, out=log_nb[y])
+        log_nb[0] += _log2_kt_arr(cls[0] + 1, cls[1])
+        log_nb[1] += _log2_kt_arr(cls[0], cls[1] + 1)
+        norm = np.logaddexp2(log_nb[0], log_nb[1])
+        log_p0, log_p1 = log_nb[0] - norm, log_nb[1] - norm
+
+        # rows well inside the check pass it; the rest take `Prediction`'s
+        # own check, whose arithmetic may differ from exp2's in the last bit
+        total = np.exp2(log_p0) + np.exp2(log_p1)
+        for t in np.flatnonzero(~(np.abs(total - 1.0) <= 0.5e-9)):
+            try:
+                Prediction(float(log_p0[t]), float(log_p1[t]))
+            except NumericalError:
+                self._absorb(sides[:t], labels[:t])
+                raise
+        self._absorb(sides, labels)
+        return np.where(labels == 1, log_p1, log_p0)
+
+    def _absorb(self, sides: np.ndarray, labels: np.ndarray) -> None:
+        """`_update` over every row in order, by column sums."""
+        for y in (0, 1):
+            rows = sides[labels == y]
+            ones = rows.sum(axis=0, dtype=np.int64)
+            self._cls[y] += rows.shape[0]
+            self._marg[:, 1] += ones
+            self._marg[:, 0] += rows.shape[0] - ones
+            self._cond[y, :, 1] += ones
+            self._cond[y, :, 0] += rows.shape[0] - ones
+            self._kt_cond[y] = self._fresh_kt(y)

@@ -27,6 +27,7 @@ from .core import (
     BitVector,
     OnlinePredictor,
     Prediction,
+    UnrealizableTrace,
     as_bits,
     log1mexp2,
     log1mexp2_arr,
@@ -111,7 +112,7 @@ class ExactMixture(OnlinePredictor):
         log_z1 = logsumexp2(self._log_prior[self._alive & sat])
         log_z0 = logsumexp2(self._log_prior[self._alive & ~sat])
         if log_z1 == -math.inf and log_z0 == -math.inf:
-            raise RuntimeError(
+            raise UnrealizableTrace(
                 "no consistent hypothesis remains; the trace was not realizable"
             )
         norm = float(np.logaddexp2(log_z0, log_z1))
@@ -171,12 +172,66 @@ def _columns_before(cols: np.ndarray, sides: np.ndarray, labels: np.ndarray):
     Row t of the first result is `cols` ANDed with every positive side
     before step t: the prefix-AND that the column state runs through.
     """
-    running = np.logical_and.accumulate(
-        np.where(labels[:, None] == 1, sides, 1).astype(bool), axis=0
-    )
+    running = np.logical_and.accumulate(sides.astype(bool) | (labels[:, None] != 1), axis=0)
     cols = cols.astype(bool)
     states = np.vstack([cols[None, :], cols & running])
     return states[:-1], states[-1]
+
+
+def practical_steps(cols: np.ndarray, features: np.ndarray, labels: np.ndarray, t: int):
+    """`PracticalPredictor` over a block of feature rows, from column state
+    `cols` at step t.
+
+    Returns the per-step log2 probability of the realised label, the
+    per-step correctness and the column state after the block.
+    """
+    before, after = _columns_before(cols, features, labels)
+    structural = (features.astype(bool) | ~before).all(axis=1)
+    t = t + np.arange(labels.shape[0], dtype=np.float64)
+    # an exact 1/2 tie (t = 1) is scored by the structural label, so a
+    # hit is exactly a correct step
+    hit = structural == labels.astype(bool)
+    log_p = np.where(hit, np.log2(t), 0.0) - np.log2(t + 1.0)
+    return log_p, hit, after
+
+
+def hybrid_column_steps(
+    cols: np.ndarray, features: np.ndarray, labels: np.ndarray, log2_one_minus_alpha: float
+):
+    """`HybridPredictor`'s column pricing over a block of feature rows, from
+    column state `cols`, ignoring the negative store.
+
+    Returns the per-step log2 probability of the realised label and the
+    column state after the block.
+    """
+    before, after = _columns_before(cols, features, labels)
+    violations = np.count_nonzero(before & (features == 0), axis=1)
+    vl = violations * log2_one_minus_alpha
+    return np.where(labels == 1, vl, log1mexp2_arr(vl)), after
+
+
+def memorise_negatives(log_p: np.ndarray, sides: np.ndarray, labels: np.ndarray, neg: set) -> None:
+    """Apply `HybridPredictor`'s negative store to a trace priced by columns.
+
+    A step is memorised when its side is already in `neg` or was seen with
+    label 0 earlier in the trace; its entry of `log_p` becomes the certain
+    prediction of 0. Every negative side of the trace is then added to `neg`.
+    """
+    n = labels.shape[0]
+    group = _side_groups(sides)
+    steps = np.arange(n)
+    # first negative step of each distinct side, n where there is none
+    first = np.full(n, n)
+    negative = steps[labels == 0]
+    np.minimum.at(first, group[negative], negative)
+    memorised = first[group] < steps
+    if neg:
+        row = np.empty(int(group.max(initial=-1)) + 1, dtype=np.int64)
+        row[group] = steps  # one row of each distinct side
+        stored = np.array([pack_key(sides[i]) in neg for i in row], dtype=bool)
+        memorised |= stored[group]
+    log_p[memorised] = np.where(labels[memorised] == 1, -math.inf, 0.0)
+    neg.update(pack_key(sides[i]) for i in first[first < n])
 
 
 def _side_groups(sides: np.ndarray) -> np.ndarray:
@@ -311,33 +366,15 @@ class HybridPredictor(OnlinePredictor):
     def score_trace(self, sides, labels) -> Tuple[np.ndarray, np.ndarray]:
         """Vectorised `OnlinePredictor.score_trace`; exact on any labels.
 
-        A step is memorised when its side is already in the negative store
-        or was seen with label 0 earlier in the trace; every other step is
-        priced from the column state before it.
+        Steps are priced from the column state before them, then the
+        memorised ones are overridden by the negative store.
         """
         sides, labels = self._check_trace(sides, labels)
-        n = labels.shape[0]
-        before, after = _columns_before(self._cols.cols, sides, labels)
-        violations = np.count_nonzero(before & (sides == 0), axis=1)
-        vl = violations * self.log2_one_minus_alpha
-        log_p = np.where(labels == 1, vl, log1mexp2_arr(vl))
-
-        group = _side_groups(sides)
-        steps = np.arange(n)
-        # first negative step of each distinct side, n where there is none
-        first = np.full(n, n)
-        negative = steps[labels == 0]
-        np.minimum.at(first, group[negative], negative)
-        memorised = first[group] < steps
-        if self._neg:
-            row = np.empty(int(group.max(initial=-1)) + 1, dtype=np.int64)
-            row[group] = steps  # one row of each distinct side
-            stored = np.array([pack_key(sides[i]) in self._neg for i in row], dtype=bool)
-            memorised |= stored[group]
-        log_p[memorised] = np.where(labels[memorised] == 1, -math.inf, 0.0)
-
+        log_p, after = hybrid_column_steps(
+            self._cols.cols, sides, labels, self.log2_one_minus_alpha
+        )
         self._cols.cols = after.astype(np.uint8)
-        self._neg.update(pack_key(sides[i]) for i in first[first < n])
+        memorise_negatives(log_p, sides, labels, self._neg)
         # this predictor has no tie label, so an exact 1/2 tie is a mistake
         return log_p, log_p > -1.0
 
@@ -389,13 +426,7 @@ class PracticalPredictor(OnlinePredictor):
     def score_trace(self, sides, labels) -> Tuple[np.ndarray, np.ndarray]:
         """Vectorised `OnlinePredictor.score_trace` by a prefix-AND."""
         sides, labels = self._check_trace(sides, labels)
-        before, after = _columns_before(self._mask, sides, labels)
-        structural = (sides.astype(bool) | ~before).all(axis=1)
-        t = self._t + np.arange(labels.shape[0], dtype=np.float64)
-        # an exact 1/2 tie (t = 1) is scored by the structural label, so a
-        # hit is exactly a correct step
-        hit = structural == labels.astype(bool)
-        log_p = np.where(hit, np.log2(t), 0.0) - np.log2(t + 1.0)
+        log_p, hit, after = practical_steps(self._mask, sides, labels, self._t)
         self._mask = after.astype(np.uint8)
         self._t += labels.shape[0]
         return log_p, hit

@@ -25,8 +25,21 @@ from typing import List, Optional, Tuple
 
 import numpy as np
 
-from .core import BitVector, OnlinePredictor, Prediction, as_bits, pack_key, row_blocks
-from .predictors import hybrid_log2_one_minus_alpha
+from .core import (
+    BLOCK_BITS,
+    BitVector,
+    OnlinePredictor,
+    Prediction,
+    as_bits,
+    pack_key,
+    row_blocks,
+)
+from .predictors import (
+    hybrid_column_steps,
+    hybrid_log2_one_minus_alpha,
+    memorise_negatives,
+    practical_steps,
+)
 
 DEFAULT_FEATURE_BUDGET = 4_000_000
 
@@ -117,11 +130,16 @@ def expand(basis: ClauseBasis, side: BitVector) -> np.ndarray:
 
 def expand_matrix(basis: ClauseBasis, sides: np.ndarray) -> np.ndarray:
     """Row-wise expand of an (n, d) matrix to (n, d_prime)."""
-    lits = np.concatenate([sides, 1 - sides], axis=1).astype(np.uint8)
-    out = lits[:, basis.clause_matrix[:, 0]]
-    for j in range(1, basis.k):
-        np.maximum(out, lits[:, basis.clause_matrix[:, j]], out=out)
-    return out
+    return _clause_values(basis.clause_matrix, sides).view(np.uint8)
+
+
+def _clause_values(clause_matrix: np.ndarray, sides: np.ndarray) -> np.ndarray:
+    """Truth of each clause (a row of literal ids) on each row of `sides`."""
+    lits = np.concatenate([sides, 1 - sides], axis=1).astype(bool)
+    values = lits[:, clause_matrix[:, 0]]
+    for j in range(1, clause_matrix.shape[1]):
+        values |= lits[:, clause_matrix[:, j]]
+    return values
 
 
 def conjunction_transform(side: BitVector) -> np.ndarray:
@@ -280,6 +298,19 @@ class _SurvivingClauses(OnlinePredictor):
             self._surv = self._surv[vals.astype(bool)]
         self._cached = (None, None)
 
+    def _survivor_blocks(self, sides: np.ndarray):
+        """Consecutive row blocks of `sides` with the truth of each surviving
+        clause on each row, about BLOCK_BITS values per block.
+
+        The caller shrinks the survivors by each block before taking the
+        next, so each block is sized by the survivors left.
+        """
+        start = 0
+        while start < sides.shape[0]:
+            rows = slice(start, start + max(1, BLOCK_BITS // max(1, self.surviving_count)))
+            yield rows, _clause_values(self.basis.clause_matrix[self._surv], sides[rows])
+            start = rows.stop
+
 
 class ExpandedPractical(_SurvivingClauses):
     """Practical predictor over a clause basis, fed original side vectors.
@@ -311,6 +342,19 @@ class ExpandedPractical(_SurvivingClauses):
             self._shrink(self._values(bits))
         self._t += 1
 
+    def score_trace(self, sides, labels) -> Tuple[np.ndarray, np.ndarray]:
+        """Vectorised `OnlinePredictor.score_trace`: `PracticalPredictor`'s
+        prefix-AND over the surviving clauses, block by block."""
+        sides, labels = self._check_trace(sides, labels)
+        log_p = np.empty(labels.shape[0], dtype=np.float64)
+        hit = np.empty(labels.shape[0], dtype=bool)
+        for rows, values in self._survivor_blocks(sides):
+            alive = np.ones(values.shape[1], dtype=bool)
+            log_p[rows], hit[rows], after = practical_steps(alive, values, labels[rows], self._t)
+            self._shrink(after)
+            self._t += values.shape[0]
+        return log_p, hit
+
 
 class ExpandedHybrid(_SurvivingClauses):
     """Hybrid predictor over a clause basis, fed original side vectors.
@@ -338,3 +382,18 @@ class ExpandedHybrid(_SurvivingClauses):
             self._shrink(self._values(bits))
         else:
             self._neg.add(pack_key(bits))
+
+    def score_trace(self, sides, labels) -> Tuple[np.ndarray, np.ndarray]:
+        """Vectorised `OnlinePredictor.score_trace`: `HybridPredictor`'s
+        column pricing over the surviving clauses, block by block, then its
+        negative store over the original sides."""
+        sides, labels = self._check_trace(sides, labels)
+        log_p = np.empty(labels.shape[0], dtype=np.float64)
+        for rows, values in self._survivor_blocks(sides):
+            alive = np.ones(values.shape[1], dtype=bool)
+            log_p[rows], after = hybrid_column_steps(
+                alive, values, labels[rows], self.log2_one_minus_alpha
+            )
+            self._shrink(after)
+        memorise_negatives(log_p, sides, labels, self._neg)
+        return log_p, log_p > -1.0

@@ -84,6 +84,17 @@ class TestDatasetCommand:
         assert header == "algo,d,d_prime,k,n,accuracy,correct,mistakes,total_bits,bound_bits"
         assert row.startswith("alg2,4,4,,3,")
 
+    def test_bayes_exact_on_contradictory_data_is_bad_input(self, capsys, tmp_path):
+        # side (x, y) is labelled both ways, so no conjunction fits the file
+        path = tmp_path / "contradiction.csv"
+        path.write_text("a,b,class\nx,y,e\nx,y,p\nz,y,e\nx,w,p\n", encoding="utf-8")
+        code, out, err = run(
+            capsys, "dataset", "--path", str(path), "--label-column", "class",
+            "--positive-label", "e", "--algo", "bayes-exact",
+        )
+        assert code == 2 and out == ""
+        assert err == "error: no consistent hypothesis remains; the trace was not realizable\n"
+
     def test_missing_file_exits_nonzero(self, capsys, tmp_path):
         code, _, err = run(
             capsys, "dataset", "--path", str(tmp_path / "no.csv"),

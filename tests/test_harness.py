@@ -7,7 +7,8 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from cnflearn.core import BLOCK_BITS, BoundViolation
+from cnflearn import harness
+from cnflearn.core import BLOCK_BITS, BoundViolation, NumericalError
 from cnflearn.harness import (
     ALGORITHMS,
     DatasetConfig,
@@ -132,6 +133,24 @@ class TestRunSynthetic:
         assert report.d_prime == 8 and report.bound_bits == 128.0
         assert report.max_bits > 2.0 * 4 * 4
 
+    def test_clause_basis_built_once_per_run(self, monkeypatch):
+        build_basis = harness.build_basis
+        built = []
+
+        def counted(*args):
+            built.append(args)
+            return build_basis(*args)
+
+        monkeypatch.setattr(harness, "build_basis", counted)
+        config = SyntheticConfig("alg2", 16, 64, 20, 0, reduction="kcnf", k=3)
+        report = run_synthetic(config)
+        assert len(built) == 1
+        # the report of the per-trial build, which gave every trial its own basis
+        assert emit_report(report) == (
+            "algo,d,d_prime,k,n,repeats,seed,max_bits,mean_bits,bound_bits,infinite_losses\n"
+            "alg2,16,4992,3,64,20,0,6.02237,6.02237,30069.7,0\n"
+        )
+
     def test_hybrid_needs_two_dimensions(self):
         with pytest.raises(ValueError, match="d >= 2"):
             run_synthetic(SyntheticConfig(algorithm="alg1", d=1, n=8, repeats=1, seed=0))
@@ -158,6 +177,23 @@ def assert_same_scores(got, want):
     assert np.allclose(got_bits[finite], want_bits[finite], rtol=0.0, atol=1e-9)
     assert abs(got_bits[finite].sum() - want_bits[finite].sum()) <= 1e-9
     assert np.array_equal(got_correct, want_correct)
+
+
+STATE_FIELDS = (
+    "_surv", "_t", "_neg", "_mask", "_cls", "_marg", "_cond", "_kt_cond", "_alive", "_store",
+)
+
+
+def assert_same_state(got, want):
+    """The two predictors carry the same state into their next step."""
+    got, want = getattr(got, "inner", got), getattr(want, "inner", want)
+    fields = [name for name in STATE_FIELDS if hasattr(want, name)]
+    assert fields or hasattr(want, "_cols")
+    for name in fields:
+        a, b = getattr(got, name), getattr(want, name)
+        assert np.array_equal(a, b) if isinstance(b, np.ndarray) else a == b, name
+    if hasattr(want, "_cols"):
+        assert np.array_equal(got._cols.cols, want._cols.cols)
 
 
 def switching_run(make, sides, labels, cut1, cut2):
@@ -199,14 +235,18 @@ class TestScoreTraceMatchesSequentialLoop:
         sides, labels = _trial_stream(rng, config, _feature_map(make()))
         if coin_flip:
             labels = rng.integers(0, 2, size=n, dtype=np.uint8)
+        reference, predictor = make(), make()
         try:
-            want = sequential(make(), sides, labels)
-        except RuntimeError:
-            # bayes-exact has no hypothesis left on non-realizable labels
-            with pytest.raises(RuntimeError):
-                make().score_trace(sides, labels)
+            want = sequential(reference, sides, labels)
+        except (RuntimeError, NumericalError) as exc:
+            # bayes-exact has no hypothesis left on non-realizable labels;
+            # the batched path must fail at the same step
+            with pytest.raises(type(exc)):
+                predictor.score_trace(sides, labels)
+            assert_same_state(predictor, reference)
             return
-        assert_same_scores(make().score_trace(sides, labels), want)
+        assert_same_scores(predictor.score_trace(sides, labels), want)
+        assert_same_state(predictor, reference)
         assert_same_scores(switching_run(make, sides, labels, cut1, cut2), want)
 
     @pytest.mark.parametrize("algorithm", ["alg1", "alg2", "memorize", "madnb"])
@@ -220,6 +260,38 @@ class TestScoreTraceMatchesSequentialLoop:
         labels[: n // 2] = sides[: n // 2, :3].all(axis=1)
         want = sequential(build_predictor(algorithm, 40, "conj")[0], sides, labels)
         assert_same_scores(predictor.score_trace(sides, labels), want)
+
+    @pytest.mark.parametrize("algorithm", ["alg1", "alg2"])
+    def test_kcnf_trace_crossing_survivor_blocks(self, algorithm, monkeypatch):
+        d, n = 10, 3000
+        predictor, d_prime = build_predictor(algorithm, d, "kcnf", 2)
+        reference = build_predictor(algorithm, d, "kcnf", 2)[0]
+        blocks = []
+        survivor_blocks = type(predictor)._survivor_blocks
+
+        def recorded(self, sides):
+            for rows, values in survivor_blocks(self, sides):
+                blocks.append(values.shape)
+                yield rows, values
+
+        monkeypatch.setattr(type(predictor), "_survivor_blocks", recorded)
+        rng = np.random.default_rng(9)
+        sides = rng.integers(0, 2, size=(n, d), dtype=np.uint8)
+        sides[:, 6:] = 1  # every clause with one of these literals survives
+        # the 2-CNF (x0 or x1) and x2, with the first positive well inside
+        # the first block, and some positives relabelled 0 later on
+        labels = ((sides[:, 0] | sides[:, 1]) & sides[:, 2]).astype(np.uint8)
+        labels[:100] = 0
+        labels[2000::97] = 0
+        want = sequential(reference, sides, labels)
+        assert_same_scores(predictor.score_trace(sides, labels), want)
+        assert_same_state(predictor, reference)
+        assert 0 < predictor.surviving_count < d_prime
+        # each block but the last is sized by the survivors left before it
+        assert len(blocks) >= 3
+        assert blocks[0] == (BLOCK_BITS // d_prime, d_prime)
+        assert blocks[1][1] < d_prime
+        assert all(rows == BLOCK_BITS // width for rows, width in blocks[:-1])
 
     @pytest.mark.parametrize("d", [63, 64, 100])
     def test_alg1_wide_sides_with_infinite_steps(self, d):

@@ -2,10 +2,12 @@ import itertools
 import math
 import random
 
+import numpy as np
 import pytest
 
-from cnflearn.core import cumulative_loss
+from cnflearn.core import BLOCK_BITS, NumericalError, cumulative_loss
 from cnflearn.madnb import (
+    _BLOCK_SCALE,
     Madnb,
     factored_joint_log2,
     kt_next_prob,
@@ -192,3 +194,59 @@ class TestMadnb:
         assert product == pytest.approx(1 / 6, abs=1e-12)
         assert averaged == pytest.approx(13 / 80, abs=1e-12)
         assert abs(product - averaged) > 1e-3
+
+
+def loop_scores(predictor, sides, labels):
+    """Reference for score_trace: predict/update one row at a time, up to
+    the first NumericalError, whose message is returned with the scores."""
+    log_p = []
+    try:
+        for side, label in zip(sides, labels):
+            log_p.append(predictor.predict(side).log_prob(int(label)))
+            predictor.update(side, int(label))
+    except NumericalError as exc:
+        return np.array(log_p), str(exc)
+    return np.array(log_p), None
+
+
+def assert_same_counts(got, want):
+    for name in ("_cls", "_marg", "_cond", "_kt_cond"):
+        assert np.array_equal(getattr(got, name), getattr(want, name)), name
+
+
+class TestMadnbScoreTrace:
+    def test_trace_crossing_block_boundaries(self):
+        d = 40
+        n = 3 * (BLOCK_BITS // (_BLOCK_SCALE * d)) + 17
+        rng = np.random.default_rng(21)
+        sides = rng.integers(0, 2, size=(n, d), dtype=np.uint8)
+        labels = (sides[:, 0] & sides[:, 1]) ^ (rng.random(n) < 0.1)
+        loop, batched = Madnb(d), Madnb(d)
+        for side, label in zip(sides[:5], labels[:5]):  # a non-empty start
+            loop.update(side, int(label))
+            batched.update(side, int(label))
+        want, error = loop_scores(loop, sides[5:], labels[5:])
+        assert error is None
+        log_p, correct = batched.score_trace(sides[5:], labels[5:])
+        assert np.allclose(log_p, want, rtol=0.0, atol=1e-9)
+        assert np.array_equal(correct, want > -1.0)
+        assert_same_counts(batched, loop)
+
+    def test_long_wide_coin_flip_trace_agrees_with_loop(self):
+        # the two joints that _predict normalises grow to about n*d bits,
+        # where float64 spacing nears the 1e-9 sum check; at this seed both
+        # paths raise after 16,362 updates
+        d, n = 1024, 17000
+        rng = np.random.default_rng(0)
+        sides = rng.integers(0, 2, size=(n, d), dtype=np.uint8)
+        labels = rng.integers(0, 2, size=n, dtype=np.uint8)
+        loop, batched = Madnb(d), Madnb(d)
+        want, error = loop_scores(loop, sides, labels)
+        if error is None:
+            log_p, _ = batched.score_trace(sides, labels)
+            assert np.allclose(log_p, want, rtol=0.0, atol=1e-9)
+        else:
+            with pytest.raises(NumericalError) as raised:
+                batched.score_trace(sides, labels)
+            assert str(raised.value) == error
+        assert_same_counts(batched, loop)
