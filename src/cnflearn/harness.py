@@ -21,6 +21,7 @@ import json
 import math
 import time
 from dataclasses import dataclass, field
+from operator import itemgetter
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -362,19 +363,20 @@ def ingest_dataset(config: DatasetConfig) -> Dataset:
             f"positive label {config.positive_label!r} not among {label_values}"
         )
 
+    # each feature column's values, sorted, become consecutive features,
+    # and every row sets the one bit of its value in each column
     feature_cols = [j for j in range(len(header)) if j != label_at]
-    features: List[Tuple[str, str]] = []
-    for j in feature_cols:
-        for value in sorted({row[j] for row in body}):
-            features.append((header[j], value))
-    index = {pair: i for i, pair in enumerate(features)}
-
-    examples = []
-    for row in body:
-        bits = np.zeros(len(features), dtype=np.uint8)
-        for j in feature_cols:
-            bits[index[(header[j], row[j])]] = 1
-        examples.append(Example(bits, int(row[label_at] == config.positive_label)))
+    values = [sorted(set(map(itemgetter(j), body))) for j in feature_cols]
+    features = [(header[j], value) for j, vs in zip(feature_cols, values) for value in vs]
+    bits = np.zeros((len(body), len(features)), dtype=np.uint8)
+    rows = np.arange(len(body))
+    offset = 0
+    for j, vs in zip(feature_cols, values):
+        code = {value: offset + i for i, value in enumerate(vs)}
+        bits[rows, np.fromiter(map(code.__getitem__, map(itemgetter(j), body)), np.int64, len(body))] = 1
+        offset += len(vs)
+    labels = [int(row[label_at] == config.positive_label) for row in body]
+    examples = [Example(side, label) for side, label in zip(bits, labels)]
     if config.shuffle_seed is not None:
         order = np.random.default_rng(config.shuffle_seed).permutation(len(examples))
         examples = [examples[i] for i in order]

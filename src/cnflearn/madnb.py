@@ -13,8 +13,17 @@ The predictor normalises NB* over the two candidate labels at each step.
 That is not the same thing as Bayes-mixing the per-subset predictives,
 because normalisation does not commute with averaging; see the tests.
 
+Both joints grow to about n*d bits, so only their log-ratio is priced. It
+is a sum of O(1) per-feature increments:
+
+    L = log2((c1 + 1/2) / (c0 + 1/2)) + sum_i [ sp(r1_i) - sp(r0_i) ]
+
+with sp(r) = log2(1 + 2**r) and r_y = g_i + log2 q_y(x_i) - log2 q(x_i):
+g_i = log2 KT0 + log2 KT1 - log2 KT of feature i so far, q the add-half
+predictives of its y-conditional and marginal counts. p = (-sp(L), -sp(-L)).
+
 Counters are plain integers and every log-probability is recomputed from
-closed-form lgamma tables, so there is no drift to track.
+closed-form tables, so there is no drift to track.
 """
 
 from __future__ import annotations
@@ -42,11 +51,11 @@ __all__ = [
 ]
 
 
-class _LgammaTable:
-    """lgamma(c + offset) for integer c >= 0, grown geometrically."""
+class _CountTable:
+    """fn(c) for integer c >= 0, grown geometrically."""
 
-    def __init__(self, offset: float):
-        self.offset = offset
+    def __init__(self, fn):
+        self.fn = fn
         self._values = np.empty(0, dtype=np.float64)
         self._filled = 0
 
@@ -56,14 +65,16 @@ class _LgammaTable:
             grown = np.empty(size, dtype=np.float64)
             grown[: self._filled] = self._values[: self._filled]
             for c in range(self._filled, size):
-                grown[c] = math.lgamma(c + self.offset)
+                grown[c] = self.fn(c)
             self._values = grown
             self._filled = size
         return self._values
 
 
-_HALF = _LgammaTable(0.5)
-_INTS = _LgammaTable(1.0)
+_HALF = _CountTable(lambda c: math.lgamma(c + 0.5))
+_INTS = _CountTable(lambda c: math.lgamma(c + 1.0))
+_LOG2_HALF = _CountTable(lambda c: math.log2(c + 0.5))
+_LOG2_NEXT = _CountTable(lambda c: math.log2(c + 1.0))
 
 
 def log2_kt(zeros: int, ones: int) -> float:
@@ -173,120 +184,118 @@ def factored_joint_log2(trace, d: int) -> float:
     return class_term + float(mixed.sum())
 
 
+def _gain(totals: np.ndarray, ones: np.ndarray) -> np.ndarray:
+    """Per feature, log2 KT(label-0 rows) + log2 KT(label-1 rows) - log2 KT(all rows).
+
+    `totals` (3, B) counts the rows labelled 0, the rows labelled 1 and all
+    rows, and `ones` (3, B, d) each feature's ones among them, for B states.
+    """
+    top = int(totals[2, -1])  # row counts only grow along the B states
+    half, ints = _HALF.ensure(top), _INTS.ensure(top)
+    kt = half[ones]
+    kt += half[totals[..., None] - ones]
+    gain = kt[0] + kt[1]
+    gain -= kt[2]
+    gain += (ints[totals[2]] - ints[totals[0]] - ints[totals[1]] - _LN_PI)[:, None]
+    gain /= LN2
+    return gain
+
+
+def _label_log_ratio(totals, ones, gain, sides) -> np.ndarray:
+    """L = log2 NB*(x, 1) - log2 NB*(x, 0) for each of B rows x.
+
+    Takes the counts before each row in `_gain`'s shapes, that state's gain
+    (B, d) and the rows (B, d).
+    """
+    top = int(totals[2, -1])
+    log2_half, log2_next = _LOG2_HALF.ensure(top), _LOG2_NEXT.ensure(top)
+    # log2 of the add-half predictive of x_i under label 0, label 1 and all
+    # rows; validated sides hold only 0 and 1, so they view as booleans
+    q = log2_half[np.where(sides.view(bool), ones, totals[..., None] - ones)]
+    q -= log2_next[totals][..., None]
+    # sp(r1) - sp(r0) = log2(1 + (2**(r1 - r0) - 1) / (1 + 2**-r0)), where
+    # r0 = gain + q0 - q2 and r1 - r0 = q1 - q0; no term can overflow
+    z = np.expm1((q[1] - q[0]) * LN2)
+    neg_r0 = q[2] - q[0]
+    neg_r0 -= gain
+    z /= np.exp2(neg_r0, out=neg_r0) + 1.0
+    return log2_half[totals[1]] - log2_half[totals[0]] + np.log1p(z).sum(axis=-1) / LN2
+
+
+def _softplus_tail(ratio):
+    """log2(1 + 2**-|L|): sp(L) is max(L, 0) plus this, and so is sp(-L)."""
+    return np.log1p(np.exp2(-np.abs(ratio))) / LN2
+
+
 class Madnb(OnlinePredictor):
     """Sequential predictor that normalises NB* over the candidate label.
 
-    Never assigns probability zero: every KT factor is strictly positive,
-    so both candidate joints are finite and the normalised prediction
-    stays strictly inside (0, 1).
+    Never assigns probability zero: the label log-ratio is finite, so the
+    normalised prediction stays strictly inside (0, 1).
     """
 
     def __init__(self, d: int):
         super().__init__(d)
-        self._cls = np.zeros(2, dtype=np.int64)
-        self._marg = np.zeros((d, 2), dtype=np.int64)
-        self._cond = np.zeros((2, d, 2), dtype=np.int64)
-        self._idx = np.arange(d)
-        # per-feature log2 KT of the current conditional counts, cached so
-        # predict only recomputes the branch the candidate label touches
-        self._kt_cond = np.stack([self._fresh_kt(0), self._fresh_kt(1)])
+        # rows labelled 0, rows labelled 1 and all rows; each feature's ones
+        # among them (its zeros are the rest)
+        self._totals = np.zeros(3, dtype=np.int64)
+        self._ones = np.zeros((3, d), dtype=np.int64)
+        self._gain = self._fresh_gain()
 
-    def _fresh_kt(self, label: int) -> np.ndarray:
-        return _log2_kt_arr(self._cond[label, :, 0], self._cond[label, :, 1])
+    def _fresh_gain(self) -> np.ndarray:
+        return _gain(self._totals[:, None], self._ones[:, None])[0]
 
     def _predict(self, bits: np.ndarray) -> Prediction:
-        s = bits.astype(np.int64)
-        marg_next = _log2_kt_arr(self._marg[:, 0] + (1 - s), self._marg[:, 1] + s)
-        # row y: this feature's symbol lands in the y-conditional counter,
-        # the other conditional keeps its cached value
-        cond_next = _log2_kt_arr(self._cond[:, :, 0] + (1 - s), self._cond[:, :, 1] + s)
-        pair = cond_next + self._kt_cond[::-1]
-        feat = (np.logaddexp2(marg_next, pair) - 1.0).sum(axis=1)
-        c0, c1 = int(self._cls[0]), int(self._cls[1])
-        log_nb0 = log2_kt(c0 + 1, c1) + float(feat[0])
-        log_nb1 = log2_kt(c0, c1 + 1) + float(feat[1])
-        norm = float(np.logaddexp2(log_nb0, log_nb1))
-        return Prediction(log_nb0 - norm, log_nb1 - norm)
+        ratio = float(_label_log_ratio(
+            self._totals[:, None], self._ones[:, None], self._gain[None], bits[None]
+        )[0])
+        tail = float(_softplus_tail(ratio))
+        return Prediction(-(max(ratio, 0.0) + tail), -(max(-ratio, 0.0) + tail))
 
     def _update(self, bits: np.ndarray, label: int) -> None:
-        s = bits.astype(np.int64)
-        self._cls[label] += 1
-        self._marg[self._idx, s] += 1
-        self._cond[label, self._idx, s] += 1
-        self._kt_cond[label] = self._fresh_kt(label)
+        self._totals[label] += 1
+        self._totals[2] += 1
+        self._ones[label] += bits
+        self._ones[2] += bits
+        self._gain = self._fresh_gain()
 
     def score_trace(self, sides, labels) -> Tuple[np.ndarray, np.ndarray]:
         """Vectorised `OnlinePredictor.score_trace` by prefix sums of the counts.
 
         Every count before a row is the state plus an exclusive cumulative
         sum over the rows before it, and each row is priced with
-        `_predict`'s arithmetic on the same lgamma tables, so the results
-        equal the loop's. A row whose prediction fails the normalisation
-        check raises `NumericalError` as `_predict` does, with the rows
-        before it absorbed.
+        `_predict`'s functions, so the results equal the loop's. A row
+        whose prediction fails the normalisation check raises
+        `NumericalError` as `_predict` does, with the rows before it
+        absorbed.
         """
         sides, labels = self._check_trace(sides, labels)
         log_p = np.empty(labels.shape[0], dtype=np.float64)
-        # about six (rows, d) arrays of 8-byte values are live per block
+        # about a dozen (rows, d) arrays of 8-byte values are live per block
         for rows in row_blocks(labels.shape[0], _BLOCK_SCALE * self.d):
             log_p[rows] = self._score_block(sides[rows], labels[rows])
         return log_p, log_p > -1.0
 
     def _score_block(self, sides: np.ndarray, labels: np.ndarray) -> np.ndarray:
         """log2 p of each realised label in one block, then absorb the block."""
+        # entry t of the counts: the state plus the rows before row t; the
+        # last entry is the state after the block
         n, d = sides.shape
-        steps = np.arange(n)
-        done = int(self._cls.sum())  # rows absorbed before the block
-        cls1 = int(self._cls[1]) + np.cumsum(labels, dtype=np.int64) - labels
-        cls = (done + steps - cls1, cls1)  # label counts before each row
-        half = _HALF.ensure(done + n)
-        ints = _INTS.ensure(done + n)
-        sums = np.zeros((n + 1, d), dtype=np.int64)  # row t: a column sum over rows < t
-        ones = np.empty((n, d), dtype=np.int64)
-        scratch = np.empty((n, d), dtype=np.float64)
-
-        def log2_kt_into(out: np.ndarray, total: np.ndarray) -> None:
-            # _log2_kt_arr of (total - ones, ones), in its order of operations;
-            # leaves the zero counts in `ones`
-            np.take(half, ones, out=out, mode="clip")
-            np.subtract(total[:, None], ones, out=ones)
-            np.take(half, ones, out=scratch, mode="clip")
-            out += scratch
-            out -= _LN_PI
-            out -= ints[total][:, None]
-            out /= LN2
-
-        # the marginal counts with each row's own symbol added
-        np.cumsum(sides, axis=0, dtype=np.int64, out=sums[1:])
-        np.add(sums[1:], self._marg[:, 1], out=ones)
-        marg_next = np.empty((n, d), dtype=np.float64)
-        log2_kt_into(marg_next, done + steps + 1)
-        # row 0 of kt[y]: the cached log2 KT of the y-conditional counts;
-        # row t + 1: the same with row t's symbol counted under label y,
-        # which is the cache after row t when row t is labelled y
-        kt = np.empty((2, n + 1, d), dtype=np.float64)
-        for y in (0, 1):
-            np.cumsum(sides * (labels == y)[:, None], axis=0, dtype=np.int64, out=sums[1:])
-            np.add(sums[:-1], sides, out=ones)
-            ones += self._cond[y, :, 1]
-            kt[y, 0] = self._kt_cond[y]
-            log2_kt_into(kt[y, 1:], cls[y] + 1)
-
-        log_nb = np.empty((2, n), dtype=np.float64)
-        for y in (0, 1):
-            other = labels == 1 - y
-            # the row of kt[1 - y] holding the cache before each row
-            last = np.maximum.accumulate(np.where(other, steps + 1, 0))
-            cached = np.concatenate([[0], last[:-1]])
-            np.take(kt[1 - y], cached, axis=0, out=scratch, mode="clip")
-            scratch += kt[y, 1:]
-            np.logaddexp2(marg_next, scratch, out=scratch)
-            scratch -= 1.0
-            scratch.sum(axis=1, out=log_nb[y])
-        log_nb[0] += _log2_kt_arr(cls[0] + 1, cls[1])
-        log_nb[1] += _log2_kt_arr(cls[0], cls[1] + 1)
-        norm = np.logaddexp2(log_nb[0], log_nb[1])
-        log_p0, log_p1 = log_nb[0] - norm, log_nb[1] - norm
+        totals = np.zeros((3, n + 1), dtype=np.int64)
+        ones = np.zeros((3, n + 1, d), dtype=np.int64)
+        np.cumsum(labels, dtype=np.int64, out=totals[1, 1:])
+        totals[2] = np.arange(n + 1)
+        np.cumsum(sides * labels[:, None], axis=0, dtype=np.int64, out=ones[1, 1:])
+        np.cumsum(sides, axis=0, dtype=np.int64, out=ones[2, 1:])
+        np.subtract(totals[2], totals[1], out=totals[0])
+        np.subtract(ones[2], ones[1], out=ones[0])
+        totals += self._totals[:, None]
+        ones += self._ones[:, None]
+        before = (totals[:, :-1], ones[:, :-1])
+        ratio = _label_log_ratio(*before, _gain(*before), sides)
+        tail = _softplus_tail(ratio)
+        log_p0 = -(np.maximum(ratio, 0.0) + tail)
+        log_p1 = -(np.maximum(-ratio, 0.0) + tail)
 
         # rows well inside the check pass it; the rest take `Prediction`'s
         # own check, whose arithmetic may differ from exp2's in the last bit
@@ -295,19 +304,11 @@ class Madnb(OnlinePredictor):
             try:
                 Prediction(float(log_p0[t]), float(log_p1[t]))
             except NumericalError:
-                self._absorb(sides[:t], labels[:t])
+                self._set_counts(totals[:, t], ones[:, t])
                 raise
-        self._absorb(sides, labels)
+        self._set_counts(totals[:, n], ones[:, n])
         return np.where(labels == 1, log_p1, log_p0)
 
-    def _absorb(self, sides: np.ndarray, labels: np.ndarray) -> None:
-        """`_update` over every row in order, by column sums."""
-        for y in (0, 1):
-            rows = sides[labels == y]
-            ones = rows.sum(axis=0, dtype=np.int64)
-            self._cls[y] += rows.shape[0]
-            self._marg[:, 1] += ones
-            self._marg[:, 0] += rows.shape[0] - ones
-            self._cond[y, :, 1] += ones
-            self._cond[y, :, 0] += rows.shape[0] - ones
-            self._kt_cond[y] = self._fresh_kt(y)
+    def _set_counts(self, totals: np.ndarray, ones: np.ndarray) -> None:
+        self._totals, self._ones = totals.copy(), ones.copy()
+        self._gain = self._fresh_gain()

@@ -241,7 +241,10 @@ def _side_groups(sides: np.ndarray) -> np.ndarray:
         # pack each row into one int64 key and find distinct keys in 1-D
         keys = sides.astype(np.int64) @ np.left_shift(np.int64(1), np.arange(d, dtype=np.int64))
         return np.unique(keys, return_inverse=True)[1]
-    return np.unique(sides, axis=0, return_inverse=True)[1].reshape(-1)
+    # wider rows: pack each into bytes and compare those as one opaque key
+    packed = np.packbits(sides, axis=1)
+    keys = packed.view(np.dtype((np.void, packed.shape[1]))).reshape(-1)
+    return np.unique(keys, return_inverse=True)[1]
 
 
 def positive_trace_log2(alpha: float, sides: Sequence[BitVector], d: int) -> float:

@@ -1,4 +1,5 @@
 import json
+import random
 
 import pytest
 
@@ -94,6 +95,23 @@ class TestDatasetCommand:
         )
         assert code == 2 and out == ""
         assert err == "error: no consistent hypothesis remains; the trace was not realizable\n"
+
+    def test_madnb_over_a_wide_clause_basis_on_coin_flip_data(self, capsys, tmp_path):
+        # 60 two-valued columns give 28,800 clause features at k = 2, so
+        # MADNB's two candidate joints reach about 2e7 bits over 800 rows:
+        # past where normalising them fails the 1e-9 sum check
+        rng = random.Random(0)
+        lines = [",".join([f"c{j}" for j in range(60)] + ["class"])]
+        for _ in range(800):
+            lines.append(",".join([rng.choice("ab") for _ in range(60)] + [rng.choice("ep")]))
+        path = tmp_path / "coin.csv"
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        code, out, err = run(
+            capsys, "dataset", "--path", str(path), "--label-column", "class",
+            "--positive-label", "e", "--algo", "madnb", "--reduction", "kcnf", "--k", "2",
+        )
+        assert code == 0 and err == ""
+        assert out.strip().splitlines()[1].startswith("madnb,120,28800,2,800,")
 
     def test_missing_file_exits_nonzero(self, capsys, tmp_path):
         code, _, err = run(

@@ -180,7 +180,7 @@ def assert_same_scores(got, want):
 
 
 STATE_FIELDS = (
-    "_surv", "_t", "_neg", "_mask", "_cls", "_marg", "_cond", "_kt_cond", "_alive", "_store",
+    "_surv", "_t", "_neg", "_mask", "_totals", "_ones", "_gain", "_alive", "_store",
 )
 
 
@@ -371,6 +371,23 @@ class TestIngestDataset:
         assert list(map(key, once.examples)) == list(map(key, again.examples))
         assert list(map(key, once.examples)) != list(map(key, plain.examples))
         assert sorted(map(key, once.examples)) == sorted(map(key, plain.examples))
+
+    def test_columns_encode_in_header_order_with_sorted_values(self, tmp_path):
+        rng = np.random.default_rng(3)
+        table = [[rng.choice(list("zqam?")) for _ in range(4)] for _ in range(40)]
+        text = "b,class,a,c\n" + "".join(
+            f"{b},{'e' if i % 3 else 'p'},{a},{c}\n" for i, (b, a, c, _) in enumerate(table)
+        )
+        ds = ingest_dataset(DatasetConfig(write_csv(tmp_path, "t.csv", text), "class", "e"))
+        column = {"b": 0, "a": 1, "c": 2}
+        want_features = [
+            (name, value) for name, j in column.items() for value in sorted({row[j] for row in table})
+        ]
+        assert ds.features == tuple(want_features)
+        for i, (row, ex) in enumerate(zip(table, ds.examples)):
+            want = [int(row[column[name]] == value) for name, value in want_features]
+            assert ex.side.dtype == np.uint8 and ex.side.tolist() == want
+            assert ex.label == int(i % 3 != 0) and type(ex.label) is int
 
     def test_sniffs_tab_delimiter(self, tmp_path):
         path = write_csv(tmp_path, "t.tsv", "a\tclass\nx\tp\ny\te\n")

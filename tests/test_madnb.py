@@ -1,3 +1,4 @@
+import functools
 import itertools
 import math
 import random
@@ -5,6 +6,7 @@ import random
 import numpy as np
 import pytest
 
+from cnflearn import madnb
 from cnflearn.core import BLOCK_BITS, NumericalError, cumulative_loss
 from cnflearn.madnb import (
     _BLOCK_SCALE,
@@ -210,7 +212,7 @@ def loop_scores(predictor, sides, labels):
 
 
 def assert_same_counts(got, want):
-    for name in ("_cls", "_marg", "_cond", "_kt_cond"):
+    for name in ("_totals", "_ones", "_gain"):
         assert np.array_equal(getattr(got, name), getattr(want, name)), name
 
 
@@ -232,21 +234,80 @@ class TestMadnbScoreTrace:
         assert np.array_equal(correct, want > -1.0)
         assert_same_counts(batched, loop)
 
+    def test_failed_check_raises_at_the_loop_step(self, monkeypatch):
+        # a NaN log-ratio for the state after `bad` updates fails the sum
+        # check; both paths must raise there, holding the rows before it
+        d, bad = 40, BLOCK_BITS // (_BLOCK_SCALE * 40) + 100
+        real = madnb._label_log_ratio
+
+        def poisoned(totals, *rest):
+            return np.where(totals[2] == bad, np.nan, real(totals, *rest))
+
+        monkeypatch.setattr(madnb, "_label_log_ratio", poisoned)
+        rng = np.random.default_rng(22)
+        sides = rng.integers(0, 2, size=(3 * bad, d), dtype=np.uint8)
+        labels = rng.integers(0, 2, size=3 * bad, dtype=np.uint8)
+        loop, batched = Madnb(d), Madnb(d)
+        want, error = loop_scores(loop, sides, labels)
+        assert len(want) == bad and "must sum to 1" in error
+        with pytest.raises(NumericalError) as raised:
+            batched.score_trace(sides, labels)
+        assert str(raised.value) == error
+        assert_same_counts(batched, loop)
+
     def test_long_wide_coin_flip_trace_agrees_with_loop(self):
-        # the two joints that _predict normalises grow to about n*d bits,
-        # where float64 spacing nears the 1e-9 sum check; at this seed both
-        # paths raise after 16,362 updates
-        d, n = 1024, 17000
+        # the two joints grow to about n*d = 2e7 bits, far past where float64
+        # spacing exceeds the 1e-9 sum check; only their log-ratio is priced,
+        # so neither path may fail, and L must hold against a 40-digit
+        # evaluation of the joints themselves
+        d, n = 1024, 20000
         rng = np.random.default_rng(0)
         sides = rng.integers(0, 2, size=(n, d), dtype=np.uint8)
         labels = rng.integers(0, 2, size=n, dtype=np.uint8)
+        checked = (n // 2, n - 2, n - 1)
         loop, batched = Madnb(d), Madnb(d)
-        want, error = loop_scores(loop, sides, labels)
-        if error is None:
-            log_p, _ = batched.score_trace(sides, labels)
-            assert np.allclose(log_p, want, rtol=0.0, atol=1e-9)
-        else:
-            with pytest.raises(NumericalError) as raised:
-                batched.score_trace(sides, labels)
-            assert str(raised.value) == error
+        want, ratios = [], {}
+        for t, (side, label) in enumerate(zip(sides, labels.tolist())):
+            p = loop.predict(side)
+            want.append(p.log_prob(label))
+            if t in checked:
+                ratios[t] = p.log_p1 - p.log_p0
+            loop.update(side, label)
+        log_p, correct = batched.score_trace(sides, labels)
+        assert np.allclose(log_p, want, rtol=0.0, atol=1e-9)
+        assert np.array_equal(correct, np.array(want) > -1.0)
         assert_same_counts(batched, loop)
+        for t in checked:
+            reference = reference_log_ratio(sides[:t], labels[:t], sides[t])
+            assert abs(ratios[t] - reference) <= 1e-9, t
+
+
+def reference_log_ratio(sides, labels, side):
+    """log2 NB*(side, 1) - log2 NB*(side, 0) from the two joints, in mpmath
+    at 40 digits, for the counts of the rows before `side`."""
+    mpmath = pytest.importorskip("mpmath")
+    mp = mpmath.mp.clone()
+    mp.dps = 40
+    lgamma = functools.lru_cache(maxsize=None)(mp.loggamma)
+
+    def log_kt(zeros, ones):
+        return (lgamma(zeros + mp.mpf(0.5)) + lgamma(ones + mp.mpf(0.5))
+                - mp.log(mp.pi) - lgamma(zeros + ones + 1))
+
+    cls = [int((labels == y).sum()) for y in (0, 1)]
+    ones = sides.sum(axis=0, dtype=np.int64).tolist()
+    cond = [sides[labels == y].sum(axis=0, dtype=np.int64).tolist() for y in (0, 1)]
+    joints = []
+    for label in (0, 1):
+        total = log_kt(cls[0] + 1 - label, cls[1] + label)
+        counts = [cls[0] + 1 - label, cls[1] + label]
+        for i, bit in enumerate(side.tolist()):
+            n_marg = cls[0] + cls[1] + 1
+            marg = log_kt(n_marg - ones[i] - bit, ones[i] + bit)
+            pair = mp.mpf(0)
+            for y in (0, 1):
+                o = cond[y][i] + (bit if y == label else 0)
+                pair += log_kt(counts[y] - o, o)
+            total += mp.log((mp.exp(marg) + mp.exp(pair)) / 2)
+        joints.append(total)
+    return float((joints[1] - joints[0]) / mp.log(2))

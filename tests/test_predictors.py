@@ -11,6 +11,7 @@ from cnflearn.predictors import (
     HybridPredictor,
     Memorizer,
     PracticalPredictor,
+    _side_groups,
     exact_mixture_joint,
     hybrid_log2_one_minus_alpha,
     map_index_set,
@@ -332,3 +333,17 @@ def test_hybrid_alpha_log_identity():
             hybrid_log2_one_minus_alpha(d), math.log2(1.0 - alpha), rel_tol=1e-10
         )
         assert hybrid_log2_one_minus_alpha(d) == log1mexp2(-d / 2.0 ** d)
+
+
+@pytest.mark.parametrize("d", [8, 63, 64, 117])
+def test_side_groups_match_distinct_sides(d):
+    rng = np.random.default_rng(d)
+    sides = rng.integers(0, 2, size=(500, d), dtype=np.uint8)
+    for copies in (sides[1::4], sides[2::4]):
+        copies[:] = sides[::4][: len(copies)]
+    sides[2::4, -1] ^= 1  # copies that differ only in the last bit
+    want = np.unique(sides, axis=0, return_inverse=True)[1].reshape(-1)
+    got = _side_groups(sides)
+    # the same partition of the rows, numbered from 0
+    assert sorted(set(got.tolist())) == list(range(want.max() + 1))
+    assert len(set(zip(got.tolist(), want.tolist()))) == want.max() + 1
