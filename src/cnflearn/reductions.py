@@ -13,6 +13,10 @@ is the negation of variable i-d. Clauses are sorted tuples of literal ids
 and the basis is ordered lexicographically, which makes the k=1 basis
 coincide with the plain conjunction transform (side then negated side).
 
+The basis carries a rank table from (variable subset, sign pattern) to
+basis row. A side falsifies one clause per subset, signed by its own bits,
+so an expanded predictor's step touches sum_s C(d,s) clauses, not d'.
+
 General conjunctions (negations allowed) only need the k=1 feature map;
 disjunctions reduce through De Morgan by flipping side bits and labels.
 """
@@ -20,7 +24,7 @@ disjunctions reduce through De Morgan by flipping side bits and labels.
 from __future__ import annotations
 
 import math
-from itertools import combinations, product
+from itertools import chain, combinations, product
 from typing import List, Optional, Tuple
 
 import numpy as np
@@ -54,9 +58,6 @@ __all__ = [
     "ReducedPredictor",
     "basis_size",
     "build_basis",
-    "conjunction_transform",
-    "disjunction_transform",
-    "expand",
     "expand_matrix",
 ]
 
@@ -71,12 +72,19 @@ class ClauseBasis:
 
     `clause_matrix` has one row per clause, padded to width k by repeating
     the first literal (a duplicate literal never changes a disjunction).
+
+    `rank` maps slots to rows: the clause on the i-th s-variable subset in
+    `combinations` order, with sign bits p (1 = negated, first variable
+    highest), has slot sum_{r<s} C(d,r)*2**r + i * 2**s + p.
     """
 
-    def __init__(self, d: int, k: int, clause_matrix: np.ndarray):
+    def __init__(self, d: int, k: int, clause_matrix: np.ndarray, rank: np.ndarray, subsets):
         self.d = d
         self.k = k
         self.clause_matrix = clause_matrix
+        self.rank = rank
+        # per size: the first slot of each subset, and its variables by column
+        self._subsets = subsets
 
     @property
     def d_prime(self) -> int:
@@ -94,12 +102,27 @@ class ClauseBasis:
     def clauses(self) -> List[Tuple[int, ...]]:
         return [self.clause(j) for j in range(self.d_prime)]
 
+    def falsified(self, bits: np.ndarray) -> np.ndarray:
+        """Basis rows of the clauses false on a side: on each variable subset,
+        the one whose sign bits are the side's own bits there."""
+        x = bits.astype(np.min_scalar_type(2 ** len(self._subsets) - 1))
+        slots = []
+        for first_slot, columns in self._subsets:
+            signs = x[columns[0]]
+            for column in columns[1:]:
+                signs = (signs << 1) | x[column]
+            slots.append(first_slot + signs)
+        return self.rank[np.concatenate(slots)].astype(np.intp)
+
     def __repr__(self) -> str:
         return f"ClauseBasis(d={self.d}, k={self.k}, d_prime={self.d_prime})"
 
 
 def build_basis(d: int, k: int, max_features: int = DEFAULT_FEATURE_BUDGET) -> ClauseBasis:
-    """Enumerate the canonical clause basis, refusing runaway expansions."""
+    """Enumerate the canonical clause basis, refusing runaway expansions.
+
+    Sorting the slot-ordered clauses with -1 padding gives tuple order.
+    """
     if d < 1 or k < 1:
         raise ValueError(f"need d >= 1 and k >= 1, got d={d}, k={k}")
     size = basis_size(d, k)
@@ -108,28 +131,28 @@ def build_basis(d: int, k: int, max_features: int = DEFAULT_FEATURE_BUDGET) -> C
             f"basis for d={d}, k={k} has {size} clauses, over the budget "
             f"of {max_features}"
         )
-    clauses = []
-    for s in range(1, k + 1):
-        for variables in combinations(range(d), s):
-            for signs in product((0, d), repeat=s):
-                clauses.append(tuple(sorted(v + off for v, off in zip(variables, signs))))
-    clauses.sort()
-    matrix = np.empty((len(clauses), k), dtype=np.int32)
-    for j, clause in enumerate(clauses):
-        padded = clause + (clause[0],) * (k - len(clause))
-        matrix[j] = padded
-    return ClauseBasis(d, k, matrix)
-
-
-def expand(basis: ClauseBasis, side: BitVector) -> np.ndarray:
-    """One bit per basis clause: the clause's truth value on the side."""
-    bits = as_bits(side, basis.d)
-    lits = np.concatenate([bits, 1 - bits])
-    return lits[basis.clause_matrix].max(axis=1)
+    matrix = np.full((size, k), -1, dtype=np.int32)
+    subsets = []
+    offset = 0
+    for s in range(1, min(d, k) + 1):
+        count = math.comb(d, s)
+        variables = np.fromiter(chain.from_iterable(combinations(range(d), s)), np.int32).reshape(-1, s)
+        signs = np.array(list(product((0, d), repeat=s)), dtype=np.int32)
+        block = matrix[offset : offset + count * 2 ** s, :s]
+        block[...] = (variables[:, None, :] + signs).reshape(-1, s)
+        block.sort(axis=1)
+        subsets.append((offset + (np.arange(count, dtype=np.intp) << s), variables.T.astype(np.intp)))
+        offset += count * 2 ** s
+    order = np.lexsort(matrix.T[::-1])
+    matrix = matrix[order]
+    np.copyto(matrix, matrix[:, :1], where=matrix < 0)
+    rank = np.empty(size, dtype=np.int32)
+    rank[order] = np.arange(size, dtype=np.int32)
+    return ClauseBasis(d, k, matrix, rank, subsets)
 
 
 def expand_matrix(basis: ClauseBasis, sides: np.ndarray) -> np.ndarray:
-    """Row-wise expand of an (n, d) matrix to (n, d_prime)."""
+    """Row-wise clause truth values: an (n, d) matrix to (n, d_prime)."""
     return _clause_values(basis.clause_matrix, sides).view(np.uint8)
 
 
@@ -140,20 +163,6 @@ def _clause_values(clause_matrix: np.ndarray, sides: np.ndarray) -> np.ndarray:
     for j in range(1, clause_matrix.shape[1]):
         values |= lits[:, clause_matrix[:, j]]
     return values
-
-
-def conjunction_transform(side: BitVector) -> np.ndarray:
-    """Side bits followed by their negations; handles negated literals."""
-    bits = as_bits(side)
-    return np.concatenate([bits, 1 - bits])
-
-
-def disjunction_transform(side: BitVector, label: int) -> Tuple[np.ndarray, int]:
-    """De Morgan flip: negate the side bits and the label. An involution."""
-    bits = as_bits(side)
-    if label not in (0, 1):
-        raise ValueError(f"label must be 0 or 1, got {label!r}")
-    return (1 - bits).astype(np.uint8), 1 - int(label)
 
 
 class ConjunctionMap:
@@ -172,7 +181,7 @@ class ConjunctionMap:
         return np.concatenate([sides, 1 - sides], axis=1).astype(np.uint8)
 
 
-class DisjunctionMap:
+class DisjunctionMap(ConjunctionMap):
     """Feature map for disjunctions: flip the side, then treat as conjunction.
 
     The label is flipped too, so predictions must be unmapped by swapping
@@ -180,10 +189,6 @@ class DisjunctionMap:
     """
 
     flip = True
-
-    def __init__(self, d: int):
-        self.d = d
-        self.d_prime = 2 * d
 
     def features(self, bits: np.ndarray) -> np.ndarray:
         return np.concatenate([1 - bits, bits])
@@ -203,8 +208,9 @@ class ClauseMap:
         self.d_prime = basis.d_prime
 
     def features(self, bits: np.ndarray) -> np.ndarray:
-        lits = np.concatenate([bits, 1 - bits])
-        return lits[self.basis.clause_matrix].max(axis=1)
+        values = np.ones(self.d_prime, dtype=np.uint8)
+        values[self.basis.falsified(bits)] = 0
+        return values
 
     def features_matrix(self, sides: np.ndarray) -> np.ndarray:
         return expand_matrix(self.basis, sides)
@@ -263,39 +269,36 @@ class ReducedPredictor(OnlinePredictor):
 class _SurvivingClauses(OnlinePredictor):
     """Shared machinery: track basis clauses true on every positive so far.
 
-    Only surviving clauses are ever evaluated, so per-step cost shrinks
-    with the survivor set instead of staying at d_prime. Behaviour is
-    identical to running the plain predictor on the full expansion.
+    A step only looks at the clauses its side falsifies, sum_s C(d,s) of
+    them, whatever the survivor count. Behaviour is identical to running
+    the plain predictor on the full expansion.
     """
 
     def __init__(self, basis: ClauseBasis):
         super().__init__(basis.d)
         self.basis = basis
-        self._surv = np.arange(basis.d_prime, dtype=np.int64)
+        self._surv = np.ones(basis.d_prime, dtype=bool)
+        self.surviving_count = basis.d_prime
         self._cached = (None, None)
 
     @property
     def d_prime(self) -> int:
         return self.basis.d_prime
 
-    @property
-    def surviving_count(self) -> int:
-        return int(self._surv.shape[0])
-
-    def _values(self, bits: np.ndarray) -> np.ndarray:
-        """Truth of each surviving clause on the given side."""
+    def _violated(self, bits: np.ndarray) -> np.ndarray:
+        """Basis rows of the surviving clauses false on the given side."""
         key = pack_key(bits)
         cached_key, cached = self._cached
         if cached_key == key:
             return cached
-        lits = np.concatenate([bits, 1 - bits])
-        vals = lits[self.basis.clause_matrix[self._surv]].max(axis=1)
-        self._cached = (key, vals)
-        return vals
+        rows = self.basis.falsified(bits)
+        rows = rows[self._surv[rows]]
+        self._cached = (key, rows)
+        return rows
 
-    def _shrink(self, vals: np.ndarray) -> None:
-        if not vals.all():
-            self._surv = self._surv[vals.astype(bool)]
+    def _drop(self, rows: np.ndarray) -> None:
+        self._surv[rows] = False
+        self.surviving_count -= rows.shape[0]
         self._cached = (None, None)
 
     def _survivor_blocks(self, sides: np.ndarray):
@@ -324,7 +327,7 @@ class ExpandedPractical(_SurvivingClauses):
         self._t = 1
 
     def _structural(self, bits: np.ndarray) -> int:
-        return 1 if self._values(bits).all() else 0
+        return 0 if self._violated(bits).shape[0] else 1
 
     def tie_label(self, side: BitVector) -> Optional[int]:
         return self._structural(as_bits(side, self.d))
@@ -339,7 +342,7 @@ class ExpandedPractical(_SurvivingClauses):
 
     def _update(self, bits: np.ndarray, label: int) -> None:
         if label:
-            self._shrink(self._values(bits))
+            self._drop(self._violated(bits))
         self._t += 1
 
     def score_trace(self, sides, labels) -> Tuple[np.ndarray, np.ndarray]:
@@ -351,7 +354,7 @@ class ExpandedPractical(_SurvivingClauses):
         for rows, values in self._survivor_blocks(sides):
             alive = np.ones(values.shape[1], dtype=bool)
             log_p[rows], hit[rows], after = practical_steps(alive, values, labels[rows], self._t)
-            self._shrink(after)
+            self._drop(np.flatnonzero(self._surv)[~after])
             self._t += values.shape[0]
         return log_p, hit
 
@@ -364,8 +367,6 @@ class ExpandedHybrid(_SurvivingClauses):
     """
 
     def __init__(self, basis: ClauseBasis):
-        if basis.d_prime < 2:
-            raise ValueError("hybrid construction needs at least 2 clauses")
         super().__init__(basis)
         self._neg: set = set()
         self.log2_one_minus_alpha = hybrid_log2_one_minus_alpha(basis.d_prime)
@@ -373,13 +374,12 @@ class ExpandedHybrid(_SurvivingClauses):
     def _predict(self, bits: np.ndarray) -> Prediction:
         if pack_key(bits) in self._neg:
             return Prediction.certain(0)
-        vals = self._values(bits)
-        m = vals.shape[0] - int(np.count_nonzero(vals))
+        m = self._violated(bits).shape[0]
         return Prediction.from_log_p1(m * self.log2_one_minus_alpha)
 
     def _update(self, bits: np.ndarray, label: int) -> None:
         if label:
-            self._shrink(self._values(bits))
+            self._drop(self._violated(bits))
         else:
             self._neg.add(pack_key(bits))
 
@@ -394,6 +394,6 @@ class ExpandedHybrid(_SurvivingClauses):
             log_p[rows], after = hybrid_column_steps(
                 alive, values, labels[rows], self.log2_one_minus_alpha
             )
-            self._shrink(after)
+            self._drop(np.flatnonzero(self._surv)[~after])
         memorise_negatives(log_p, sides, labels, self._neg)
         return log_p, log_p > -1.0

@@ -180,7 +180,7 @@ def assert_same_scores(got, want):
 
 
 STATE_FIELDS = (
-    "_surv", "_t", "_neg", "_mask", "_totals", "_ones", "_gain", "_alive", "_store",
+    "_surv", "surviving_count", "_t", "_neg", "_mask", "_totals", "_ones", "_gain", "_alive", "_store",
 )
 
 
@@ -205,7 +205,9 @@ def switching_run(make, sides, labels, cut1, cut2):
     return tuple(np.concatenate(parts) for parts in zip(head, middle, tail))
 
 
-REDUCTION_CASES = [("none", None), ("conj", None), ("disj", None), ("kcnf", 1), ("kcnf", 2)]
+REDUCTION_CASES = [
+    ("none", None), ("conj", None), ("disj", None), ("kcnf", 1), ("kcnf", 2), ("kcnf", 3),
+]
 
 
 @st.composite
@@ -292,6 +294,25 @@ class TestScoreTraceMatchesSequentialLoop:
         assert blocks[0] == (BLOCK_BITS // d_prime, d_prime)
         assert blocks[1][1] < d_prime
         assert all(rows == BLOCK_BITS // width for rows, width in blocks[:-1])
+
+    @pytest.mark.parametrize("algorithm", ["alg1", "alg2"])
+    def test_kcnf3_survivors_carry_across_both_paths(self, algorithm):
+        d, n = 6, 400
+        make = lambda: build_predictor(algorithm, d, "kcnf", 3)[0]
+        rng = np.random.default_rng(13)
+        sides = rng.integers(0, 2, size=(n, d), dtype=np.uint8)
+        # the 3-CNF (x0 or x1 or not x2) and (x3 or x4), some labels flipped
+        labels = (sides[:, 0] | sides[:, 1] | (1 - sides[:, 2])) & (sides[:, 3] | sides[:, 4])
+        labels[::29] ^= 1
+        reference, predictor = make(), make()
+        want = sequential(reference, sides, labels)
+        head = sequential(predictor, sides[:60], labels[:60])
+        survivors = predictor.surviving_count
+        middle = predictor.score_trace(sides[60:250], labels[60:250])
+        assert 0 < predictor.surviving_count < survivors < basis_size(d, 3)
+        tail = sequential(predictor, sides[250:], labels[250:])
+        assert_same_scores(tuple(np.concatenate(parts) for parts in zip(head, middle, tail)), want)
+        assert_same_state(predictor, reference)
 
     @pytest.mark.parametrize("d", [63, 64, 100])
     def test_alg1_wide_sides_with_infinite_steps(self, d):

@@ -15,9 +15,6 @@ from cnflearn.reductions import (
     ReducedPredictor,
     basis_size,
     build_basis,
-    conjunction_transform,
-    disjunction_transform,
-    expand,
     expand_matrix,
 )
 
@@ -29,6 +26,18 @@ def literal_true(lit, side, d):
 def clause_true(clause, side, d):
     """Reference clause semantics, evaluated literal by literal."""
     return any(literal_true(lit, side, d) for lit in clause)
+
+
+def reference_clause_matrix(d, k):
+    """The basis by direct enumeration: every signed variable subset as a
+    sorted literal tuple, in tuple order, padded with its first literal."""
+    clauses = []
+    for s in range(1, k + 1):
+        for variables in itertools.combinations(range(d), s):
+            for signs in itertools.product((0, d), repeat=s):
+                clauses.append(tuple(sorted(v + off for v, off in zip(variables, signs))))
+    clauses.sort()
+    return np.array([c + (c[0],) * (k - len(c)) for c in clauses], dtype=np.int32)
 
 
 class TestBuildBasis:
@@ -59,6 +68,27 @@ class TestBuildBasis:
         clauses = build_basis(3, 2).clauses()
         assert clauses == sorted(clauses)
 
+    @pytest.mark.parametrize(
+        "d, k", [(d, k) for d in range(1, 8) for k in (1, 2, 3)] + [(117, 2)]
+    )
+    def test_clause_matrix_equals_direct_enumeration(self, d, k):
+        matrix = build_basis(d, k).clause_matrix
+        want = reference_clause_matrix(d, k)
+        assert matrix.dtype == want.dtype and matrix.shape == want.shape
+        assert np.array_equal(matrix, want)
+
+    @pytest.mark.parametrize("d, k", [(9, 3), (9, 9), (117, 2)])
+    def test_falsified_rows_are_the_clauses_false_on_the_side(self, d, k):
+        basis = build_basis(d, k)
+        clauses = basis.clauses()
+        rng = np.random.default_rng(d + k)
+        for _ in range(4):
+            side = rng.integers(0, 2, d, dtype=np.uint8)
+            got = basis.falsified(side)
+            want = [j for j, c in enumerate(clauses) if not clause_true(c, side, d)]
+            assert got.shape[0] == sum(math.comb(d, s) for s in range(1, k + 1))
+            assert np.sort(got).tolist() == want
+
     def test_budget_refusal_names_both_numbers(self):
         with pytest.raises(ValueError, match="1160.*100"):
             build_basis(10, 3, max_features=100)
@@ -71,13 +101,15 @@ class TestBuildBasis:
 
 
 class TestExpand:
+    """Clause expansion of one side, through `ClauseMap.features`."""
+
     def test_k1_equals_conjunction_transform(self):
         rng = np.random.default_rng(61)
         for d in (1, 2, 5, 9):
-            basis = build_basis(d, 1)
+            clause_map, conj_map = ClauseMap(build_basis(d, 1)), ConjunctionMap(d)
             for _ in range(5):
                 side = rng.integers(0, 2, d, dtype=np.uint8)
-                assert np.array_equal(expand(basis, side), conjunction_transform(side))
+                assert np.array_equal(clause_map.features(side), conj_map.features(side))
 
     def test_matches_reference_semantics(self):
         rng = np.random.default_rng(67)
@@ -85,7 +117,7 @@ class TestExpand:
             basis = build_basis(d, k)
             for _ in range(10):
                 side = rng.integers(0, 2, d, dtype=np.uint8)
-                got = expand(basis, side)
+                got = ClauseMap(basis).features(side)
                 want = [int(clause_true(c, side, d)) for c in basis.clauses()]
                 assert got.tolist() == want
 
@@ -95,27 +127,35 @@ class TestExpand:
         sides = rng.integers(0, 2, size=(25, 4), dtype=np.uint8)
         batch = expand_matrix(basis, sides)
         for row, side in zip(batch, sides):
-            assert np.array_equal(row, expand(basis, side))
+            assert np.array_equal(row, ClauseMap(basis).features(side))
 
     def test_injective(self):
-        basis = build_basis(3, 2)
-        images = {tuple(expand(basis, side)) for side in itertools.product((0, 1), repeat=3)}
+        clause_map = ClauseMap(build_basis(3, 2))
+        images = {
+            tuple(clause_map.features(np.array(side, dtype=np.uint8)))
+            for side in itertools.product((0, 1), repeat=3)
+        }
         assert len(images) == 8
 
 
 class TestTransforms:
+    """The conjunction and disjunction transforms, through the map classes."""
+
     def test_conjunction_transform(self):
-        assert conjunction_transform([1, 0]).tolist() == [1, 0, 0, 1]
+        side = np.array([1, 0], dtype=np.uint8)
+        assert ConjunctionMap(2).features(side).tolist() == [1, 0, 0, 1]
+        assert not ConjunctionMap.flip
 
     def test_disjunction_transform_flips_both(self):
-        side, label = disjunction_transform([1, 0], 1)
-        assert side.tolist() == [0, 1]
-        assert label == 0
+        side = np.array([1, 0], dtype=np.uint8)
+        assert DisjunctionMap(2).features(side).tolist() == [0, 1, 1, 0]
+        assert DisjunctionMap.flip
 
     def test_disjunction_transform_is_an_involution(self):
-        side, label = disjunction_transform(*disjunction_transform([1, 0, 1], 0))
-        assert side.tolist() == [1, 0, 1]
-        assert label == 0
+        side = np.array([1, 0, 1], dtype=np.uint8)
+        assert np.array_equal(
+            DisjunctionMap(3).features(1 - side), ConjunctionMap(3).features(side)
+        )
 
 
 def _general_conjunction_labels(sides, on_literals, d):
@@ -155,11 +195,12 @@ class TestReducedPredictor:
         inner = PracticalPredictor(2 * d)
         for side, label in zip(sides, labels):
             got = outer.predict(side).loss_bits(label)
-            fside, flabel = disjunction_transform(side, label)
-            want = inner.predict(conjunction_transform(fside)).loss_bits(flabel)
+            # De Morgan by hand: negate the side and the label
+            features, flabel = np.concatenate([1 - side, side]), 1 - label
+            want = inner.predict(features).loss_bits(flabel)
             assert got == want
             outer.update(side, label)
-            inner.update(conjunction_transform(fside), flabel)
+            inner.update(features, flabel)
 
     def test_dimension_mismatch_rejected(self):
         with pytest.raises(ValueError):
@@ -177,32 +218,41 @@ def _kcnf_labels(basis, chosen, sides):
 
 
 class TestExpandedPredictors:
+    # k = 3 bases exercise sign patterns and subsets of every size up to 3
+    WRAPPER_CASES = ((3, 2), (5, 3), (6, 3))
+
     def test_practical_equals_generic_wrapper(self):
         rng = np.random.default_rng(89)
-        basis = build_basis(3, 2)
-        fast = ExpandedPractical(basis)
-        slow = ReducedPredictor(PracticalPredictor(basis.d_prime), ClauseMap(basis))
-        for _ in range(80):
-            side = rng.integers(0, 2, 3, dtype=np.uint8)
-            label = int(rng.integers(0, 2))  # includes non-realizable streams
-            a, b = fast.predict(side), slow.predict(side)
-            assert (a.log_p0, a.log_p1) == (b.log_p0, b.log_p1)
-            assert fast.tie_label(side) == slow.tie_label(side)
-            fast.update(side, label)
-            slow.update(side, label)
+        for d, k in self.WRAPPER_CASES:
+            basis = build_basis(d, k)
+            fast = ExpandedPractical(basis)
+            slow = ReducedPredictor(PracticalPredictor(basis.d_prime), ClauseMap(basis))
+            for _ in range(80):
+                side = rng.integers(0, 2, d, dtype=np.uint8)
+                label = int(rng.integers(0, 2))  # includes non-realizable streams
+                a, b = fast.predict(side), slow.predict(side)
+                assert (a.log_p0, a.log_p1) == (b.log_p0, b.log_p1)
+                assert fast.tie_label(side) == slow.tie_label(side)
+                fast.update(side, label)
+                slow.update(side, label)
+                assert np.array_equal(fast._surv, slow.inner._mask.astype(bool))
+                assert fast.surviving_count == np.count_nonzero(slow.inner._mask)
 
     def test_hybrid_equals_generic_wrapper(self):
         rng = np.random.default_rng(97)
-        basis = build_basis(3, 2)
-        fast = ExpandedHybrid(basis)
-        slow = ReducedPredictor(HybridPredictor(basis.d_prime), ClauseMap(basis))
-        for _ in range(80):
-            side = rng.integers(0, 2, 3, dtype=np.uint8)
-            label = int(rng.integers(0, 2))
-            a, b = fast.predict(side), slow.predict(side)
-            assert (a.log_p0, a.log_p1) == (b.log_p0, b.log_p1)
-            fast.update(side, label)
-            slow.update(side, label)
+        for d, k in self.WRAPPER_CASES:
+            basis = build_basis(d, k)
+            fast = ExpandedHybrid(basis)
+            slow = ReducedPredictor(HybridPredictor(basis.d_prime), ClauseMap(basis))
+            for _ in range(80):
+                side = rng.integers(0, 2, d, dtype=np.uint8)
+                label = int(rng.integers(0, 2))
+                a, b = fast.predict(side), slow.predict(side)
+                assert (a.log_p0, a.log_p1) == (b.log_p0, b.log_p1)
+                fast.update(side, label)
+                slow.update(side, label)
+                assert np.array_equal(fast._surv, slow.inner._cols.cols.astype(bool))
+                assert fast.surviving_count == np.count_nonzero(slow.inner._cols.cols)
 
     def test_kcnf_target_is_realizable_for_both(self):
         rng = np.random.default_rng(101)
