@@ -288,6 +288,37 @@ class OnlinePredictor:
     def _update(self, bits: np.ndarray, label: int) -> None:
         raise NotImplementedError
 
+    # Behind a feature map (`ReducedPredictor`) a step arrives as `zeros`,
+    # the indices of the features that are 0 on the side, next to the
+    # unmapped `side`. The defaults rebuild the feature row; predictors
+    # that read a side only through its zero set override them.
+
+    def _predict_zeros(self, side: np.ndarray, zeros: np.ndarray) -> Prediction:
+        return self._predict(self._feature_row(zeros))
+
+    def _update_zeros(self, side: np.ndarray, zeros: np.ndarray, label: int) -> None:
+        self._update(self._feature_row(zeros), label)
+
+    def _tie_zeros(self, zeros: np.ndarray) -> Optional[int]:
+        return self.tie_label(self._feature_row(zeros))
+
+    def _feature_row(self, zeros: np.ndarray) -> np.ndarray:
+        row = np.ones(self.d, dtype=np.uint8)
+        row[zeros] = 0
+        return row
+
+    def read_columns(self):
+        """The feature columns `_score_columns` needs the values of: an index
+        array, or slice(None) for every column."""
+        return slice(None)
+
+    def _score_columns(
+        self, sides: np.ndarray, columns: np.ndarray, values: np.ndarray, labels: np.ndarray
+    ) -> Tuple[np.ndarray, np.ndarray]:
+        """`score_trace` on a block of mapped rows, given the unmapped `sides`
+        and the `values` of the `read_columns()` columns on them."""
+        return self.score_trace(values, labels)
+
 
 def cumulative_loss(predictor: OnlinePredictor, trace: Iterable) -> LossLedger:
     """Run a predictor through (side, label) pairs, accumulating bits.

@@ -73,7 +73,8 @@ __all__ = [
 ]
 
 # CLI tokens are part of the external interface and are kept stable even
-# though the classes behind them carry descriptive names.
+# though the classes behind them carry descriptive names. No class here
+# subclasses another, so wrapping one's methods never wraps another's.
 ALGORITHMS: Dict[str, type] = {
     "bayes-exact": ExactMixture,
     "xi-plus": HeuristicMixture,
@@ -84,6 +85,18 @@ ALGORITHMS: Dict[str, type] = {
 }
 
 REDUCTIONS = ("none", "conj", "disj", "kcnf")
+
+
+def _check_reduction(reduction: str, k: Optional[int]) -> None:
+    """Reject a reduction that is unknown or does not match the clause width:
+    kcnf needs k >= 1, and k means nothing to the others."""
+    if reduction not in REDUCTIONS:
+        raise ValueError(f"unknown reduction {reduction!r}; choose from {list(REDUCTIONS)}")
+    if reduction == "kcnf":
+        if k is None or k < 1:
+            raise ValueError("the kcnf reduction needs a clause width k >= 1")
+    elif k is not None:
+        raise ValueError("k only applies to the kcnf reduction")
 
 
 @dataclass(frozen=True)
@@ -101,10 +114,7 @@ class SyntheticConfig:
             raise ValueError(
                 f"unknown algorithm {self.algorithm!r}; choose from {sorted(ALGORITHMS)}"
             )
-        if self.reduction not in REDUCTIONS:
-            raise ValueError(
-                f"unknown reduction {self.reduction!r}; choose from {list(REDUCTIONS)}"
-            )
+        _check_reduction(self.reduction, self.k)
         if self.d < 1:
             raise ValueError(f"d must be >= 1, got {self.d}")
         if self.n < 0:
@@ -113,11 +123,6 @@ class SyntheticConfig:
             raise ValueError(f"repeats must be >= 1, got {self.repeats}")
         if not 0 <= self.seed < 2 ** 64:
             raise ValueError("seed must fit in an unsigned 64-bit integer")
-        if self.reduction == "kcnf":
-            if self.k is None or self.k < 1:
-                raise ValueError("the kcnf reduction needs a clause width k >= 1")
-        elif self.k is not None:
-            raise ValueError("k only applies to the kcnf reduction")
 
 
 @dataclass(frozen=True)
@@ -242,8 +247,6 @@ def _feature_map(predictor: OnlinePredictor):
     over, or None when it learns over the sides themselves."""
     if isinstance(predictor, ReducedPredictor):
         return predictor.mapping
-    if isinstance(predictor, (ExpandedPractical, ExpandedHybrid)):
-        return ClauseMap(predictor.basis)
     return None
 
 
@@ -395,8 +398,7 @@ def run_dataset(
     Real data is not realizable, so the bound field is reported for the
     algorithms that have one but is not asserted.
     """
-    if reduction not in REDUCTIONS:
-        raise ValueError(f"unknown reduction {reduction!r}")
+    _check_reduction(reduction, k)
     if algorithm not in ALGORITHMS:
         raise ValueError(f"unknown algorithm {algorithm!r}")
     dataset = ingest_dataset(config)

@@ -38,6 +38,7 @@ from .oracles import BRUTE_FORCE_CAP
 
 __all__ = [
     "ColumnMixture",
+    "ColumnPricedPredictor",
     "ExactMixture",
     "HeuristicMixture",
     "HybridPredictor",
@@ -166,48 +167,16 @@ class ColumnMixture:
         return self.violations(bits) * self.log2_one_minus_alpha
 
 
-def _columns_before(cols: np.ndarray, sides: np.ndarray, labels: np.ndarray):
-    """Column state before each row, starting from `cols`, and after the last.
+def _columns_before(sides: np.ndarray, labels: np.ndarray):
+    """Which of a block's columns survive before each row, and after the last.
 
-    Row t of the first result is `cols` ANDed with every positive side
-    before step t: the prefix-AND that the column state runs through.
+    Every column starts alive: callers pass only the surviving columns. Row
+    t of the first result is the AND of every positive side before step t:
+    the prefix-AND that a column state runs through.
     """
     running = np.logical_and.accumulate(sides.astype(bool) | (labels[:, None] != 1), axis=0)
-    cols = cols.astype(bool)
-    states = np.vstack([cols[None, :], cols & running])
+    states = np.vstack([np.ones((1, sides.shape[1]), dtype=bool), running])
     return states[:-1], states[-1]
-
-
-def practical_steps(cols: np.ndarray, features: np.ndarray, labels: np.ndarray, t: int):
-    """`PracticalPredictor` over a block of feature rows, from column state
-    `cols` at step t.
-
-    Returns the per-step log2 probability of the realised label, the
-    per-step correctness and the column state after the block.
-    """
-    before, after = _columns_before(cols, features, labels)
-    structural = (features.astype(bool) | ~before).all(axis=1)
-    t = t + np.arange(labels.shape[0], dtype=np.float64)
-    # an exact 1/2 tie (t = 1) is scored by the structural label, so a
-    # hit is exactly a correct step
-    hit = structural == labels.astype(bool)
-    log_p = np.where(hit, np.log2(t), 0.0) - np.log2(t + 1.0)
-    return log_p, hit, after
-
-
-def hybrid_column_steps(
-    cols: np.ndarray, features: np.ndarray, labels: np.ndarray, log2_one_minus_alpha: float
-):
-    """`HybridPredictor`'s column pricing over a block of feature rows, from
-    column state `cols`, ignoring the negative store.
-
-    Returns the per-step log2 probability of the realised label and the
-    column state after the block.
-    """
-    before, after = _columns_before(cols, features, labels)
-    violations = np.count_nonzero(before & (features == 0), axis=1)
-    vl = violations * log2_one_minus_alpha
-    return np.where(labels == 1, vl, log1mexp2_arr(vl)), after
 
 
 def memorise_negatives(log_p: np.ndarray, sides: np.ndarray, labels: np.ndarray, neg: set) -> None:
@@ -288,7 +257,55 @@ def map_index_set(alpha: float, sides: Sequence[BitVector], d: int) -> MapEstima
     return MapEstimate(surviving, len(surviving) == 0)
 
 
-class HeuristicMixture(OnlinePredictor):
+class ColumnPricedPredictor(OnlinePredictor):
+    """Prices label 1 at (1-alpha)**m from the column state of the positives.
+
+    m counts the surviving columns the side switches off. The state is a
+    `ColumnMixture`, and a side is read only through its zero set.
+    """
+
+    def __init__(self, d: int, log2_one_minus_alpha: float):
+        super().__init__(d)
+        self._cols = ColumnMixture(d, log2_one_minus_alpha)
+
+    @property
+    def log2_one_minus_alpha(self) -> float:
+        return self._cols.log2_one_minus_alpha
+
+    def _predict(self, bits: np.ndarray) -> Prediction:
+        return Prediction.from_log_p1(self._cols.log_ratio_next_positive(bits))
+
+    def _predict_zeros(self, side: np.ndarray, zeros: np.ndarray) -> Prediction:
+        m = np.count_nonzero(self._cols.cols[zeros])
+        return Prediction.from_log_p1(m * self.log2_one_minus_alpha)
+
+    def _update(self, bits: np.ndarray, label: int) -> None:
+        if label:
+            self._cols.absorb(bits)
+
+    def _update_zeros(self, side: np.ndarray, zeros: np.ndarray, label: int) -> None:
+        if label:
+            self._cols.cols[zeros] = 0
+
+    def read_columns(self) -> np.ndarray:
+        return np.flatnonzero(self._cols.cols)
+
+    def _score_columns(self, sides, columns, values, labels) -> Tuple[np.ndarray, np.ndarray]:
+        before, after = _columns_before(values, labels)
+        self._cols.cols[columns[~after]] = 0
+        vl = np.count_nonzero(before & (values == 0), axis=1) * self.log2_one_minus_alpha
+        log_p = np.where(labels == 1, vl, log1mexp2_arr(vl))
+        # there is no tie label, so an exact 1/2 tie is a mistake
+        return log_p, log_p > -1.0
+
+    def score_trace(self, sides, labels) -> Tuple[np.ndarray, np.ndarray]:
+        """Vectorised `OnlinePredictor.score_trace` by a prefix-AND."""
+        sides, labels = self._check_trace(sides, labels)
+        columns = self.read_columns()
+        return self._score_columns(sides, columns, sides[:, columns], labels)
+
+
+class HeuristicMixture(ColumnPricedPredictor):
     """Positive-examples-only mixture at alpha = 1/2.
 
     Ignores negative examples entirely and predicts from the column state.
@@ -297,15 +314,7 @@ class HeuristicMixture(OnlinePredictor):
     """
 
     def __init__(self, d: int):
-        super().__init__(d)
-        self._cols = ColumnMixture(d, -1.0)  # log2(1 - 1/2)
-
-    def _predict(self, bits: np.ndarray) -> Prediction:
-        return Prediction.from_log_p1(-float(self._cols.violations(bits)))
-
-    def _update(self, bits: np.ndarray, label: int) -> None:
-        if label:
-            self._cols.absorb(bits)
+        super().__init__(d, -1.0)  # log2(1 - 1/2)
 
 
 class Memorizer(OnlinePredictor):
@@ -333,52 +342,48 @@ class Memorizer(OnlinePredictor):
         return len(self._store)
 
 
-class HybridPredictor(OnlinePredictor):
+class HybridPredictor(ColumnPricedPredictor):
     """Negative-memorizing conjunction predictor with a tilted positive mixture.
 
     Sides seen with label 0 are stored and predicted 0 with certainty ever
-    after. Everything else is predicted from the column state under
-    alpha = 2**(-d/2**d): the probability of label 1 is (1-alpha)**m where
-    m counts surviving columns the side switches off. Cumulative loss on a
-    realizable trace is at most 2*d**2 bits for d >= 2; on contradictory
-    data a step can cost +inf but the state remains well defined.
+    after. Everything else is priced from the column state under
+    alpha = 2**(-d/2**d). Cumulative loss on a realizable trace is at most
+    2*d**2 bits for d >= 2; on contradictory data a step can cost +inf but
+    the state remains well defined. Behind a feature map the store keys the
+    unmapped side, which is exact because every map here is injective.
     """
 
     def __init__(self, d: int):
         if d < 2:
             raise ValueError(f"HybridPredictor needs d >= 2, got {d}")
-        super().__init__(d)
+        super().__init__(d, hybrid_log2_one_minus_alpha(d))
         self._neg: set = set()
-        self._cols = ColumnMixture(d, hybrid_log2_one_minus_alpha(d))
-
-    @property
-    def log2_one_minus_alpha(self) -> float:
-        return self._cols.log2_one_minus_alpha
 
     def _predict(self, bits: np.ndarray) -> Prediction:
         if pack_key(bits) in self._neg:
             return Prediction.certain(0)
-        return Prediction.from_log_p1(self._cols.log_ratio_next_positive(bits))
+        return super()._predict(bits)
+
+    def _predict_zeros(self, side: np.ndarray, zeros: np.ndarray) -> Prediction:
+        if pack_key(side) in self._neg:
+            return Prediction.certain(0)
+        return super()._predict_zeros(side, zeros)
 
     def _update(self, bits: np.ndarray, label: int) -> None:
-        if label:
-            self._cols.absorb(bits)
-        else:
+        super()._update(bits, label)
+        if not label:
             self._neg.add(pack_key(bits))
 
-    def score_trace(self, sides, labels) -> Tuple[np.ndarray, np.ndarray]:
-        """Vectorised `OnlinePredictor.score_trace`; exact on any labels.
+    def _update_zeros(self, side: np.ndarray, zeros: np.ndarray, label: int) -> None:
+        super()._update_zeros(side, zeros, label)
+        if not label:
+            self._neg.add(pack_key(side))
 
-        Steps are priced from the column state before them, then the
-        memorised ones are overridden by the negative store.
-        """
-        sides, labels = self._check_trace(sides, labels)
-        log_p, after = hybrid_column_steps(
-            self._cols.cols, sides, labels, self.log2_one_minus_alpha
-        )
-        self._cols.cols = after.astype(np.uint8)
+    def _score_columns(self, sides, columns, values, labels) -> Tuple[np.ndarray, np.ndarray]:
+        """Column pricing, then the memorised steps overridden by the
+        negative store, which is keyed by `sides`."""
+        log_p, _ = super()._score_columns(sides, columns, values, labels)
         memorise_negatives(log_p, sides, labels, self._neg)
-        # this predictor has no tie label, so an exact 1/2 tie is a mistake
         return log_p, log_p > -1.0
 
 
@@ -413,8 +418,16 @@ class PracticalPredictor(OnlinePredictor):
     def tie_label(self, side: BitVector) -> Optional[int]:
         return self._structural(as_bits(side, self.d))
 
+    def _tie_zeros(self, zeros: np.ndarray) -> int:
+        return 0 if self._mask[zeros].any() else 1
+
     def _predict(self, bits: np.ndarray) -> Prediction:
-        c = self._structural(bits)
+        return self._schedule(self._structural(bits))
+
+    def _predict_zeros(self, side: np.ndarray, zeros: np.ndarray) -> Prediction:
+        return self._schedule(self._tie_zeros(zeros))
+
+    def _schedule(self, c: int) -> Prediction:
         log_hi = math.log2(self._t) - math.log2(self._t + 1)
         log_lo = -math.log2(self._t + 1)
         if c:
@@ -426,10 +439,27 @@ class PracticalPredictor(OnlinePredictor):
             self._mask &= bits
         self._t += 1
 
+    def _update_zeros(self, side: np.ndarray, zeros: np.ndarray, label: int) -> None:
+        if label:
+            self._mask[zeros] = 0
+        self._t += 1
+
+    def read_columns(self) -> np.ndarray:
+        return np.flatnonzero(self._mask)
+
+    def _score_columns(self, sides, columns, values, labels) -> Tuple[np.ndarray, np.ndarray]:
+        before, after = _columns_before(values, labels)
+        self._mask[columns[~after]] = 0
+        structural = (values.astype(bool) | ~before).all(axis=1)
+        t = self._t + np.arange(labels.shape[0], dtype=np.float64)
+        self._t += labels.shape[0]
+        # an exact 1/2 tie (t = 1) is scored by the structural label, so a
+        # hit is exactly a correct step
+        hit = structural == labels.astype(bool)
+        return np.where(hit, np.log2(t), 0.0) - np.log2(t + 1.0), hit
+
     def score_trace(self, sides, labels) -> Tuple[np.ndarray, np.ndarray]:
         """Vectorised `OnlinePredictor.score_trace` by a prefix-AND."""
         sides, labels = self._check_trace(sides, labels)
-        log_p, hit, after = practical_steps(self._mask, sides, labels, self._t)
-        self._mask = after.astype(np.uint8)
-        self._t += labels.shape[0]
-        return log_p, hit
+        columns = self.read_columns()
+        return self._score_columns(sides, columns, sides[:, columns], labels)

@@ -13,12 +13,19 @@ is the negation of variable i-d. Clauses are sorted tuples of literal ids
 and the basis is ordered lexicographically, which makes the k=1 basis
 coincide with the plain conjunction transform (side then negated side).
 
-The basis carries a rank table from (variable subset, sign pattern) to
-basis row. A side falsifies one clause per subset, signed by its own bits,
-so an expanded predictor's step touches sum_s C(d,s) clauses, not d'.
-
 General conjunctions (negations allowed) only need the k=1 feature map;
 disjunctions reduce through De Morgan by flipping side bits and labels.
+
+Every map gives a side's zero set, the features that are 0 on it, and
+the values of chosen feature columns on a block of sides. `ReducedPredictor`
+is the one reduction path: it hands the inner predictor each step as a
+zero set and each trace block as the columns the predictor reads. alg1,
+alg2 and xi-plus read a side only through its zero set, as in Valiant's
+elimination, and a trace only through their surviving columns. A side
+falsifies one clause per variable subset, signed by its own bits, which
+the basis finds through a rank table, so behind a clause basis their step
+touches sum_s C(d,s) clauses, not d'. `ExpandedPractical` and
+`ExpandedHybrid` are alg2 and alg1 behind the `ClauseMap` of a basis.
 """
 
 from __future__ import annotations
@@ -36,14 +43,8 @@ from .core import (
     Prediction,
     as_bits,
     pack_key,
-    row_blocks,
 )
-from .predictors import (
-    hybrid_column_steps,
-    hybrid_log2_one_minus_alpha,
-    memorise_negatives,
-    practical_steps,
-)
+from .predictors import HybridPredictor, PracticalPredictor
 
 DEFAULT_FEATURE_BUDGET = 4_000_000
 
@@ -153,32 +154,44 @@ def build_basis(d: int, k: int, max_features: int = DEFAULT_FEATURE_BUDGET) -> C
 
 def expand_matrix(basis: ClauseBasis, sides: np.ndarray) -> np.ndarray:
     """Row-wise clause truth values: an (n, d) matrix to (n, d_prime)."""
-    return _clause_values(basis.clause_matrix, sides).view(np.uint8)
+    return ClauseMap(basis).features_matrix(sides)
 
 
-def _clause_values(clause_matrix: np.ndarray, sides: np.ndarray) -> np.ndarray:
-    """Truth of each clause (a row of literal ids) on each row of `sides`."""
-    lits = np.concatenate([sides, 1 - sides], axis=1).astype(bool)
-    values = lits[:, clause_matrix[:, 0]]
-    for j in range(1, clause_matrix.shape[1]):
-        values |= lits[:, clause_matrix[:, j]]
-    return values
+class _FeatureMap:
+    """A map from d-bit sides to d_prime features, given by two methods:
+    `zeros(bits)`, the features that are 0 on a side, and
+    `columns(sides, cols)`, chosen feature columns on a block of sides."""
+
+    def features(self, bits: np.ndarray) -> np.ndarray:
+        values = np.ones(self.d_prime, dtype=np.uint8)
+        values[self.zeros(bits)] = 0
+        return values
+
+    def features_matrix(self, sides: np.ndarray) -> np.ndarray:
+        return self.columns(sides, slice(None))
 
 
-class ConjunctionMap:
-    """Feature map for general conjunctions with negated literals."""
+class ConjunctionMap(_FeatureMap):
+    """Feature map for general conjunctions with negated literals: feature
+    i < d is variable i, feature d + i its negation."""
 
     flip = False
 
     def __init__(self, d: int):
         self.d = d
         self.d_prime = 2 * d
+        # each feature's variable, and whether it reads that variable negated
+        self._variable = np.tile(np.arange(d), 2)
+        self._negated = np.repeat(np.array([self.flip, not self.flip], dtype=np.uint8), d)
+        # the feature of each variable that a 0 bit sets to 0, and a 1 bit
+        self._zero_if_off = np.arange(d) + d * self.flip
+        self._zero_if_on = np.arange(d) + d * (not self.flip)
 
-    def features(self, bits: np.ndarray) -> np.ndarray:
-        return np.concatenate([bits, 1 - bits])
+    def zeros(self, bits: np.ndarray) -> np.ndarray:
+        return np.where(bits, self._zero_if_on, self._zero_if_off)
 
-    def features_matrix(self, sides: np.ndarray) -> np.ndarray:
-        return np.concatenate([sides, 1 - sides], axis=1).astype(np.uint8)
+    def columns(self, sides: np.ndarray, cols) -> np.ndarray:
+        return sides[:, self._variable[cols]] ^ self._negated[cols]
 
 
 class DisjunctionMap(ConjunctionMap):
@@ -190,14 +203,8 @@ class DisjunctionMap(ConjunctionMap):
 
     flip = True
 
-    def features(self, bits: np.ndarray) -> np.ndarray:
-        return np.concatenate([1 - bits, bits])
 
-    def features_matrix(self, sides: np.ndarray) -> np.ndarray:
-        return np.concatenate([1 - sides, sides], axis=1).astype(np.uint8)
-
-
-class ClauseMap:
+class ClauseMap(_FeatureMap):
     """Feature map through a k-CNF clause basis."""
 
     flip = False
@@ -207,17 +214,26 @@ class ClauseMap:
         self.d = basis.d
         self.d_prime = basis.d_prime
 
-    def features(self, bits: np.ndarray) -> np.ndarray:
-        values = np.ones(self.d_prime, dtype=np.uint8)
-        values[self.basis.falsified(bits)] = 0
-        return values
+    def zeros(self, bits: np.ndarray) -> np.ndarray:
+        return self.basis.falsified(bits)
 
-    def features_matrix(self, sides: np.ndarray) -> np.ndarray:
-        return expand_matrix(self.basis, sides)
+    def columns(self, sides: np.ndarray, cols) -> np.ndarray:
+        """Truth of the chosen clauses, each the OR of its literal columns."""
+        clauses = self.basis.clause_matrix[cols]
+        lits = np.concatenate([sides, 1 - sides], axis=1).astype(bool)
+        values = lits[:, clauses[:, 0]]
+        for j in range(1, clauses.shape[1]):
+            values |= lits[:, clauses[:, j]]
+        return values.view(np.uint8)
 
 
 class ReducedPredictor(OnlinePredictor):
-    """Run any predictor over mapped features, unmapping its predictions."""
+    """Run any predictor over mapped features, unmapping its predictions.
+
+    The inner predictor sees a step as the side's zero set (`zeros`) and a
+    trace as the values of the columns it reads (`columns`), so a predictor
+    that reads only those never builds a d_prime-wide row.
+    """
 
     def __init__(self, inner: OnlinePredictor, mapping):
         super().__init__(mapping.d)
@@ -228,172 +244,79 @@ class ReducedPredictor(OnlinePredictor):
             )
         self.inner = inner
         self.mapping = mapping
+        self._cached = (None, None)
 
-    @property
-    def d_prime(self) -> int:
-        return self.mapping.d_prime
+    def _zeros(self, bits: np.ndarray) -> np.ndarray:
+        """The side's zero set; predict, tie_label and update of one step
+        map the side once."""
+        key = pack_key(bits)
+        if self._cached[0] != key:
+            self._cached = (key, self.mapping.zeros(bits))
+        return self._cached[1]
 
     def _predict(self, bits: np.ndarray) -> Prediction:
-        pred = self.inner._predict(self.mapping.features(bits))
+        pred = self.inner._predict_zeros(bits, self._zeros(bits))
         return pred.flip() if self.mapping.flip else pred
 
     def _update(self, bits: np.ndarray, label: int) -> None:
         inner_label = 1 - label if self.mapping.flip else label
-        self.inner._update(self.mapping.features(bits), inner_label)
+        self.inner._update_zeros(bits, self._zeros(bits), inner_label)
 
     def tie_label(self, side: BitVector) -> Optional[int]:
-        bits = as_bits(side, self.d)
-        tie = self.inner.tie_label(self.mapping.features(bits))
+        tie = self.inner._tie_zeros(self._zeros(as_bits(side, self.d)))
         if tie is None:
             return None
         return 1 - tie if self.mapping.flip else tie
 
     def score_trace(self, sides, labels) -> Tuple[np.ndarray, np.ndarray]:
-        """Map the trace block by block and score it with the inner predictor.
+        """Score the trace block by block on the columns the inner predictor
+        reads, each block about BLOCK_BITS values.
 
-        A flipped map flips the inner labels; the wrapper's probability of
-        a label is the inner one's of the flipped label, and its tie label
-        is flipped the same way, so both results carry over unchanged.
+        The columns are read again before each block, so the blocks grow as
+        the inner predictor's survivors shrink. A flipped map flips the
+        inner labels; the wrapper's probability of a label is the inner
+        one's of the flipped label, and its tie label is flipped the same
+        way, so both results carry over unchanged.
         """
         sides, labels = self._check_trace(sides, labels)
         if self.mapping.flip:
             labels = 1 - labels
         log_p = np.empty(labels.shape[0], dtype=np.float64)
         correct = np.empty(labels.shape[0], dtype=bool)
-        for rows in row_blocks(labels.shape[0], self.d_prime):
-            features = self.mapping.features_matrix(sides[rows])
-            log_p[rows], correct[rows] = self.inner.score_trace(features, labels[rows])
+        start = 0
+        while start < labels.shape[0]:
+            columns = self.inner.read_columns()
+            width = self.mapping.d_prime if isinstance(columns, slice) else len(columns)
+            rows = slice(start, start + max(1, BLOCK_BITS // max(1, width)))
+            block = sides[rows]
+            values = self.mapping.columns(block, columns)
+            log_p[rows], correct[rows] = self.inner._score_columns(block, columns, values, labels[rows])
+            start = rows.stop
         return log_p, correct
 
 
-class _SurvivingClauses(OnlinePredictor):
-    """Shared machinery: track basis clauses true on every positive so far.
+class _ExpandedBasis(ReducedPredictor):
+    """A column predictor behind the `ClauseMap` of a basis."""
 
-    A step only looks at the clauses its side falsifies, sum_s C(d,s) of
-    them, whatever the survivor count. Behaviour is identical to running
-    the plain predictor on the full expansion.
-    """
+    inner_class: type
 
     def __init__(self, basis: ClauseBasis):
-        super().__init__(basis.d)
+        super().__init__(self.inner_class(basis.d_prime), ClauseMap(basis))
         self.basis = basis
-        self._surv = np.ones(basis.d_prime, dtype=bool)
-        self.surviving_count = basis.d_prime
-        self._cached = (None, None)
 
     @property
-    def d_prime(self) -> int:
-        return self.basis.d_prime
-
-    def _violated(self, bits: np.ndarray) -> np.ndarray:
-        """Basis rows of the surviving clauses false on the given side."""
-        key = pack_key(bits)
-        cached_key, cached = self._cached
-        if cached_key == key:
-            return cached
-        rows = self.basis.falsified(bits)
-        rows = rows[self._surv[rows]]
-        self._cached = (key, rows)
-        return rows
-
-    def _drop(self, rows: np.ndarray) -> None:
-        self._surv[rows] = False
-        self.surviving_count -= rows.shape[0]
-        self._cached = (None, None)
-
-    def _survivor_blocks(self, sides: np.ndarray):
-        """Consecutive row blocks of `sides` with the truth of each surviving
-        clause on each row, about BLOCK_BITS values per block.
-
-        The caller shrinks the survivors by each block before taking the
-        next, so each block is sized by the survivors left.
-        """
-        start = 0
-        while start < sides.shape[0]:
-            rows = slice(start, start + max(1, BLOCK_BITS // max(1, self.surviving_count)))
-            yield rows, _clause_values(self.basis.clause_matrix[self._surv], sides[rows])
-            start = rows.stop
+    def surviving_count(self) -> int:
+        """Clauses true on every positive so far."""
+        return len(self.inner.read_columns())
 
 
-class ExpandedPractical(_SurvivingClauses):
-    """Practical predictor over a clause basis, fed original side vectors.
+class ExpandedPractical(_ExpandedBasis):
+    """`PracticalPredictor` over a clause basis, fed original side vectors."""
 
-    Equivalent to PracticalPredictor(d_prime) on expanded features, but
-    never materialises the expansion.
-    """
-
-    def __init__(self, basis: ClauseBasis):
-        super().__init__(basis)
-        self._t = 1
-
-    def _structural(self, bits: np.ndarray) -> int:
-        return 0 if self._violated(bits).shape[0] else 1
-
-    def tie_label(self, side: BitVector) -> Optional[int]:
-        return self._structural(as_bits(side, self.d))
-
-    def _predict(self, bits: np.ndarray) -> Prediction:
-        c = self._structural(bits)
-        log_hi = math.log2(self._t) - math.log2(self._t + 1)
-        log_lo = -math.log2(self._t + 1)
-        if c:
-            return Prediction(log_lo, log_hi)
-        return Prediction(log_hi, log_lo)
-
-    def _update(self, bits: np.ndarray, label: int) -> None:
-        if label:
-            self._drop(self._violated(bits))
-        self._t += 1
-
-    def score_trace(self, sides, labels) -> Tuple[np.ndarray, np.ndarray]:
-        """Vectorised `OnlinePredictor.score_trace`: `PracticalPredictor`'s
-        prefix-AND over the surviving clauses, block by block."""
-        sides, labels = self._check_trace(sides, labels)
-        log_p = np.empty(labels.shape[0], dtype=np.float64)
-        hit = np.empty(labels.shape[0], dtype=bool)
-        for rows, values in self._survivor_blocks(sides):
-            alive = np.ones(values.shape[1], dtype=bool)
-            log_p[rows], hit[rows], after = practical_steps(alive, values, labels[rows], self._t)
-            self._drop(np.flatnonzero(self._surv)[~after])
-            self._t += values.shape[0]
-        return log_p, hit
+    inner_class = PracticalPredictor
 
 
-class ExpandedHybrid(_SurvivingClauses):
-    """Hybrid predictor over a clause basis, fed original side vectors.
+class ExpandedHybrid(_ExpandedBasis):
+    """`HybridPredictor` over a clause basis, fed original side vectors."""
 
-    Negative sides are keyed by the original vector, which is equivalent
-    to keying the expansion because the basis embeds every literal.
-    """
-
-    def __init__(self, basis: ClauseBasis):
-        super().__init__(basis)
-        self._neg: set = set()
-        self.log2_one_minus_alpha = hybrid_log2_one_minus_alpha(basis.d_prime)
-
-    def _predict(self, bits: np.ndarray) -> Prediction:
-        if pack_key(bits) in self._neg:
-            return Prediction.certain(0)
-        m = self._violated(bits).shape[0]
-        return Prediction.from_log_p1(m * self.log2_one_minus_alpha)
-
-    def _update(self, bits: np.ndarray, label: int) -> None:
-        if label:
-            self._drop(self._violated(bits))
-        else:
-            self._neg.add(pack_key(bits))
-
-    def score_trace(self, sides, labels) -> Tuple[np.ndarray, np.ndarray]:
-        """Vectorised `OnlinePredictor.score_trace`: `HybridPredictor`'s
-        column pricing over the surviving clauses, block by block, then its
-        negative store over the original sides."""
-        sides, labels = self._check_trace(sides, labels)
-        log_p = np.empty(labels.shape[0], dtype=np.float64)
-        for rows, values in self._survivor_blocks(sides):
-            alive = np.ones(values.shape[1], dtype=bool)
-            log_p[rows], after = hybrid_column_steps(
-                alive, values, labels[rows], self.log2_one_minus_alpha
-            )
-            self._drop(np.flatnonzero(self._surv)[~after])
-        memorise_negatives(log_p, sides, labels, self._neg)
-        return log_p, log_p > -1.0
+    inner_class = HybridPredictor

@@ -113,6 +113,25 @@ class TestDatasetCommand:
         assert code == 0 and err == ""
         assert out.strip().splitlines()[1].startswith("madnb,120,28800,2,800,")
 
+    @pytest.mark.parametrize(
+        "flags,message",
+        [
+            (["--reduction", "kcnf"], "the kcnf reduction needs a clause width k >= 1"),
+            (["--reduction", "none", "--k", "3"], "k only applies to the kcnf reduction"),
+            (["--reduction", "conj", "--k", "3"], "k only applies to the kcnf reduction"),
+        ],
+    )
+    def test_reduction_and_width_checked_as_for_synthetic(self, capsys, tmp_path, flags, message):
+        path = tmp_path / "toy.csv"
+        path.write_text("a,b,class\nx,u,p\ny,v,e\nx,v,e\n", encoding="utf-8")
+        code, out, err = run(
+            capsys, "dataset", "--path", str(path), "--label-column", "class",
+            "--positive-label", "e", "--algo", "alg2", *flags,
+        )
+        assert (code, out, err) == (2, "", f"error: {message}\n")
+        code, out, synthetic_err = run(capsys, "synthetic", "--algo", "alg2", "--d", "3", *flags)
+        assert (code, synthetic_err) == (2, err)
+
     def test_missing_file_exits_nonzero(self, capsys, tmp_path):
         code, _, err = run(
             capsys, "dataset", "--path", str(tmp_path / "no.csv"),

@@ -27,7 +27,7 @@ from cnflearn.harness import (
     sample_hypothesis,
 )
 from cnflearn.predictors import HybridPredictor
-from cnflearn.reductions import basis_size
+from cnflearn.reductions import ClauseMap, basis_size
 
 
 class _ForcedTheta:
@@ -269,14 +269,14 @@ class TestScoreTraceMatchesSequentialLoop:
         predictor, d_prime = build_predictor(algorithm, d, "kcnf", 2)
         reference = build_predictor(algorithm, d, "kcnf", 2)[0]
         blocks = []
-        survivor_blocks = type(predictor)._survivor_blocks
+        columns = ClauseMap.columns
 
-        def recorded(self, sides):
-            for rows, values in survivor_blocks(self, sides):
-                blocks.append(values.shape)
-                yield rows, values
+        def recorded(self, sides, cols):
+            values = columns(self, sides, cols)
+            blocks.append(values.shape)
+            return values
 
-        monkeypatch.setattr(type(predictor), "_survivor_blocks", recorded)
+        monkeypatch.setattr(ClauseMap, "columns", recorded)
         rng = np.random.default_rng(9)
         sides = rng.integers(0, 2, size=(n, d), dtype=np.uint8)
         sides[:, 6:] = 1  # every clause with one of these literals survives

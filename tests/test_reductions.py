@@ -130,12 +130,59 @@ class TestExpand:
             assert np.array_equal(row, ClauseMap(basis).features(side))
 
     def test_injective(self):
-        clause_map = ClauseMap(build_basis(3, 2))
-        images = {
-            tuple(clause_map.features(np.array(side, dtype=np.uint8)))
-            for side in itertools.product((0, 1), repeat=3)
-        }
-        assert len(images) == 8
+        # alg1 keys its negative store by the unmapped side behind every map,
+        # which is exact only when no two sides share an image
+        for reduction, k in MAP_KINDS:
+            mapping = make_map(reduction, 3, k)
+            images = {
+                tuple(mapping.features(np.array(side, dtype=np.uint8)))
+                for side in itertools.product((0, 1), repeat=3)
+            }
+            assert len(images) == 8, (reduction, k)
+
+
+MAP_KINDS = (("conj", None), ("disj", None), ("kcnf", 1), ("kcnf", 2), ("kcnf", 3))
+
+
+def make_map(reduction, d, k):
+    if reduction == "kcnf":
+        return ClauseMap(build_basis(d, k))
+    return {"conj": ConjunctionMap, "disj": DisjunctionMap}[reduction](d)
+
+
+def reference_features(reduction, d, k, sides):
+    """Mapped rows by definition: literal columns, their complements under
+    De Morgan, or the truth of each directly enumerated clause."""
+    lits = np.concatenate([sides, 1 - sides], axis=1)
+    if reduction == "conj":
+        return lits
+    if reduction == "disj":
+        return 1 - lits
+    return lits[:, reference_clause_matrix(d, k)].any(axis=2).astype(np.uint8)
+
+
+class TestMapContract:
+    """A map is given by `zeros` and `columns`; `features` and
+    `features_matrix` derive from them."""
+
+    CASES = [(reduction, d, k) for reduction, k in MAP_KINDS for d in (1, 4, 6)] + [
+        ("conj", 117, None), ("disj", 117, None), ("kcnf", 117, 2),
+    ]
+
+    @pytest.mark.parametrize("reduction,d,k", CASES)
+    def test_zeros_and_columns_match_the_features(self, reduction, d, k):
+        mapping = make_map(reduction, d, k)
+        rng = np.random.default_rng(d)
+        sides = rng.integers(0, 2, size=(8, d), dtype=np.uint8)
+        want = reference_features(reduction, d, k, sides)
+        assert np.array_equal(mapping.features_matrix(sides), want)
+        cols = rng.permutation(mapping.d_prime)[:40]
+        assert np.array_equal(mapping.columns(sides, cols), want[:, cols])
+        assert mapping.columns(sides, cols[:0]).shape == (8, 0)
+        for side, row in zip(sides, want):
+            assert np.array_equal(mapping.features(side), row)
+            # each zero feature exactly once
+            assert np.array_equal(np.sort(mapping.zeros(side)), np.flatnonzero(row == 0))
 
 
 class TestTransforms:
@@ -222,37 +269,40 @@ class TestExpandedPredictors:
     WRAPPER_CASES = ((3, 2), (5, 3), (6, 3))
 
     def test_practical_equals_generic_wrapper(self):
+        # the reference is the plain predictor fed the expansion by hand
         rng = np.random.default_rng(89)
         for d, k in self.WRAPPER_CASES:
             basis = build_basis(d, k)
             fast = ExpandedPractical(basis)
-            slow = ReducedPredictor(PracticalPredictor(basis.d_prime), ClauseMap(basis))
+            slow = PracticalPredictor(basis.d_prime)
             for _ in range(80):
                 side = rng.integers(0, 2, d, dtype=np.uint8)
+                features = ClauseMap(basis).features(side)
                 label = int(rng.integers(0, 2))  # includes non-realizable streams
-                a, b = fast.predict(side), slow.predict(side)
+                a, b = fast.predict(side), slow.predict(features)
                 assert (a.log_p0, a.log_p1) == (b.log_p0, b.log_p1)
-                assert fast.tie_label(side) == slow.tie_label(side)
+                assert fast.tie_label(side) == slow.tie_label(features)
                 fast.update(side, label)
-                slow.update(side, label)
-                assert np.array_equal(fast._surv, slow.inner._mask.astype(bool))
-                assert fast.surviving_count == np.count_nonzero(slow.inner._mask)
+                slow.update(features, label)
+                assert np.array_equal(fast.inner._mask, slow._mask)
+                assert fast.surviving_count == np.count_nonzero(slow._mask)
 
     def test_hybrid_equals_generic_wrapper(self):
         rng = np.random.default_rng(97)
         for d, k in self.WRAPPER_CASES:
             basis = build_basis(d, k)
             fast = ExpandedHybrid(basis)
-            slow = ReducedPredictor(HybridPredictor(basis.d_prime), ClauseMap(basis))
+            slow = HybridPredictor(basis.d_prime)
             for _ in range(80):
                 side = rng.integers(0, 2, d, dtype=np.uint8)
+                features = ClauseMap(basis).features(side)
                 label = int(rng.integers(0, 2))
-                a, b = fast.predict(side), slow.predict(side)
+                a, b = fast.predict(side), slow.predict(features)
                 assert (a.log_p0, a.log_p1) == (b.log_p0, b.log_p1)
                 fast.update(side, label)
-                slow.update(side, label)
-                assert np.array_equal(fast._surv, slow.inner._cols.cols.astype(bool))
-                assert fast.surviving_count == np.count_nonzero(slow.inner._cols.cols)
+                slow.update(features, label)
+                assert np.array_equal(fast.inner._cols.cols, slow._cols.cols)
+                assert fast.surviving_count == np.count_nonzero(slow._cols.cols)
 
     def test_kcnf_target_is_realizable_for_both(self):
         rng = np.random.default_rng(101)
