@@ -27,7 +27,6 @@ from .harness import (
 )
 from .madnb import Madnb, factored_joint_log2, nb_joint_log2, nb_mixture_log2
 from .predictors import (
-    ColumnMixture,
     ExactMixture,
     HeuristicMixture,
     HybridPredictor,

@@ -239,7 +239,8 @@ class OnlinePredictor:
 
     A predictor owns mutable state. `predict` must not change state;
     `update` folds one labelled example in. Subclasses implement `_predict`
-    and `_update` on validated uint8 arrays.
+    and `_update` on validated uint8 arrays, and may batch `score_trace` by
+    overriding `_score_columns`.
     """
 
     def __init__(self, d: int):
@@ -269,14 +270,8 @@ class OnlinePredictor:
         in the state that `predict`/`update` over the same rows would.
         """
         sides, labels = self._check_trace(sides, labels)
-        log_p = np.empty(labels.shape[0], dtype=np.float64)
-        correct = np.empty(labels.shape[0], dtype=bool)
-        for t, (bits, label) in enumerate(zip(sides, labels.tolist())):
-            lp = self._predict(bits).log_prob(label)
-            log_p[t] = lp
-            correct[t] = lp > -1.0 or (lp == -1.0 and self.tie_label(bits) == label)
-            self._update(bits, label)
-        return log_p, correct
+        columns = self.read_columns()
+        return self._score_columns(sides, columns, sides[:, columns], labels)
 
     def _check_trace(self, sides, labels) -> Tuple[np.ndarray, np.ndarray]:
         sides = as_bit_matrix(sides, self.d)
@@ -315,9 +310,20 @@ class OnlinePredictor:
     def _score_columns(
         self, sides: np.ndarray, columns: np.ndarray, values: np.ndarray, labels: np.ndarray
     ) -> Tuple[np.ndarray, np.ndarray]:
-        """`score_trace` on a block of mapped rows, given the unmapped `sides`
-        and the `values` of the `read_columns()` columns on them."""
-        return self.score_trace(values, labels)
+        """`score_trace` on a block of validated rows, given the unmapped
+        `sides` and the `values` of the `read_columns()` columns on them.
+
+        The default loops `_predict`/`_update` over the rows of `values`,
+        so it needs every column; a predictor batches by overriding it.
+        """
+        log_p = np.empty(labels.shape[0], dtype=np.float64)
+        correct = np.empty(labels.shape[0], dtype=bool)
+        for t, (bits, label) in enumerate(zip(values, labels.tolist())):
+            lp = self._predict(bits).log_prob(label)
+            log_p[t] = lp
+            correct[t] = lp > -1.0 or (lp == -1.0 and self.tie_label(bits) == label)
+            self._update(bits, label)
+        return log_p, correct
 
 
 def cumulative_loss(predictor: OnlinePredictor, trace: Iterable) -> LossLedger:

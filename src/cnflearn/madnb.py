@@ -38,7 +38,7 @@ from .oracles import BRUTE_FORCE_CAP
 
 LN2 = math.log(2.0)
 _LN_PI = math.log(math.pi)
-# Madnb.score_trace takes row blocks of BLOCK_BITS / (_BLOCK_SCALE * d) rows
+# Madnb._score_columns takes row blocks of BLOCK_BITS / (_BLOCK_SCALE * d) rows
 _BLOCK_SCALE = 4
 
 __all__ = [
@@ -259,8 +259,8 @@ class Madnb(OnlinePredictor):
         self._ones[2] += bits
         self._gain = self._fresh_gain()
 
-    def score_trace(self, sides, labels) -> Tuple[np.ndarray, np.ndarray]:
-        """Vectorised `OnlinePredictor.score_trace` by prefix sums of the counts.
+    def _score_columns(self, sides, columns, values, labels) -> Tuple[np.ndarray, np.ndarray]:
+        """Vectorised `OnlinePredictor._score_columns` by prefix sums of the counts.
 
         Every count before a row is the state plus an exclusive cumulative
         sum over the rows before it, and each row is priced with
@@ -269,11 +269,10 @@ class Madnb(OnlinePredictor):
         `NumericalError` as `_predict` does, with the rows before it
         absorbed.
         """
-        sides, labels = self._check_trace(sides, labels)
         log_p = np.empty(labels.shape[0], dtype=np.float64)
         # about a dozen (rows, d) arrays of 8-byte values are live per block
         for rows in row_blocks(labels.shape[0], _BLOCK_SCALE * self.d):
-            log_p[rows] = self._score_block(sides[rows], labels[rows])
+            log_p[rows] = self._score_block(values[rows], labels[rows])
         return log_p, log_p > -1.0
 
     def _score_block(self, sides: np.ndarray, labels: np.ndarray) -> np.ndarray:

@@ -12,6 +12,11 @@ they trade computation against worst-case log loss on realizable traces:
                      positives; at most 2*d**2 bits on realizable data
 * PracticalPredictor surviving-coordinate conjunction with a t/(t+1)
                      confidence schedule; at most (d+1)*log2(n+1) bits
+
+HeuristicMixture, HybridPredictor and PracticalPredictor share one state,
+`SurvivingColumns`: the coordinates on in every positive side so far.
+They step through a side's zero set, mapped or not, and score a trace
+block by a prefix-AND of the surviving columns.
 """
 
 from __future__ import annotations
@@ -37,7 +42,6 @@ from .core import (
 from .oracles import BRUTE_FORCE_CAP
 
 __all__ = [
-    "ColumnMixture",
     "ColumnPricedPredictor",
     "ExactMixture",
     "HeuristicMixture",
@@ -45,6 +49,7 @@ __all__ = [
     "MapEstimate",
     "Memorizer",
     "PracticalPredictor",
+    "SurvivingColumns",
     "exact_mixture_joint",
     "hybrid_log2_one_minus_alpha",
     "map_index_set",
@@ -131,54 +136,6 @@ def exact_mixture_joint(trace, d: int, alpha: float = 0.5) -> float:
     return mix.log_joint()
 
 
-class ColumnMixture:
-    """Column-survival form of the conjunction mixture on positive examples.
-
-    On a trace whose labels are all 1, the mixture probability factorises
-    over coordinates, and the whole state collapses to one bit per column:
-    whether every positive side so far had that coordinate on. Joint and
-    one-step-ahead quantities then depend only on log2(1 - alpha) and on
-    column counts, so that is all this class stores.
-    """
-
-    def __init__(self, d: int, log2_one_minus_alpha: float):
-        if not d >= 1:
-            raise ValueError(f"dimension must be positive, got {d}")
-        if not log2_one_minus_alpha < 0.0:
-            raise ValueError("log2(1 - alpha) must be negative")
-        self.d = int(d)
-        self.log2_one_minus_alpha = float(log2_one_minus_alpha)
-        self.cols = np.ones(self.d, dtype=np.uint8)
-
-    def violations(self, bits: np.ndarray) -> int:
-        """Number of surviving columns the given side would switch off."""
-        return int(np.count_nonzero(self.cols & (1 - bits)))
-
-    def absorb(self, bits: np.ndarray) -> None:
-        self.cols &= bits
-
-    @property
-    def log_joint(self) -> float:
-        zeros = self.d - int(self.cols.sum())
-        return zeros * self.log2_one_minus_alpha
-
-    def log_ratio_next_positive(self, bits: np.ndarray) -> float:
-        """log2 of the predictive probability that the next label is 1."""
-        return self.violations(bits) * self.log2_one_minus_alpha
-
-
-def _columns_before(sides: np.ndarray, labels: np.ndarray):
-    """Which of a block's columns survive before each row, and after the last.
-
-    Every column starts alive: callers pass only the surviving columns. Row
-    t of the first result is the AND of every positive side before step t:
-    the prefix-AND that a column state runs through.
-    """
-    running = np.logical_and.accumulate(sides.astype(bool) | (labels[:, None] != 1), axis=0)
-    states = np.vstack([np.ones((1, sides.shape[1]), dtype=bool), running])
-    return states[:-1], states[-1]
-
-
 def memorise_negatives(log_p: np.ndarray, sides: np.ndarray, labels: np.ndarray, neg: set) -> None:
     """Apply `HybridPredictor`'s negative store to a trace priced by columns.
 
@@ -216,18 +173,26 @@ def _side_groups(sides: np.ndarray) -> np.ndarray:
     return np.unique(keys, return_inverse=True)[1]
 
 
+def _positive_columns(alpha: float, sides: Sequence[BitVector], d: int) -> np.ndarray:
+    """The columns on in every side, the survivors of an all-positive trace."""
+    if not 0.0 < alpha < 1.0:
+        raise ValueError(f"alpha must lie strictly inside (0, 1), got {alpha}")
+    cols = np.ones(d, dtype=np.uint8)
+    for side in sides:
+        cols &= as_bits(side, d)
+    return cols
+
+
 def positive_trace_log2(alpha: float, sides: Sequence[BitVector], d: int) -> float:
     """Closed-form log2 mixture probability of an all-positive trace.
 
     Equals exact_mixture_joint on the same sides with labels all 1, for any
     alpha in (0, 1), but runs in O(n*d) instead of O(n*2**d).
     """
-    if not 0.0 < alpha < 1.0:
-        raise ValueError(f"alpha must lie strictly inside (0, 1), got {alpha}")
-    state = ColumnMixture(d, log1mexp2(math.log2(alpha)))
-    for side in sides:
-        state.absorb(as_bits(side, d))
-    return state.log_joint
+    if not d >= 1:
+        raise ValueError(f"dimension must be positive, got {d}")
+    cols = _positive_columns(alpha, sides, d)
+    return (d - int(cols.sum())) * log1mexp2(math.log2(alpha))
 
 
 @dataclass(frozen=True)
@@ -244,11 +209,7 @@ def map_index_set(alpha: float, sides: Sequence[BitVector], d: int) -> MapEstima
     empty set. At alpha = 1/2 every consistent set ties; the maximal one is
     returned and `unique` is set accordingly.
     """
-    if not 0.0 < alpha < 1.0:
-        raise ValueError(f"alpha must lie strictly inside (0, 1), got {alpha}")
-    cols = np.ones(d, dtype=np.uint8)
-    for side in sides:
-        cols &= as_bits(side, d)
+    cols = _positive_columns(alpha, sides, d)
     surviving = frozenset(int(i) for i in np.flatnonzero(cols))
     if alpha > 0.5:
         return MapEstimate(surviving, True)
@@ -257,52 +218,74 @@ def map_index_set(alpha: float, sides: Sequence[BitVector], d: int) -> MapEstima
     return MapEstimate(surviving, len(surviving) == 0)
 
 
-class ColumnPricedPredictor(OnlinePredictor):
-    """Prices label 1 at (1-alpha)**m from the column state of the positives.
+class SurvivingColumns(OnlinePredictor):
+    """Valiant's elimination state: the mask `_mask` of the features on in
+    every positive side so far.
 
-    m counts the surviving columns the side switches off. The state is a
-    `ColumnMixture`, and a side is read only through its zero set.
+    A side is read only through its zero set, the features that are 0 on
+    it, handed over by a feature map (`ReducedPredictor`) or found by
+    `_predict`/`_update`; a positive step switches it off. Subclasses price
+    a step from the zero set (`_predict_zeros`) and a block of rows from
+    the prefix-AND of its surviving columns (`_score_columns`).
+    """
+
+    def __init__(self, d: int):
+        super().__init__(d)
+        self._mask = np.ones(self.d, dtype=np.uint8)
+
+    def _predict(self, bits: np.ndarray) -> Prediction:
+        return self._predict_zeros(bits, (bits == 0).nonzero()[0])
+
+    def _update(self, bits: np.ndarray, label: int) -> None:
+        # a negative step never reads the zero set, so it is not looked up
+        self._update_zeros(bits, (bits == 0).nonzero()[0] if label else None, label)
+
+    def tie_label(self, side: BitVector) -> Optional[int]:
+        return self._tie_zeros((as_bits(side, self.d) == 0).nonzero()[0])
+
+    def _update_zeros(self, side: np.ndarray, zeros: np.ndarray, label: int) -> None:
+        if label:
+            self._mask[zeros] = 0
+
+    def _tie_zeros(self, zeros: np.ndarray) -> Optional[int]:
+        return None
+
+    def read_columns(self) -> np.ndarray:
+        return np.flatnonzero(self._mask)
+
+    def _absorb_block(self, columns: np.ndarray, values: np.ndarray, labels: np.ndarray) -> np.ndarray:
+        """Which of a block's surviving `columns` survive before each row: row
+        t is the AND of every positive row before t. The columns that the
+        whole block switches off leave `_mask`."""
+        running = np.logical_and.accumulate(values.astype(bool) | (labels[:, None] != 1), axis=0)
+        states = np.vstack([np.ones((1, values.shape[1]), dtype=bool), running])
+        self._mask[columns[~states[-1]]] = 0
+        return states[:-1]
+
+
+class ColumnPricedPredictor(SurvivingColumns):
+    """Prices label 1 at (1-alpha)**m, where m counts the surviving columns
+    the side switches off.
+
+    On positive examples the conjunction mixture under the alpha prior
+    factorises over columns, so the survivor state is all it needs.
     """
 
     def __init__(self, d: int, log2_one_minus_alpha: float):
         super().__init__(d)
-        self._cols = ColumnMixture(d, log2_one_minus_alpha)
-
-    @property
-    def log2_one_minus_alpha(self) -> float:
-        return self._cols.log2_one_minus_alpha
-
-    def _predict(self, bits: np.ndarray) -> Prediction:
-        return Prediction.from_log_p1(self._cols.log_ratio_next_positive(bits))
+        self.log2_one_minus_alpha = float(log2_one_minus_alpha)
 
     def _predict_zeros(self, side: np.ndarray, zeros: np.ndarray) -> Prediction:
-        m = np.count_nonzero(self._cols.cols[zeros])
+        # int(): a NumPy count would make the float arithmetic below slow
+        m = int(np.count_nonzero(self._mask[zeros]))
         return Prediction.from_log_p1(m * self.log2_one_minus_alpha)
 
-    def _update(self, bits: np.ndarray, label: int) -> None:
-        if label:
-            self._cols.absorb(bits)
-
-    def _update_zeros(self, side: np.ndarray, zeros: np.ndarray, label: int) -> None:
-        if label:
-            self._cols.cols[zeros] = 0
-
-    def read_columns(self) -> np.ndarray:
-        return np.flatnonzero(self._cols.cols)
-
     def _score_columns(self, sides, columns, values, labels) -> Tuple[np.ndarray, np.ndarray]:
-        before, after = _columns_before(values, labels)
-        self._cols.cols[columns[~after]] = 0
+        before = self._absorb_block(columns, values, labels)
         vl = np.count_nonzero(before & (values == 0), axis=1) * self.log2_one_minus_alpha
         log_p = np.where(labels == 1, vl, log1mexp2_arr(vl))
         # there is no tie label, so an exact 1/2 tie is a mistake
         return log_p, log_p > -1.0
-
-    def score_trace(self, sides, labels) -> Tuple[np.ndarray, np.ndarray]:
-        """Vectorised `OnlinePredictor.score_trace` by a prefix-AND."""
-        sides, labels = self._check_trace(sides, labels)
-        columns = self.read_columns()
-        return self._score_columns(sides, columns, sides[:, columns], labels)
 
 
 class HeuristicMixture(ColumnPricedPredictor):
@@ -359,20 +342,10 @@ class HybridPredictor(ColumnPricedPredictor):
         super().__init__(d, hybrid_log2_one_minus_alpha(d))
         self._neg: set = set()
 
-    def _predict(self, bits: np.ndarray) -> Prediction:
-        if pack_key(bits) in self._neg:
-            return Prediction.certain(0)
-        return super()._predict(bits)
-
     def _predict_zeros(self, side: np.ndarray, zeros: np.ndarray) -> Prediction:
         if pack_key(side) in self._neg:
             return Prediction.certain(0)
         return super()._predict_zeros(side, zeros)
-
-    def _update(self, bits: np.ndarray, label: int) -> None:
-        super()._update(bits, label)
-        if not label:
-            self._neg.add(pack_key(bits))
 
     def _update_zeros(self, side: np.ndarray, zeros: np.ndarray, label: int) -> None:
         super()._update_zeros(side, zeros, label)
@@ -387,7 +360,7 @@ class HybridPredictor(ColumnPricedPredictor):
         return log_p, log_p > -1.0
 
 
-class PracticalPredictor(OnlinePredictor):
+class PracticalPredictor(SurvivingColumns):
     """Surviving-coordinate conjunction with a t/(t+1) confidence schedule.
 
     Maintains the set of coordinates that were on in every positive example
@@ -401,7 +374,6 @@ class PracticalPredictor(OnlinePredictor):
 
     def __init__(self, d: int):
         super().__init__(d)
-        self._mask = np.ones(d, dtype=np.uint8)
         self._t = 1
 
     @property
@@ -412,44 +384,22 @@ class PracticalPredictor(OnlinePredictor):
     def step(self) -> int:
         return self._t
 
-    def _structural(self, bits: np.ndarray) -> int:
-        return 0 if np.any(self._mask & (1 - bits)) else 1
-
-    def tie_label(self, side: BitVector) -> Optional[int]:
-        return self._structural(as_bits(side, self.d))
-
     def _tie_zeros(self, zeros: np.ndarray) -> int:
         return 0 if self._mask[zeros].any() else 1
 
-    def _predict(self, bits: np.ndarray) -> Prediction:
-        return self._schedule(self._structural(bits))
-
     def _predict_zeros(self, side: np.ndarray, zeros: np.ndarray) -> Prediction:
-        return self._schedule(self._tie_zeros(zeros))
-
-    def _schedule(self, c: int) -> Prediction:
         log_hi = math.log2(self._t) - math.log2(self._t + 1)
         log_lo = -math.log2(self._t + 1)
-        if c:
+        if self._tie_zeros(zeros):
             return Prediction(log_lo, log_hi)
         return Prediction(log_hi, log_lo)
 
-    def _update(self, bits: np.ndarray, label: int) -> None:
-        if label:
-            self._mask &= bits
-        self._t += 1
-
     def _update_zeros(self, side: np.ndarray, zeros: np.ndarray, label: int) -> None:
-        if label:
-            self._mask[zeros] = 0
+        super()._update_zeros(side, zeros, label)
         self._t += 1
-
-    def read_columns(self) -> np.ndarray:
-        return np.flatnonzero(self._mask)
 
     def _score_columns(self, sides, columns, values, labels) -> Tuple[np.ndarray, np.ndarray]:
-        before, after = _columns_before(values, labels)
-        self._mask[columns[~after]] = 0
+        before = self._absorb_block(columns, values, labels)
         structural = (values.astype(bool) | ~before).all(axis=1)
         t = self._t + np.arange(labels.shape[0], dtype=np.float64)
         self._t += labels.shape[0]
@@ -457,9 +407,3 @@ class PracticalPredictor(OnlinePredictor):
         # hit is exactly a correct step
         hit = structural == labels.astype(bool)
         return np.where(hit, np.log2(t), 0.0) - np.log2(t + 1.0), hit
-
-    def score_trace(self, sides, labels) -> Tuple[np.ndarray, np.ndarray]:
-        """Vectorised `OnlinePredictor.score_trace` by a prefix-AND."""
-        sides, labels = self._check_trace(sides, labels)
-        columns = self.read_columns()
-        return self._score_columns(sides, columns, sides[:, columns], labels)

@@ -20,8 +20,8 @@ Every map gives a side's zero set, the features that are 0 on it, and
 the values of chosen feature columns on a block of sides. `ReducedPredictor`
 is the one reduction path: it hands the inner predictor each step as a
 zero set and each trace block as the columns the predictor reads. alg1,
-alg2 and xi-plus read a side only through its zero set, as in Valiant's
-elimination, and a trace only through their surviving columns. A side
+alg2 and xi-plus step through zero sets with or without a map, as in
+Valiant's elimination, and read only their surviving columns. A side
 falsifies one clause per variable subset, signed by its own bits, which
 the basis finds through a rank table, so behind a clause basis their step
 touches sum_s C(d,s) clauses, not d'. `ExpandedPractical` and

@@ -130,6 +130,11 @@ class TestPositiveTraceForm:
             brute = exact_mixture_joint([(s, 1) for s in sides], d, alpha=alpha)
             assert math.isclose(closed, brute, rel_tol=0, abs_tol=1e-9)
 
+    def test_rejects_bad_alpha_and_dimension(self):
+        for alpha, d in ((0.0, 2), (1.0, 2), (0.5, 0)):
+            with pytest.raises(ValueError):
+                positive_trace_log2(alpha, [], d)
+
 
 class TestMapIndexSet:
     def test_large_alpha_keeps_surviving_columns(self):

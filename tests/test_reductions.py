@@ -4,8 +4,8 @@ import math
 import numpy as np
 import pytest
 
-from cnflearn.core import cumulative_loss
-from cnflearn.predictors import HybridPredictor, PracticalPredictor
+from cnflearn.core import OnlinePredictor, cumulative_loss
+from cnflearn.predictors import HeuristicMixture, HybridPredictor, PracticalPredictor
 from cnflearn.reductions import (
     ClauseMap,
     ConjunctionMap,
@@ -253,6 +253,27 @@ class TestReducedPredictor:
         with pytest.raises(ValueError):
             ReducedPredictor(PracticalPredictor(3), ConjunctionMap(3))
 
+    @pytest.mark.parametrize("inner", [HeuristicMixture, HybridPredictor])
+    def test_tie_label_behind_a_map_builds_no_feature_row(self, inner, monkeypatch):
+        d = 6
+        predictor = ReducedPredictor(inner(2 * d), ConjunctionMap(d))
+        side = np.array([1, 0, 1, 1, 0, 1], dtype=np.uint8)
+        predictor.update(side, 1)
+        other = side.copy()
+        other[0] = 0  # switches exactly one surviving feature off
+        rows = []
+        feature_row = OnlinePredictor._feature_row
+
+        def recorded(self, zeros):
+            rows.append(len(zeros))
+            return feature_row(self, zeros)
+
+        monkeypatch.setattr(OnlinePredictor, "_feature_row", recorded)
+        if inner is HeuristicMixture:
+            assert predictor.predict(other).log_p1 == -1.0  # a 1/2 tie
+        assert predictor.tie_label(other) is None
+        assert rows == []
+
 
 def _kcnf_labels(basis, chosen, sides):
     """Labels of the CNF made of the chosen clause indices, by reference."""
@@ -301,8 +322,8 @@ class TestExpandedPredictors:
                 assert (a.log_p0, a.log_p1) == (b.log_p0, b.log_p1)
                 fast.update(side, label)
                 slow.update(features, label)
-                assert np.array_equal(fast.inner._cols.cols, slow._cols.cols)
-                assert fast.surviving_count == np.count_nonzero(slow._cols.cols)
+                assert np.array_equal(fast.inner._mask, slow._mask)
+                assert fast.surviving_count == np.count_nonzero(slow._mask)
 
     def test_kcnf_target_is_realizable_for_both(self):
         rng = np.random.default_rng(101)
