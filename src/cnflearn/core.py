@@ -36,8 +36,9 @@ __all__ = [
     "row_blocks",
 ]
 
-# Batched scoring works through traces in row blocks of about this many
-# feature bits, so no whole mapped matrix is ever held at once.
+# `OnlinePredictor.score_trace` works through a trace in row blocks of
+# about this many values of the columns the predictor reads, so no whole
+# feature matrix, mapped or not, is ever held at once.
 BLOCK_BITS = 1 << 16
 
 
@@ -268,14 +269,24 @@ class OnlinePredictor:
         the per-step correctness: probability above 1/2, or an exact 1/2
         tie whose `tie_label` is the realised label. Leaves the predictor
         in the state that `predict`/`update` over the same rows would.
-        """
-        sides, labels = self._check_trace(sides, labels)
-        columns = self.read_columns()
-        return self._score_columns(sides, columns, sides[:, columns], labels)
 
-    def _check_trace(self, sides, labels) -> Tuple[np.ndarray, np.ndarray]:
+        Rows are scored in blocks of about BLOCK_BITS values of the columns
+        the predictor reads, read again before each block as survivors shrink.
+        """
         sides = as_bit_matrix(sides, self.d)
-        return sides, _check_labels(labels, sides.shape[0])
+        labels = _check_labels(labels, sides.shape[0])
+        parts = []  # an empty trace is one empty block
+        start = 0
+        while not parts or start < labels.shape[0]:
+            columns = self.read_columns()
+            width = columns.stop if isinstance(columns, slice) else len(columns)
+            rows = slice(start, start + max(1, BLOCK_BITS // max(1, width)))
+            block = sides[rows]
+            values = self._column_values(block, columns)
+            parts.append(self._score_columns(block, columns, values, labels[rows]))
+            start = rows.stop
+        # a trace of one block is returned as scored, without a copy
+        return parts[0] if len(parts) == 1 else tuple(map(np.concatenate, zip(*parts)))
 
     def _predict(self, bits: np.ndarray) -> Prediction:
         raise NotImplementedError
@@ -304,8 +315,12 @@ class OnlinePredictor:
 
     def read_columns(self):
         """The feature columns `_score_columns` needs the values of: an index
-        array, or slice(None) for every column."""
-        return slice(None)
+        array, or slice(0, d) for every column, which keeps a view."""
+        return slice(0, self.d)
+
+    def _column_values(self, sides: np.ndarray, columns) -> np.ndarray:
+        """The values of the `columns` features on a block of sides."""
+        return sides[:, columns]
 
     def _score_columns(
         self, sides: np.ndarray, columns: np.ndarray, values: np.ndarray, labels: np.ndarray

@@ -135,7 +135,10 @@ class DatasetConfig:
 
 @dataclass(frozen=True)
 class Dataset:
-    examples: Tuple[Example, ...]
+    """Ingested examples: an (n, d) uint8 matrix of sides and n labels."""
+
+    sides: np.ndarray
+    labels: np.ndarray
     features: Tuple[Tuple[str, str], ...]
 
     @property
@@ -144,7 +147,12 @@ class Dataset:
 
     @property
     def n(self) -> int:
-        return len(self.examples)
+        return self.sides.shape[0]
+
+    @property
+    def examples(self) -> Tuple[Example, ...]:
+        """The rows as (side, label) pairs, each label a Python int."""
+        return tuple(map(Example, self.sides, self.labels.tolist()))
 
 
 @dataclass(frozen=True)
@@ -332,7 +340,7 @@ def ingest_dataset(config: DatasetConfig) -> Dataset:
     two distinct values, one of which is `positive_label`.
     """
     try:
-        with open(config.path, newline="", encoding="utf-8") as handle:
+        with open(config.path, newline="", encoding="utf-8-sig") as handle:
             text = handle.read()
     except OSError as exc:
         raise ValueError(f"cannot read dataset {config.path!r}: {exc}") from exc
@@ -378,12 +386,11 @@ def ingest_dataset(config: DatasetConfig) -> Dataset:
         code = {value: offset + i for i, value in enumerate(vs)}
         bits[rows, np.fromiter(map(code.__getitem__, map(itemgetter(j), body)), np.int64, len(body))] = 1
         offset += len(vs)
-    labels = [int(row[label_at] == config.positive_label) for row in body]
-    examples = [Example(side, label) for side, label in zip(bits, labels)]
+    labels = np.fromiter((row[label_at] == config.positive_label for row in body), np.uint8, len(body))
     if config.shuffle_seed is not None:
-        order = np.random.default_rng(config.shuffle_seed).permutation(len(examples))
-        examples = [examples[i] for i in order]
-    return Dataset(tuple(examples), tuple(features))
+        order = np.random.default_rng(config.shuffle_seed).permutation(len(body))
+        bits, labels = bits[order], labels[order]
+    return Dataset(bits, labels, tuple(features))
 
 
 def run_dataset(
@@ -407,17 +414,9 @@ def run_dataset(
         algorithm, dataset.d, reduction, k, max_features
     )
     n = dataset.n
-    total = 0.0
-    correct = 0
-    # blocks are sized by the stacked width; a reduced predictor maps
-    # each one in blocks of its own feature width
-    for rows in row_blocks(n, dataset.d):
-        block = dataset.examples[rows]
-        log_p, hit = predictor.score_trace(
-            np.stack([ex.side for ex in block]), [ex.label for ex in block]
-        )
-        total -= float(log_p.sum())
-        correct += int(np.count_nonzero(hit))
+    log_p, hit = predictor.score_trace(dataset.sides, dataset.labels)
+    total = 0.0 - float(log_p.sum())
+    correct = int(np.count_nonzero(hit))
     return RunReport(
         algorithm=algorithm,
         reduction=reduction,

@@ -37,7 +37,6 @@ from typing import List, Optional, Tuple
 import numpy as np
 
 from .core import (
-    BLOCK_BITS,
     BitVector,
     OnlinePredictor,
     Prediction,
@@ -268,31 +267,16 @@ class ReducedPredictor(OnlinePredictor):
             return None
         return 1 - tie if self.mapping.flip else tie
 
-    def score_trace(self, sides, labels) -> Tuple[np.ndarray, np.ndarray]:
-        """Score the trace block by block on the columns the inner predictor
-        reads, each block about BLOCK_BITS values.
+    # A trace is the inner predictor's columns read through the map. A flipped
+    # map flips the inner labels, which carries log_p and ties over unchanged.
+    def read_columns(self):
+        return self.inner.read_columns()
 
-        The columns are read again before each block, so the blocks grow as
-        the inner predictor's survivors shrink. A flipped map flips the
-        inner labels; the wrapper's probability of a label is the inner
-        one's of the flipped label, and its tie label is flipped the same
-        way, so both results carry over unchanged.
-        """
-        sides, labels = self._check_trace(sides, labels)
-        if self.mapping.flip:
-            labels = 1 - labels
-        log_p = np.empty(labels.shape[0], dtype=np.float64)
-        correct = np.empty(labels.shape[0], dtype=bool)
-        start = 0
-        while start < labels.shape[0]:
-            columns = self.inner.read_columns()
-            width = self.mapping.d_prime if isinstance(columns, slice) else len(columns)
-            rows = slice(start, start + max(1, BLOCK_BITS // max(1, width)))
-            block = sides[rows]
-            values = self.mapping.columns(block, columns)
-            log_p[rows], correct[rows] = self.inner._score_columns(block, columns, values, labels[rows])
-            start = rows.stop
-        return log_p, correct
+    def _column_values(self, sides: np.ndarray, columns) -> np.ndarray:
+        return self.mapping.columns(sides, columns)
+
+    def _score_columns(self, sides, columns, values, labels) -> Tuple[np.ndarray, np.ndarray]:
+        return self.inner._score_columns(sides, columns, values, 1 - labels if self.mapping.flip else labels)
 
 
 class _ExpandedBasis(ReducedPredictor):

@@ -27,7 +27,7 @@ from cnflearn.harness import (
     run_synthetic,
     sample_hypothesis,
 )
-from cnflearn.predictors import HybridPredictor
+from cnflearn.predictors import HybridPredictor, PracticalPredictor
 from cnflearn.reductions import ClauseMap, basis_size
 
 
@@ -257,17 +257,48 @@ class TestScoreTraceMatchesSequentialLoop:
         assert_same_state(predictor, reference)
         assert_same_scores(switching_run(make, sides, labels, cut1, cut2), want)
 
-    @pytest.mark.parametrize("algorithm", ["alg1", "alg2", "memorize", "madnb"])
-    def test_trace_crossing_block_boundaries(self, algorithm):
-        predictor, d_prime = build_predictor(algorithm, 40, "conj")
+    @pytest.mark.parametrize(
+        "algorithm,reduction",
+        # a conj case is named by its algorithm alone, an unmapped one with "-none"
+        [pytest.param(a, "conj", id=a) for a in ("alg1", "alg2", "memorize", "madnb")]
+        + [pytest.param(a, "none", id=f"{a}-none") for a in ("alg1", "alg2", "memorize", "madnb")],
+    )
+    def test_trace_crossing_block_boundaries(self, algorithm, reduction):
+        predictor, d_prime = build_predictor(algorithm, 40, reduction)
         n = 2 * (BLOCK_BITS // d_prime) + 17
         rng = np.random.default_rng(5)
         sides = rng.integers(0, 2, size=(n, 40), dtype=np.uint8)
         sides[1::3] = sides[::3][: len(sides[1::3])]  # repeats, some relabelled
         labels = rng.integers(0, 2, size=n, dtype=np.uint8)
         labels[: n // 2] = sides[: n // 2, :3].all(axis=1)
-        want = sequential(build_predictor(algorithm, 40, "conj")[0], sides, labels)
+        reference = build_predictor(algorithm, 40, reduction)[0]
+        want = sequential(reference, sides, labels)
         assert_same_scores(predictor.score_trace(sides, labels), want)
+        assert_same_state(predictor, reference)
+
+    def test_unmapped_trace_arrives_in_row_blocks(self, monkeypatch):
+        d, n = 1024, 200
+        blocks = []
+        score_columns = PracticalPredictor._score_columns
+
+        def recorded(self, sides, columns, values, labels):
+            blocks.append((len(columns), labels.shape[0]))
+            return score_columns(self, sides, columns, values, labels)
+
+        monkeypatch.setattr(PracticalPredictor, "_score_columns", recorded)
+        rng = np.random.default_rng(4)
+        sides = rng.integers(0, 2, size=(n, d), dtype=np.uint8)
+        sides[:, d // 2 :] = 1  # half the columns survive every positive
+        labels = sides[:, :2].all(axis=1).astype(np.uint8)
+        reference = PracticalPredictor(d)
+        want = sequential(reference, sides, labels)
+        predictor = PracticalPredictor(d)
+        assert_same_scores(predictor.score_trace(sides, labels), want)
+        assert_same_state(predictor, reference)
+        # each block holds at most the rows its columns' width allows
+        assert len(blocks) >= 2 and sum(rows for _, rows in blocks) == n
+        assert blocks[0] == (d, BLOCK_BITS // d)
+        assert all(rows <= max(1, BLOCK_BITS // max(1, width)) for width, rows in blocks)
 
     @pytest.mark.parametrize("algorithm", ["alg1", "alg2"])
     def test_kcnf_trace_crossing_survivor_blocks(self, algorithm, monkeypatch):
@@ -415,6 +446,24 @@ class TestIngestDataset:
             want = [int(row[column[name]] == value) for name, value in want_features]
             assert ex.side.dtype == np.uint8 and ex.side.tolist() == want
             assert ex.label == int(i % 3 != 0) and type(ex.label) is int
+
+    @pytest.mark.parametrize("shuffle_seed", [None, 5])
+    def test_matrix_is_the_stacked_examples(self, tmp_path, shuffle_seed):
+        rows = "".join(f"v{i % 7},w{i % 3},{'e' if i % 4 else 'p'}\n" for i in range(30))
+        path = write_csv(tmp_path, "t.csv", "a,b,class\n" + rows)
+        ds = ingest_dataset(DatasetConfig(path, "class", "e", shuffle_seed=shuffle_seed))
+        assert ds.sides.dtype == np.uint8 and ds.sides.shape == (ds.n, ds.d) == (30, 10)
+        assert np.array_equal(ds.sides, np.stack([ex.side for ex in ds.examples]))
+        assert np.array_equal(ds.labels, [ex.label for ex in ds.examples])
+        assert all(type(ex.label) is int for ex in ds.examples)
+
+    def test_byte_order_mark_is_not_part_of_the_header(self, tmp_path):
+        text = "class,a\np,x\ne,y\ne,x\n"
+        plain = ingest_dataset(DatasetConfig(write_csv(tmp_path, "t.csv", text), "class", "e"))
+        marked = ingest_dataset(DatasetConfig(write_csv(tmp_path, "m.csv", "\ufeff" + text), "class", "e"))
+        assert marked.features == plain.features == (("a", "x"), ("a", "y"))
+        assert np.array_equal(marked.sides, plain.sides)
+        assert np.array_equal(marked.labels, plain.labels)
 
     def test_sniffs_tab_delimiter(self, tmp_path):
         path = write_csv(tmp_path, "t.tsv", "a\tclass\nx\tp\ny\te\n")
