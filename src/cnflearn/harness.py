@@ -20,7 +20,7 @@ import io
 import json
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from operator import itemgetter
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
@@ -87,9 +87,11 @@ ALGORITHMS: Dict[str, type] = {
 REDUCTIONS = ("none", "conj", "disj", "kcnf")
 
 
-def _check_reduction(reduction: str, k: Optional[int]) -> None:
-    """Reject a reduction that is unknown or does not match the clause width:
-    kcnf needs k >= 1, and k means nothing to the others."""
+def _check_run(algorithm: str, reduction: str, k: Optional[int]) -> None:
+    """Reject an unknown algorithm or reduction, or a clause width that does
+    not match the reduction: kcnf needs k >= 1, and k means nothing to the others."""
+    if algorithm not in ALGORITHMS:
+        raise ValueError(f"unknown algorithm {algorithm!r}; choose from {sorted(ALGORITHMS)}")
     if reduction not in REDUCTIONS:
         raise ValueError(f"unknown reduction {reduction!r}; choose from {list(REDUCTIONS)}")
     if reduction == "kcnf":
@@ -110,11 +112,7 @@ class SyntheticConfig:
     k: Optional[int] = None
 
     def __post_init__(self):
-        if self.algorithm not in ALGORITHMS:
-            raise ValueError(
-                f"unknown algorithm {self.algorithm!r}; choose from {sorted(ALGORITHMS)}"
-            )
-        _check_reduction(self.reduction, self.k)
+        _check_run(self.algorithm, self.reduction, self.k)
         if self.d < 1:
             raise ValueError(f"d must be >= 1, got {self.d}")
         if self.n < 0:
@@ -291,41 +289,50 @@ def _check_bound(
 def run_synthetic(config: SyntheticConfig) -> RunReport:
     started = time.perf_counter()
     trial_bits: List[float] = []
-    correct_total = 0
-    infinite = 0
+    correct = 0
     make, d_prime = _predictor_maker(config.algorithm, config.d, config.reduction, config.k)
     bound = _bound_bits(config.algorithm, d_prime, config.n)
     for trial in range(config.repeats):
         predictor = make()
         rng = np.random.default_rng(np.random.SeedSequence([config.seed, trial]))
         sides, labels = _trial_stream(rng, config, _feature_map(predictor))
-        log_p, correct = predictor.score_trace(sides, labels)
+        log_p, hit = predictor.score_trace(sides, labels)
         total = 0.0 - float(log_p.sum())
         _check_bound(config.algorithm, total, bound, d_prime, trial)
         trial_bits.append(total)
-        correct_total += int(np.count_nonzero(correct))
-        if math.isinf(total):
-            infinite += 1
+        correct += int(np.count_nonzero(hit))
+    return _report(
+        config.algorithm, config.reduction, config.k, config.d, d_prime, config.n,
+        config.seed, None, trial_bits, correct, started,
+    )
 
-    scored = config.n * config.repeats
+
+def _report(
+    algorithm: str, reduction: str, k: Optional[int], d: int, d_prime: int, n: int,
+    seed: Optional[int], source: Optional[str], trial_bits: Sequence[float], correct: int,
+    started: float,
+) -> RunReport:
+    """The report of a run of n steps per trial, started at `started`, whose
+    trials lost `trial_bits` and which predicted `correct` steps right in all."""
+    scored = n * len(trial_bits)
     return RunReport(
-        algorithm=config.algorithm,
-        reduction=config.reduction,
-        k=config.k,
-        d=config.d,
+        algorithm=algorithm,
+        reduction=reduction,
+        k=k,
+        d=d,
         d_prime=d_prime,
-        n=config.n,
-        repeats=config.repeats,
-        seed=config.seed,
-        source=None,
+        n=n,
+        repeats=len(trial_bits),
+        seed=seed,
+        source=source,
         max_bits=_round6(max(trial_bits)),
-        mean_bits=_round6(sum(trial_bits) / config.repeats),
-        bound_bits=_round6(bound),
-        infinite_losses=infinite,
-        correct=correct_total,
-        mistakes=scored - correct_total,
-        accuracy=_round6(correct_total / scored if scored else 0.0),
-        trial_bits=tuple(_round6(b) for b in trial_bits),
+        mean_bits=_round6(sum(trial_bits) / len(trial_bits)),
+        bound_bits=_round6(_bound_bits(algorithm, d_prime, n)),
+        infinite_losses=sum(map(math.isinf, trial_bits)),
+        correct=correct,
+        mistakes=scored - correct,
+        accuracy=_round6(correct / scored if scored else 0.0),
+        trial_bits=tuple(map(_round6, trial_bits)),
         wall_time=time.perf_counter() - started,
     )
 
@@ -405,137 +412,77 @@ def run_dataset(
     Real data is not realizable, so the bound field is reported for the
     algorithms that have one but is not asserted.
     """
-    _check_reduction(reduction, k)
-    if algorithm not in ALGORITHMS:
-        raise ValueError(f"unknown algorithm {algorithm!r}")
+    _check_run(algorithm, reduction, k)
     dataset = ingest_dataset(config)
     started = time.perf_counter()
-    predictor, d_prime = build_predictor(
-        algorithm, dataset.d, reduction, k, max_features
-    )
-    n = dataset.n
+    predictor, d_prime = build_predictor(algorithm, dataset.d, reduction, k, max_features)
     log_p, hit = predictor.score_trace(dataset.sides, dataset.labels)
-    total = 0.0 - float(log_p.sum())
-    correct = int(np.count_nonzero(hit))
-    return RunReport(
-        algorithm=algorithm,
-        reduction=reduction,
-        k=k,
-        d=dataset.d,
-        d_prime=d_prime,
-        n=n,
-        repeats=1,
-        seed=config.shuffle_seed,
-        source=config.path,
-        max_bits=_round6(total),
-        mean_bits=_round6(total),
-        bound_bits=_round6(_bound_bits(algorithm, d_prime, n)),
-        infinite_losses=int(math.isinf(total)),
-        correct=correct,
-        mistakes=n - correct,
-        accuracy=_round6(correct / n if n else 0.0),
-        trial_bits=(_round6(total),),
-        wall_time=time.perf_counter() - started,
+    return _report(
+        algorithm, reduction, k, dataset.d, d_prime, dataset.n, config.shuffle_seed,
+        config.path, [0.0 - float(log_p.sum())], int(np.count_nonzero(hit)), started,
     )
 
 
 SYNTHETIC_CSV_HEADER = "algo,d,d_prime,k,n,repeats,seed,max_bits,mean_bits,bound_bits,infinite_losses"
 DATASET_CSV_HEADER = "algo,d,d_prime,k,n,accuracy,correct,mistakes,total_bits,bound_bits"
+BOUNDS_CSV_HEADER = "d,algo,n,repeats,seed,max_bits,mean_bits,bound_bits"
+
+# Reports name each `RunReport` field as declared, but `algorithm` as "algo".
+# Only the loss fields may be infinite, which JSON writes as "inf", so a
+# `source` named "inf" stays a string.
+_RENAMED = {"algorithm": "algo"}
+_BITS_FIELDS = ("max_bits", "mean_bits", "trial_bits")
+
+
+def _named_fields(report: RunReport) -> Dict[str, object]:
+    """The report's fields, in declaration order, under their report names."""
+    return {_RENAMED.get(f.name, f.name): getattr(report, f.name) for f in fields(RunReport)}
+
+
+def _csv_cells(report: RunReport, header: str) -> List[str]:
+    """One cell per column of `header`; total_bits is the first trial's loss."""
+    named = _named_fields(report)
+    named["total_bits"] = report.trial_bits[0]
+    return [_fmt(named[column]) for column in header.split(",")]
 
 
 def emit_report(report: RunReport, fmt: str = "csv") -> str:
     """Serialize a report; deterministic order, floats at 6 significant digits."""
     if fmt == "csv":
-        if report.source is None:
-            cells = [
-                report.algorithm,
-                report.d,
-                report.d_prime,
-                report.k,
-                report.n,
-                report.repeats,
-                report.seed,
-                report.max_bits,
-                report.mean_bits,
-                report.bound_bits,
-                report.infinite_losses,
-            ]
-            return SYNTHETIC_CSV_HEADER + "\n" + ",".join(_fmt(c) for c in cells) + "\n"
-        cells = [
-            report.algorithm,
-            report.d,
-            report.d_prime,
-            report.k,
-            report.n,
-            report.accuracy,
-            report.correct,
-            report.mistakes,
-            report.trial_bits[0],
-            report.bound_bits,
-        ]
-        return DATASET_CSV_HEADER + "\n" + ",".join(_fmt(c) for c in cells) + "\n"
+        header = SYNTHETIC_CSV_HEADER if report.source is None else DATASET_CSV_HEADER
+        return header + "\n" + ",".join(_csv_cells(report, header)) + "\n"
     if fmt == "json":
         payload = {
-            "algo": report.algorithm,
-            "reduction": report.reduction,
-            "k": report.k,
-            "d": report.d,
-            "d_prime": report.d_prime,
-            "n": report.n,
-            "repeats": report.repeats,
-            "seed": report.seed,
-            "source": report.source,
-            "max_bits": _json_bits(report.max_bits),
-            "mean_bits": _json_bits(report.mean_bits),
-            "bound_bits": report.bound_bits,
-            "infinite_losses": report.infinite_losses,
-            "correct": report.correct,
-            "mistakes": report.mistakes,
-            "accuracy": report.accuracy,
-            "trial_bits": [_json_bits(b) for b in report.trial_bits],
-            "wall_time": report.wall_time,
+            name: _json_bits(value) if name in _BITS_FIELDS else value
+            for name, value in _named_fields(report).items()
         }
         return json.dumps(payload, indent=2, allow_nan=False) + "\n"
     raise ValueError(f"unknown format {fmt!r}; choose csv or json")
 
 
-def _json_bits(bits: float):
+def _json_bits(bits):
     """Strict JSON has no infinity: an infinite loss is the string "inf"."""
+    if isinstance(bits, tuple):
+        return [_json_bits(b) for b in bits]
     if math.isinf(bits):
         return "inf" if bits > 0 else "-inf"
     return bits
 
 
-def _parse_bits(value) -> float:
+def _parse_bits(value):
+    if isinstance(value, list):
+        return tuple(_parse_bits(b) for b in value)
     return float(value) if value in ("inf", "-inf") else value
 
 
 def parse_report(text: str) -> RunReport:
     """Inverse of emit_report(..., 'json')."""
     data = json.loads(text)
-    return RunReport(
-        algorithm=data["algo"],
-        reduction=data["reduction"],
-        k=data["k"],
-        d=data["d"],
-        d_prime=data["d_prime"],
-        n=data["n"],
-        repeats=data["repeats"],
-        seed=data["seed"],
-        source=data["source"],
-        max_bits=_parse_bits(data["max_bits"]),
-        mean_bits=_parse_bits(data["mean_bits"]),
-        bound_bits=data["bound_bits"],
-        infinite_losses=data["infinite_losses"],
-        correct=data["correct"],
-        mistakes=data["mistakes"],
-        accuracy=data["accuracy"],
-        trial_bits=tuple(_parse_bits(b) for b in data["trial_bits"]),
-        wall_time=data["wall_time"],
-    )
-
-
-BOUNDS_CSV_HEADER = "d,algo,n,repeats,seed,max_bits,mean_bits,bound_bits"
+    values = {}
+    for f in fields(RunReport):
+        value = data[_RENAMED.get(f.name, f.name)]
+        values[f.name] = _parse_bits(value) if f.name in _BITS_FIELDS else value
+    return RunReport(**values)
 
 
 def run_bounds_table(
@@ -555,20 +502,9 @@ def run_bounds_table(
                 SyntheticConfig(algorithm=algorithm, d=d, n=n, repeats=repeats, seed=seed)
             )
             reports.append(report)
-            lines.append(
-                ",".join(
-                    [
-                        str(d),
-                        algorithm,
-                        str(n),
-                        str(repeats),
-                        str(seed),
-                        _fmt(report.max_bits),
-                        _fmt(report.mean_bits),
-                        str(int(round(report.bound_bits))),
-                    ]
-                )
-            )
+            cells = _csv_cells(report, BOUNDS_CSV_HEADER)
+            cells[-1] = str(int(round(report.bound_bits)))
+            lines.append(",".join(cells))
     return reports, "\n".join(lines) + "\n"
 
 

@@ -201,12 +201,15 @@ def _gain(totals: np.ndarray, ones: np.ndarray) -> np.ndarray:
     return gain
 
 
-def _label_log_ratio(totals, ones, gain, sides) -> np.ndarray:
+def _label_log_ratio(totals, ones, sides) -> np.ndarray:
     """L = log2 NB*(x, 1) - log2 NB*(x, 0) for each of B rows x.
 
-    Takes the counts before each row in `_gain`'s shapes, that state's gain
-    (B, d) and the rows (B, d).
+    Takes the counts before each row in `_gain`'s shapes and the rows (B, d).
     """
+    # the gain first, so its temporaries are freed before q's are made: at
+    # d = 28,800 the other order let glibc's heap shrink and regrow, and
+    # each one-row block page-faulted about 3 MB afresh
+    gain = _gain(totals, ones)
     top = int(totals[2, -1])
     log2_half, log2_next = _LOG2_HALF.ensure(top), _LOG2_NEXT.ensure(top)
     # log2 of the add-half predictive of x_i under label 0, label 1 and all
@@ -240,15 +243,9 @@ class Madnb(OnlinePredictor):
         # among them (its zeros are the rest)
         self._totals = np.zeros(3, dtype=np.int64)
         self._ones = np.zeros((3, d), dtype=np.int64)
-        self._gain = self._fresh_gain()
-
-    def _fresh_gain(self) -> np.ndarray:
-        return _gain(self._totals[:, None], self._ones[:, None])[0]
 
     def _predict(self, bits: np.ndarray) -> Prediction:
-        ratio = float(_label_log_ratio(
-            self._totals[:, None], self._ones[:, None], self._gain[None], bits[None]
-        )[0])
+        ratio = float(_label_log_ratio(self._totals[:, None], self._ones[:, None], bits[None])[0])
         tail = float(_softplus_tail(ratio))
         return Prediction(-(max(ratio, 0.0) + tail), -(max(-ratio, 0.0) + tail))
 
@@ -257,7 +254,6 @@ class Madnb(OnlinePredictor):
         self._totals[2] += 1
         self._ones[label] += bits
         self._ones[2] += bits
-        self._gain = self._fresh_gain()
 
     def _score_columns(self, sides, columns, values, labels) -> Tuple[np.ndarray, np.ndarray]:
         """Vectorised `OnlinePredictor._score_columns` by prefix sums of the counts.
@@ -290,8 +286,7 @@ class Madnb(OnlinePredictor):
         np.subtract(ones[2], ones[1], out=ones[0])
         totals += self._totals[:, None]
         ones += self._ones[:, None]
-        before = (totals[:, :-1], ones[:, :-1])
-        ratio = _label_log_ratio(*before, _gain(*before), sides)
+        ratio = _label_log_ratio(totals[:, :-1], ones[:, :-1], sides)
         tail = _softplus_tail(ratio)
         log_p0 = -(np.maximum(ratio, 0.0) + tail)
         log_p1 = -(np.maximum(-ratio, 0.0) + tail)
@@ -303,11 +298,7 @@ class Madnb(OnlinePredictor):
             try:
                 Prediction(float(log_p0[t]), float(log_p1[t]))
             except NumericalError:
-                self._set_counts(totals[:, t], ones[:, t])
+                self._totals, self._ones = totals[:, t].copy(), ones[:, t].copy()
                 raise
-        self._set_counts(totals[:, n], ones[:, n])
+        self._totals, self._ones = totals[:, n].copy(), ones[:, n].copy()
         return np.where(labels == 1, log_p1, log_p0)
-
-    def _set_counts(self, totals: np.ndarray, ones: np.ndarray) -> None:
-        self._totals, self._ones = totals.copy(), ones.copy()
-        self._gain = self._fresh_gain()

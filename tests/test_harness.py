@@ -1,5 +1,6 @@
 import itertools
 import math
+from dataclasses import replace
 
 import json
 
@@ -186,7 +187,7 @@ def assert_same_scores(got, want):
     assert np.array_equal(got_correct, want_correct)
 
 
-STATE_FIELDS = ("_t", "_neg", "_mask", "_totals", "_ones", "_gain", "_alive", "_store")
+STATE_FIELDS = ("_t", "_neg", "_mask", "_totals", "_ones", "_alive", "_store")
 
 
 def assert_same_state(got, want):
@@ -552,6 +553,15 @@ class TestRunDataset:
         report = run_dataset(DatasetConfig(path, "class", "e"), "alg1")
         assert report.bound_bits == 2.0 * 5 * 5
 
+    def test_unknown_algorithm_lists_the_choices(self, tmp_path):
+        # the same message as SyntheticConfig's, from the same check
+        path = self.sample_file(tmp_path)
+        with pytest.raises(ValueError, match="unknown algorithm 'alg3'; choose from"):
+            run_dataset(DatasetConfig(path, "class", "e"), "alg3")
+
+
+INFINITE_LOSS_CSV = "a,class\nx,p\ny,e\nx,e\ny,p\nx,p\n"
+
 
 class TestReports:
     def config(self):
@@ -563,7 +573,7 @@ class TestReports:
 
     def test_infinite_loss_round_trips_as_strict_json(self, tmp_path):
         # the negative side "x" recurs labelled 1, which alg1 prices at zero
-        path = write_csv(tmp_path, "t.csv", "a,class\nx,p\ny,e\nx,e\ny,p\nx,p\n")
+        path = write_csv(tmp_path, "t.csv", INFINITE_LOSS_CSV)
         report = run_dataset(DatasetConfig(path, "class", "e"), "alg1")
         assert math.isinf(report.max_bits) and report.infinite_losses == 1
         text = emit_report(report, "json")
@@ -573,6 +583,31 @@ class TestReports:
 
         assert json.loads(text, parse_constant=no_constants)["max_bits"] == "inf"
         assert parse_report(text) == report
+
+    def test_json_text_round_trips_byte_for_byte(self, tmp_path):
+        path = write_csv(tmp_path, "t.csv", INFINITE_LOSS_CSV)
+        reports = [
+            run_synthetic(self.config()),
+            run_dataset(DatasetConfig(path, "class", "e"), "memorize", "kcnf", 2),
+            run_dataset(DatasetConfig(path, "class", "e"), "alg1"),
+        ]
+        assert math.isinf(reports[-1].max_bits)
+        for report in reports:
+            text = emit_report(report, "json")
+            assert emit_report(parse_report(text), "json") == text
+
+    def test_json_keys_are_the_report_fields_in_order(self):
+        keys = list(json.loads(emit_report(run_synthetic(self.config()), "json")))
+        assert keys == [
+            "algo", "reduction", "k", "d", "d_prime", "n", "repeats", "seed", "source",
+            "max_bits", "mean_bits", "bound_bits", "infinite_losses", "correct",
+            "mistakes", "accuracy", "trial_bits", "wall_time",
+        ]
+
+    def test_source_named_inf_stays_a_string(self):
+        report = replace(run_synthetic(self.config()), source="inf")
+        parsed = parse_report(emit_report(report, "json"))
+        assert parsed.source == "inf" and parsed == report
 
     def test_emission_is_deterministic(self):
         report = run_synthetic(self.config())

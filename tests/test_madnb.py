@@ -212,7 +212,7 @@ def loop_scores(predictor, sides, labels):
 
 
 def assert_same_counts(got, want):
-    for name in ("_totals", "_ones", "_gain"):
+    for name in ("_totals", "_ones"):
         assert np.array_equal(getattr(got, name), getattr(want, name)), name
 
 
