@@ -33,6 +33,7 @@ __all__ = [
     "log1mexp2_arr",
     "logsumexp2",
     "pack_key",
+    "pack_keys",
     "row_blocks",
 ]
 
@@ -124,23 +125,31 @@ def as_bit_matrix(values, d: int) -> np.ndarray:
     return _checked_bits(arr, d)
 
 
-def _checked_bits(arr: np.ndarray, d: Optional[int]) -> np.ndarray:
+def _checked_bits(arr: np.ndarray, d: Optional[int], what: str = "side information bits") -> np.ndarray:
+    """`arr` as uint8, which it is already when it passes uncopied; every
+    entry must be 0 or 1."""
     if d is not None and arr.shape[-1] != d:
         raise ValueError(f"expected {d} bits, got {arr.shape[-1]}")
     if arr.dtype == np.uint8:
-        if arr.size and int(arr.max(initial=0)) > 1:
-            raise ValueError("side information bits must be 0 or 1")
+        if int(arr.max(initial=0)) > 1:
+            raise ValueError(f"{what} must be 0 or 1")
         return arr
     if arr.dtype == bool:
         return arr.astype(np.uint8)
     if arr.size and not bool(np.isin(arr, (0, 1)).all()):
-        raise ValueError("side information bits must be 0 or 1")
+        raise ValueError(f"{what} must be 0 or 1")
     return arr.astype(np.uint8)
 
 
 def pack_key(bits: np.ndarray) -> bytes:
     """Hashable key for a validated bit vector."""
     return bits.tobytes()
+
+
+def pack_keys(rows: np.ndarray) -> list:
+    """`pack_key` of each row of a validated bit matrix, cut from one buffer."""
+    rows = np.ascontiguousarray(rows)
+    return rows.view(np.dtype((np.void, rows.shape[1]))).reshape(-1).tolist()
 
 
 def row_blocks(n: int, width: int) -> Iterator[slice]:
@@ -230,9 +239,7 @@ def _check_labels(labels, n: int) -> np.ndarray:
     arr = np.asarray(labels)
     if arr.shape != (n,):
         raise ValueError(f"expected {n} labels, got shape {arr.shape}")
-    if arr.dtype != bool and arr.size and not bool(np.isin(arr, (0, 1)).all()):
-        raise ValueError("labels must be 0 or 1")
-    return arr.astype(np.uint8)
+    return _checked_bits(arr, None, "labels")
 
 
 class OnlinePredictor:

@@ -38,6 +38,7 @@ from .core import (
     log1mexp2_arr,
     logsumexp2,
     pack_key,
+    pack_keys,
 )
 from .oracles import BRUTE_FORCE_CAP
 
@@ -136,41 +137,46 @@ def exact_mixture_joint(trace, d: int, alpha: float = 0.5) -> float:
     return mix.log_joint()
 
 
-def memorise_negatives(log_p: np.ndarray, sides: np.ndarray, labels: np.ndarray, neg: set) -> None:
-    """Apply `HybridPredictor`'s negative store to a trace priced by columns.
+def memorise_negatives(sides: np.ndarray, labels: np.ndarray, neg: set) -> np.ndarray:
+    """The steps of a trace that `HybridPredictor`'s negative store predicts.
 
     A step is memorised when its side is already in `neg` or was seen with
-    label 0 earlier in the trace; its entry of `log_p` becomes the certain
-    prediction of 0. Every negative side of the trace is then added to `neg`.
+    label 0 earlier in the trace. Every negative side of the trace is then
+    added to `neg`. Each distinct side is looked up once.
     """
     n = labels.shape[0]
-    group = _side_groups(sides)
-    steps = np.arange(n)
+    order, starts = _side_groups(sides)
     # first negative step of each distinct side, n where there is none
-    first = np.full(n, n)
-    negative = steps[labels == 0]
-    np.minimum.at(first, group[negative], negative)
-    memorised = first[group] < steps
+    first = np.minimum.reduceat(np.where(labels[order] == 0, order, n), starts)
+    size = np.diff(starts, append=n)
+    memorised = np.repeat(first, size) < order
     if neg:
-        row = np.empty(int(group.max(initial=-1)) + 1, dtype=np.int64)
-        row[group] = steps  # one row of each distinct side
-        stored = np.array([pack_key(sides[i]) in neg for i in row], dtype=bool)
-        memorised |= stored[group]
-    log_p[memorised] = np.where(labels[memorised] == 1, -math.inf, 0.0)
-    neg.update(pack_key(sides[i]) for i in first[first < n])
+        stored = np.array([key in neg for key in pack_keys(sides[order[starts]])], dtype=bool)
+        memorised |= np.repeat(stored, size)
+    neg.update(pack_keys(sides[first[first < n]]))
+    out = np.empty(n, dtype=bool)
+    out[order] = memorised
+    return out
 
 
-def _side_groups(sides: np.ndarray) -> np.ndarray:
-    """Index of each row's distinct side, from 0; equal exactly where the rows are."""
+def _side_groups(sides: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """The rows in an order that puts equal sides next to each other, and
+    where in that order each group of equal sides starts."""
     d = sides.shape[1]
     if d <= 63:
-        # pack each row into one int64 key and find distinct keys in 1-D
-        keys = sides.astype(np.int64) @ np.left_shift(np.int64(1), np.arange(d, dtype=np.int64))
-        return np.unique(keys, return_inverse=True)[1]
-    # wider rows: pack each into bytes and compare those as one opaque key
-    packed = np.packbits(sides, axis=1)
-    keys = packed.view(np.dtype((np.void, packed.shape[1]))).reshape(-1)
-    return np.unique(keys, return_inverse=True)[1]
+        # pack each row into one integer key, as narrow as d allows
+        keys = sides @ (1 << np.arange(d, dtype=np.uint64)).astype(np.min_scalar_type((1 << d) - 1))
+    else:
+        # wider rows: pack each into bytes and compare those as one opaque key
+        packed = np.packbits(sides, axis=1)
+        keys = packed.view(np.dtype((np.void, packed.shape[1]))).reshape(-1)
+    # NumPy radix-sorts keys of up to 16 bits when asked for a stable sort;
+    # on wider keys its quicksort is the faster one
+    order = np.argsort(keys, kind="stable" if keys.itemsize <= 2 else "quicksort")
+    ordered = keys[order]
+    new = np.ones(len(keys), dtype=bool)
+    new[1:] = ordered[1:] != ordered[:-1]
+    return order, np.flatnonzero(new)
 
 
 def _positive_columns(alpha: float, sides: Sequence[BitVector], d: int) -> np.ndarray:
@@ -281,9 +287,21 @@ class ColumnPricedPredictor(SurvivingColumns):
         return Prediction.from_log_p1(m * self.log2_one_minus_alpha)
 
     def _score_columns(self, sides, columns, values, labels) -> Tuple[np.ndarray, np.ndarray]:
-        before = self._absorb_block(columns, values, labels)
-        vl = np.count_nonzero(before & (values == 0), axis=1) * self.log2_one_minus_alpha
-        log_p = np.where(labels == 1, vl, log1mexp2_arr(vl))
+        return self._price(self._switched_off(columns, values, labels), labels)
+
+    def _switched_off(self, columns, values, labels) -> np.ndarray:
+        """m for each row: how many columns that survive before it the row is 0 on."""
+        # a surviving column counts where the row's value is 0: True > 0
+        return (self._absorb_block(columns, values, labels) > values).sum(axis=1)
+
+    def _price(self, m: np.ndarray, labels: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+        """Score each row from its count m; m = -1 stands for the certain
+        prediction of 0. m takes at most len(columns) + 1 values, so each is
+        priced once."""
+        log_p1 = np.arange(m.max(initial=0) + 1) * self.log2_one_minus_alpha
+        log_p0 = np.append(log1mexp2_arr(log_p1), 0.0)
+        log_p1 = np.append(log_p1, -math.inf)
+        log_p = np.where(labels == 1, log_p1[m], log_p0[m])
         # there is no tie label, so an exact 1/2 tie is a mistake
         return log_p, log_p > -1.0
 
@@ -353,11 +371,11 @@ class HybridPredictor(ColumnPricedPredictor):
             self._neg.add(pack_key(side))
 
     def _score_columns(self, sides, columns, values, labels) -> Tuple[np.ndarray, np.ndarray]:
-        """Column pricing, then the memorised steps overridden by the
-        negative store, which is keyed by `sides`."""
-        log_p, _ = super()._score_columns(sides, columns, values, labels)
-        memorise_negatives(log_p, sides, labels, self._neg)
-        return log_p, log_p > -1.0
+        """Column pricing, except for the steps that the negative store,
+        keyed by `sides`, predicts 0 with certainty."""
+        m = self._switched_off(columns, values, labels)
+        m[memorise_negatives(sides, labels, self._neg)] = -1
+        return self._price(m, labels)
 
 
 class PracticalPredictor(SurvivingColumns):

@@ -366,6 +366,62 @@ class TestScoreTraceMatchesSequentialLoop:
             switching_run(lambda: HybridPredictor(d), sides, labels, 100, 200), want
         )
 
+    @pytest.mark.parametrize("d", [2, 1024])
+    @pytest.mark.parametrize("algorithm", ["alg1", "xi-plus"])
+    def test_label0_prices_at_the_count_edges(self, algorithm, d):
+        make = lambda: build_predictor(algorithm, d)[0]
+        # all-ones sides switch off no column: m = 0 on every row, so label 0
+        # costs +inf until alg1 memorises the side
+        ones = np.ones((4, d), dtype=np.uint8)
+        # an all-zero side switches off every surviving column: m = d; its
+        # label 1 then switches them all off
+        mixed = np.ones((5, d), dtype=np.uint8)
+        mixed[[0, 2]] = 0
+        mixed[3, : d // 2] = 0
+        cases = [
+            (ones, np.array([1, 0, 1, 0], dtype=np.uint8)),
+            (mixed, np.array([0, 1, 0, 1, 1], dtype=np.uint8)),
+            (np.zeros((0, d), dtype=np.uint8), np.zeros(0, dtype=np.uint8)),
+        ]
+        for sides, labels in cases:
+            reference, predictor = make(), make()
+            want = sequential(reference, sides, labels)
+            got = predictor.score_trace(sides, labels)
+            assert_same_scores(got, want)
+            assert_same_state(predictor, reference)
+        assert np.isneginf(sequential(make(), *cases[0])[0][1])
+
+    def test_unmapped_alg1_second_block_reads_the_negative_store(self, monkeypatch):
+        d = 8
+        n = BLOCK_BITS // d + 300
+        stored = []
+        score_columns = HybridPredictor._score_columns
+
+        def recorded(self, sides, columns, values, labels):
+            stored.append(len(self._neg))
+            return score_columns(self, sides, columns, values, labels)
+
+        monkeypatch.setattr(HybridPredictor, "_score_columns", recorded)
+        rng = np.random.default_rng(21)
+        sides = rng.integers(0, 2, size=(n, d), dtype=np.uint8)
+        labels = sides[:, :2].all(axis=1).astype(np.uint8)
+        labels[-300::7] = 1  # stored negatives relabelled 1 cost +inf
+        reference = HybridPredictor(d)
+        want = sequential(reference, sides, labels)
+        assert np.isinf(want[0][-300:]).any()
+        predictor = HybridPredictor(d)
+        assert_same_scores(predictor.score_trace(sides, labels), want)
+        assert_same_state(predictor, reference)
+        assert len(stored) == 2 and stored[0] == 0 and stored[1] > 0
+
+    def test_label_arrays_follow_the_bit_rule(self):
+        sides = np.zeros((2, 3), dtype=np.uint8)
+        with pytest.raises(ValueError, match="labels"):
+            HybridPredictor(3).score_trace(sides, np.array([0, 2], dtype=np.uint8))
+        for labels in (np.array([False, True]), np.array([0, 1], dtype=np.int64)):
+            want = sequential(HybridPredictor(3), sides, labels)
+            assert_same_scores(HybridPredictor(3).score_trace(sides, labels), want)
+
     def test_rejects_bad_matrices(self):
         predictor = HybridPredictor(3)
         with pytest.raises(ValueError, match="two-dimensional"):

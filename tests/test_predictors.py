@@ -348,7 +348,10 @@ def test_side_groups_match_distinct_sides(d):
         copies[:] = sides[::4][: len(copies)]
     sides[2::4, -1] ^= 1  # copies that differ only in the last bit
     want = np.unique(sides, axis=0, return_inverse=True)[1].reshape(-1)
-    got = _side_groups(sides)
-    # the same partition of the rows, numbered from 0
-    assert sorted(set(got.tolist())) == list(range(want.max() + 1))
+    order, starts = _side_groups(sides)
+    assert sorted(order.tolist()) == list(range(len(sides)))
+    got = np.empty(len(sides), dtype=np.int64)
+    got[order] = np.cumsum(np.isin(np.arange(len(sides)), starts)) - 1
+    # the same partition of the rows, each group in one run of `order`
+    assert starts[0] == 0 and len(starts) == want.max() + 1
     assert len(set(zip(got.tolist(), want.tolist()))) == want.max() + 1
