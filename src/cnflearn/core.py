@@ -302,9 +302,10 @@ class OnlinePredictor:
         raise NotImplementedError
 
     # Behind a feature map (`ReducedPredictor`) a step arrives as `zeros`,
-    # the indices of the features that are 0 on the side, next to the
-    # unmapped `side`. The defaults rebuild the feature row; predictors
-    # that read a side only through its zero set override them.
+    # the side's zero set in the form `read_through` chose, next to the
+    # unmapped `side`. The defaults take the map's own form, the indices of
+    # the features that are 0 on the side, and rebuild the feature row;
+    # predictors that read a side only through its zero set override them.
 
     def _predict_zeros(self, side: np.ndarray, zeros: np.ndarray) -> Prediction:
         return self._predict(self._feature_row(zeros))
@@ -319,6 +320,11 @@ class OnlinePredictor:
         row = np.ones(self.d, dtype=np.uint8)
         row[zeros] = 0
         return row
+
+    def read_through(self, mapping):
+        """What gives this predictor its zero sets (`zeros`) and its columns'
+        features (`rows`) behind `mapping`: by default the map itself."""
+        return mapping
 
     def read_columns(self):
         """The feature columns `_score_columns` needs the values of: an index

@@ -14,9 +14,10 @@ they trade computation against worst-case log loss on realizable traces:
                      confidence schedule; at most (d+1)*log2(n+1) bits
 
 HeuristicMixture, HybridPredictor and PracticalPredictor share one state,
-`SurvivingColumns`: the coordinates on in every positive side so far.
-They step through a side's zero set, mapped or not, and score a trace
-block by a prefix-AND of the surviving columns.
+`SurvivingColumns`: the coordinates on in every positive side so far, as
+one word per variable subset (`SubsetWords`). They step through a side's
+zero set, mapped or not, and score a trace block by a prefix-AND of the
+surviving columns.
 """
 
 from __future__ import annotations
@@ -51,6 +52,7 @@ __all__ = [
     "Memorizer",
     "PracticalPredictor",
     "SurvivingColumns",
+    "SubsetWords",
     "exact_mixture_joint",
     "hybrid_log2_one_minus_alpha",
     "map_index_set",
@@ -168,7 +170,7 @@ def _side_groups(sides: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
         keys = sides @ (1 << np.arange(d, dtype=np.uint64)).astype(np.min_scalar_type((1 << d) - 1))
     else:
         # wider rows: pack each into bytes and compare those as one opaque key
-        packed = np.packbits(sides, axis=1)
+        packed = np.ascontiguousarray(np.packbits(sides, axis=1))
         keys = packed.view(np.dtype((np.void, packed.shape[1]))).reshape(-1)
     # NumPy radix-sorts keys of up to 16 bits when asked for a stable sort;
     # on wider keys its quicksort is the faster one
@@ -224,40 +226,96 @@ def map_index_set(alpha: float, sides: Sequence[BitVector], d: int) -> MapEstima
     return MapEstimate(surviving, len(surviving) == 0)
 
 
-class SurvivingColumns(OnlinePredictor):
-    """Valiant's elimination state: the mask `_mask` of the features on in
-    every positive side so far.
+class SubsetWords:
+    """Survivors as one word per variable subset (of a clause basis, or a
+    single variable). On each subset a side has a sign pattern p, and it
+    switches off the feature that bit p of the subset's word stands for;
+    the bit is set while that feature survives.
 
-    A side is read only through its zero set, the features that are 0 on
-    it, handed over by a feature map (`ReducedPredictor`) or found by
-    `_predict`/`_update`; a positive step switches it off. Subclasses price
-    a step from the zero set (`_predict_zeros`) and a block of rows from
-    the prefix-AND of its surviving columns (`_score_columns`).
+    A side's zero set in this form is its patterns (`zeros`), so a step
+    reads or clears one bit per word. A surviving column is a set bit of
+    the state, at 8 * byte + bit, and `rows` gives its feature in the map's
+    order. `full` is the state of a fresh predictor.
+    """
+
+    def __init__(self, full: np.ndarray, word_bytes: int, zeros, rows):
+        self.full = full
+        self.zeros = zeros
+        self.rows = rows
+        # the first byte of each word, where a word has more than one
+        self._first = np.arange(0, full.size, word_bytes) if word_bytes > 1 else None
+
+    def _bit(self, patterns: np.ndarray):
+        """The byte of each word that holds its pattern's bit, and that bit."""
+        if self._first is None:
+            return slice(None), np.uint8(1) << patterns
+        return self._first + (patterns >> 3), np.uint8(1) << (patterns & 7).astype(np.uint8)
+
+    def count(self, mask: np.ndarray, patterns: np.ndarray) -> int:
+        byte, bit = self._bit(patterns)
+        # int(): a NumPy count would make the float arithmetic after it slow
+        return int(np.count_nonzero(mask[byte] & bit))
+
+    def clear(self, mask: np.ndarray, patterns: np.ndarray) -> None:
+        byte, bit = self._bit(patterns)
+        mask[byte] &= ~bit
+
+    def surviving(self, mask: np.ndarray) -> np.ndarray:
+        # NumPy finds nonzero bools several times faster than nonzero bytes
+        return np.flatnonzero(np.unpackbits(mask, bitorder="little").view(bool))
+
+    def drop(self, mask: np.ndarray, columns: np.ndarray) -> None:
+        np.bitwise_and.at(mask, columns >> 3, ~(np.uint8(1) << (columns & 7).astype(np.uint8)))
+
+
+class SurvivingColumns(OnlinePredictor):
+    """Valiant's elimination state `_mask`: the features on in every positive
+    side so far, in the `SubsetWords` form `_form` that a map hands over
+    (`read_through`); unmapped, a side's zero set is the side itself.
+
+    A positive step switches the zero set off. Subclasses price a step from
+    the zero set (`_predict_zeros`) and a block of rows from the prefix-AND
+    of its surviving columns (`_score_columns`).
     """
 
     def __init__(self, d: int):
         super().__init__(d)
-        self._mask = np.ones(self.d, dtype=np.uint8)
+        self._form = SubsetWords(np.ones(d, dtype=np.uint8), 1, lambda bits: bits, lambda cols: cols >> 3)
+        self._mask = self._form.full.copy()
+
+    def read_through(self, mapping) -> SubsetWords:
+        """Start the survivors afresh in the form `mapping` hands over."""
+        self._form = mapping.survivors()
+        self._mask = self._form.full.copy()
+        return self._form
+
+    def survivor_mask(self) -> np.ndarray:
+        """The surviving features as a 0/1 mask in the map's feature order."""
+        mask = np.zeros(self.d, dtype=np.uint8)
+        mask[self._form.rows(self.read_columns())] = 1
+        return mask
 
     def _predict(self, bits: np.ndarray) -> Prediction:
-        return self._predict_zeros(bits, (bits == 0).nonzero()[0])
+        return self._predict_zeros(bits, self._form.zeros(bits))
 
     def _update(self, bits: np.ndarray, label: int) -> None:
-        # a negative step never reads the zero set, so it is not looked up
-        self._update_zeros(bits, (bits == 0).nonzero()[0] if label else None, label)
+        self._update_zeros(bits, self._form.zeros(bits), label)
 
     def tie_label(self, side: BitVector) -> Optional[int]:
-        return self._tie_zeros((as_bits(side, self.d) == 0).nonzero()[0])
+        return self._tie_zeros(self._form.zeros(as_bits(side, self.d)))
 
     def _update_zeros(self, side: np.ndarray, zeros: np.ndarray, label: int) -> None:
         if label:
-            self._mask[zeros] = 0
+            self._form.clear(self._mask, zeros)
 
     def _tie_zeros(self, zeros: np.ndarray) -> Optional[int]:
         return None
 
     def read_columns(self) -> np.ndarray:
-        return np.flatnonzero(self._mask)
+        return self._form.surviving(self._mask)
+
+    def _column_values(self, sides: np.ndarray, columns) -> np.ndarray:
+        return sides[:, self._form.rows(columns)]
 
     def _absorb_block(self, columns: np.ndarray, values: np.ndarray, labels: np.ndarray) -> np.ndarray:
         """Which of a block's surviving `columns` survive before each row: row
@@ -265,7 +323,7 @@ class SurvivingColumns(OnlinePredictor):
         whole block switches off leave `_mask`."""
         running = np.logical_and.accumulate(values.astype(bool) | (labels[:, None] != 1), axis=0)
         states = np.vstack([np.ones((1, values.shape[1]), dtype=bool), running])
-        self._mask[columns[~states[-1]]] = 0
+        self._form.drop(self._mask, columns[~states[-1]])
         return states[:-1]
 
 
@@ -282,8 +340,7 @@ class ColumnPricedPredictor(SurvivingColumns):
         self.log2_one_minus_alpha = float(log2_one_minus_alpha)
 
     def _predict_zeros(self, side: np.ndarray, zeros: np.ndarray) -> Prediction:
-        # int(): a NumPy count would make the float arithmetic below slow
-        m = int(np.count_nonzero(self._mask[zeros]))
+        m = self._form.count(self._mask, zeros)
         return Prediction.from_log_p1(m * self.log2_one_minus_alpha)
 
     def _score_columns(self, sides, columns, values, labels) -> Tuple[np.ndarray, np.ndarray]:
@@ -361,6 +418,7 @@ class HybridPredictor(ColumnPricedPredictor):
         self._neg: set = set()
 
     def _predict_zeros(self, side: np.ndarray, zeros: np.ndarray) -> Prediction:
+        # the store answers before the survivors are read
         if pack_key(side) in self._neg:
             return Prediction.certain(0)
         return super()._predict_zeros(side, zeros)
@@ -396,14 +454,14 @@ class PracticalPredictor(SurvivingColumns):
 
     @property
     def surviving(self) -> FrozenSet[int]:
-        return frozenset(int(i) for i in np.flatnonzero(self._mask))
+        return frozenset(int(i) for i in np.flatnonzero(self.survivor_mask()))
 
     @property
     def step(self) -> int:
         return self._t
 
     def _tie_zeros(self, zeros: np.ndarray) -> int:
-        return 0 if self._mask[zeros].any() else 1
+        return 0 if self._form.count(self._mask, zeros) else 1
 
     def _predict_zeros(self, side: np.ndarray, zeros: np.ndarray) -> Prediction:
         log_hi = math.log2(self._t) - math.log2(self._t + 1)

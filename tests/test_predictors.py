@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from cnflearn.core import cumulative_loss, log1mexp2
+from cnflearn.core import Prediction, cumulative_loss, log1mexp2
 from cnflearn.oracles import count_consistent, counting_side_info, hybrid_column_penalty
 from cnflearn.predictors import (
     ExactMixture,
@@ -11,6 +11,7 @@ from cnflearn.predictors import (
     HybridPredictor,
     Memorizer,
     PracticalPredictor,
+    SubsetWords,
     _side_groups,
     exact_mixture_joint,
     hybrid_log2_one_minus_alpha,
@@ -229,6 +230,28 @@ class TestHybridPredictor:
         assert pred.log_p0 == 0.0
         assert pred.loss_bits(0) == 0.0
 
+    @pytest.mark.parametrize("d", [2, 1024])
+    def test_memorised_negative_predict_finds_no_zero_set(self, d, monkeypatch):
+        rng = np.random.default_rng(d)
+        side = rng.integers(0, 2, d, dtype=np.uint8)
+        h = HybridPredictor(d)
+        h.update(np.ones(d, dtype=np.uint8), 1)
+        h.update(side, 0)
+        # an unmapped side is its own zero set in the survivor form
+        assert h._form.zeros(side) is side
+        reads = []
+        count = SubsetWords.count
+
+        def recorded(self, mask, zeros):
+            reads.append(zeros)
+            return count(self, mask, zeros)
+
+        monkeypatch.setattr(SubsetWords, "count", recorded)
+        assert h.predict(side) == Prediction.certain(0)
+        assert reads == []  # the negative store answered first
+        h.predict(1 - side)
+        assert len(reads) == 1
+
     def test_alpha_parameter_matches_penalty_oracle(self):
         for d in (2, 5, 16, 64, 256):
             assert math.isclose(
@@ -355,3 +378,15 @@ def test_side_groups_match_distinct_sides(d):
     # the same partition of the rows, each group in one run of `order`
     assert starts[0] == 0 and len(starts) == want.max() + 1
     assert len(set(zip(got.tolist(), want.tolist()))) == want.max() + 1
+
+
+def test_alg1_scores_a_wide_column_major_matrix():
+    # a clause expansion comes back column-major; its rows still key the store
+    rng = np.random.default_rng(3)
+    sides = np.asfortranarray(rng.integers(0, 2, size=(40, 100), dtype=np.uint8)[rng.integers(0, 5, 40)])
+    labels = rng.integers(0, 2, size=40, dtype=np.uint8)
+    reference, want = HybridPredictor(100), []
+    for side, label in zip(sides, labels.tolist()):
+        want.append(reference.predict(side).log_prob(label))
+        reference.update(side, label)
+    assert HybridPredictor(100).score_trace(sides, labels)[0].tolist() == want

@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from cnflearn.core import OnlinePredictor, cumulative_loss
 from cnflearn.predictors import HeuristicMixture, HybridPredictor, PracticalPredictor
@@ -305,7 +307,8 @@ class TestExpandedPredictors:
                 assert fast.tie_label(side) == slow.tie_label(features)
                 fast.update(side, label)
                 slow.update(features, label)
-                assert np.array_equal(fast.inner._mask, slow._mask)
+                # the word-per-subset state, read as a mask over every clause
+                assert np.array_equal(fast.inner.survivor_mask(), slow._mask)
                 assert fast.surviving_count == np.count_nonzero(slow._mask)
 
     def test_hybrid_equals_generic_wrapper(self):
@@ -322,7 +325,8 @@ class TestExpandedPredictors:
                 assert (a.log_p0, a.log_p1) == (b.log_p0, b.log_p1)
                 fast.update(side, label)
                 slow.update(features, label)
-                assert np.array_equal(fast.inner._mask, slow._mask)
+                # the word-per-subset state, read as a mask over every clause
+                assert np.array_equal(fast.inner.survivor_mask(), slow._mask)
                 assert fast.surviving_count == np.count_nonzero(slow._mask)
 
     def test_kcnf_target_is_realizable_for_both(self):
@@ -346,3 +350,95 @@ class TestExpandedPredictors:
         assert p.surviving_count == before
         p.update([1, 0, 1], 1)
         assert p.surviving_count < before
+
+
+# the predictors that keep their survivors as one word per variable subset
+WORD_PREDICTORS = {"alg1": HybridPredictor, "alg2": PracticalPredictor, "xi-plus": HeuristicMixture}
+_BASES = {}
+
+
+def cached_basis(d, k):
+    if (d, k) not in _BASES:
+        _BASES[d, k] = build_basis(d, k)
+    return _BASES[d, k]
+
+
+@st.composite
+def word_runs(draw):
+    # (9, 9) gives subsets whose words are wider than one byte
+    d, k = draw(st.one_of(st.tuples(st.integers(1, 7), st.sampled_from([1, 2, 3, 4])), st.just((9, 9))))
+    algorithm = draw(st.sampled_from(sorted(WORD_PREDICTORS)))
+    n = draw(st.integers(0, 40))
+    cut1 = draw(st.integers(0, n))
+    cut2 = draw(st.integers(cut1, n))
+    return algorithm, d, k, n, draw(st.integers(0, 2 ** 32 - 1)), draw(st.booleans()), cut1, cut2
+
+
+class TestSubsetWords:
+    """alg1, alg2 and xi-plus behind a `ClauseMap` keep one word per variable
+    subset; each must behave as the plain predictor fed the clause rows."""
+
+    @staticmethod
+    def trace(basis, seed, coin_flip, n):
+        rng = np.random.default_rng(seed)
+        # few distinct sides, so alg1's negative store is read
+        pool = rng.integers(0, 2, size=(6, basis.d), dtype=np.uint8)
+        sides = pool[rng.integers(0, len(pool), size=n)]
+        if coin_flip:
+            return sides, rng.integers(0, 2, size=n, dtype=np.uint8)
+        chosen = np.flatnonzero(rng.random(basis.d_prime) < 3 / basis.d_prime)
+        features = expand_matrix(basis, sides)
+        return sides, features[:, chosen].all(axis=1).astype(np.uint8)
+
+    @staticmethod
+    def steps(predictor, rows, labels, survivors):
+        """predict/update over the rows: each step's prediction, tie label and
+        survivor mask after it."""
+        out = []
+        for row, label in zip(rows, labels.tolist()):
+            pred = predictor.predict(row)
+            tie = predictor.tie_label(row)
+            predictor.update(row, label)
+            out.append(((pred.log_p0, pred.log_p1), tie, survivors(predictor).tolist()))
+        return out
+
+    @staticmethod
+    def loop(predictor, rows, labels):
+        out = []
+        for row, label in zip(rows, labels.tolist()):
+            out.append(predictor.predict(row).log_prob(label))
+            predictor.update(row, label)
+        return out
+
+    @settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(word_runs())
+    def test_matches_the_plain_predictor_on_clause_rows(self, case):
+        algorithm, d, k, n, seed, coin_flip, cut1, cut2 = case
+        basis = cached_basis(d, k)
+        mapping = ClauseMap(basis)
+        sides, labels = self.trace(basis, seed, coin_flip, n)
+        features = np.array([mapping.features(side) for side in sides], dtype=np.uint8).reshape(n, basis.d_prime)
+        make_plain = lambda: WORD_PREDICTORS[algorithm](basis.d_prime)
+        make_words = lambda: ReducedPredictor(make_plain(), mapping)
+        survivors = lambda p: getattr(p, "inner", p).survivor_mask()
+
+        # per step: the same predictions, tie labels and survivors
+        words, plain = make_words(), make_plain()
+        want = self.steps(plain, features, labels, survivors)
+        assert self.steps(words, sides, labels, survivors) == want
+        assert np.array_equal(survivors(plain), plain._mask)
+        want_bits = [pred[label] for (pred, _, _), label in zip(want, labels.tolist())]
+
+        # score_trace, and runs that switch between it and predict/update
+        for cuts in ((0, 0), (0, n), (cut1, cut2)):
+            runs = []
+            for predictor, rows in ((make_words(), sides), (make_plain(), features)):
+                head = self.loop(predictor, rows[: cuts[0]], labels[: cuts[0]])
+                log_p, correct = predictor.score_trace(rows[cuts[0] : cuts[1]], labels[cuts[0] : cuts[1]])
+                tail = self.loop(predictor, rows[cuts[1] :], labels[cuts[1] :])
+                runs.append((head, log_p.tolist(), correct.tolist(), tail, survivors(predictor).tolist()))
+            assert runs[0] == runs[1]
+            # and both end where predict/update alone does
+            assert runs[0][4] == (want[-1][2] if n else survivors(make_plain()).tolist())
+            got_bits = runs[0][0] + runs[0][1] + runs[0][3]
+            assert np.allclose(got_bits, want_bits, rtol=0.0, atol=1e-9)
