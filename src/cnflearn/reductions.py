@@ -26,16 +26,19 @@ surviving columns, in the survivor form the map hands them
 that sign pattern p on the subset switches off survives. A side falsifies
 one clause per variable subset, signed by its own bits, so behind a
 clause basis a step reads one bit of each of sum_s C(d,s) words and ranks
-no clause: at d = 117, k = 3, 267 KB of words against a 2.1 MB byte mask,
-and 0.35-0.6 ms a step against 3.8-4.2 ms with the rank gather. The
-other predictors read the lexicographic zero set. `ExpandedPractical`
-and `ExpandedHybrid` are alg2 and alg1 behind the `ClauseMap` of a basis.
+no clause; size s of the patterns joins those of size s-1 after each
+first variable, its bit on top. At d = 117, k = 3 that is 267 KB of words
+against a 2.1 MB byte mask, and 0.33-0.36 ms a step against 3.8-4.2 ms
+with the rank gather. The other predictors read the lexicographic zero
+set. `ExpandedPractical` and `ExpandedHybrid` are alg2 and alg1 behind
+the `ClauseMap` of a basis.
 """
 
 from __future__ import annotations
 
 import math
 from itertools import chain, combinations, product
+from operator import itemgetter
 from typing import List, Optional, Tuple
 
 import numpy as np
@@ -81,10 +84,12 @@ class ClauseBasis:
     the side's own bits there. `patterns` gives those signs for every
     subset, by size and then in `combinations` order, with the first
     variable highest; a clause map's survivors are a word per subset, read
-    at those patterns. The clause on the i-th s-variable subset with sign
-    bits p (1 = negated) has slot sum_{r<s} C(d,r)*2**r + i * 2**s + p, and
-    `rank` maps slots to rows, which `falsified` reads for the feature-row
-    path.
+    at those patterns. The s-subsets that start at variable a are a over
+    the (s-1)-subsets after a, a contiguous suffix of size s-1, so size s
+    is d-s+1 such suffixes joined, each with its a's bit set on top. The
+    clause on the i-th s-variable subset with sign bits p (1 = negated) has
+    slot sum_{r<s} C(d,r)*2**r + i * 2**s + p, and `rank` maps slots to
+    rows, which `falsified` reads for the feature-row path.
     """
 
     def __init__(self, d: int, k: int, clause_matrix: np.ndarray, rank: np.ndarray):
@@ -94,15 +99,15 @@ class ClauseBasis:
         self.rank = rank
         self.sizes = range(1, min(d, k) + 1)
         self._dtype = np.min_scalar_type(2 ** len(self.sizes) - 1)
-        # Size s extends each (s-1)-subset by every later variable. Per size
-        # from 2: how many follow each smaller subset's last variable, and
-        # where the smaller subsets after each first variable start.
-        self._steps = []
-        last = np.arange(d)
+        # Per size s from 2: its slice, a getter of its suffixes of size s-1
+        # (which ends where s starts), padded by an empty one as itemgetter
+        # gives a tuple of two or more, and their lengths.
+        self._suffixes, end = [], d
         for s in self.sizes[1:]:
-            starts = [math.comb(d, s - 1) - math.comb(d - a - 1, s - 1) for a in range(d - s + 1)]
-            self._steps.append((d - 1 - last, starts))
-            last = np.concatenate([last[start:] for start in starts])
+            lengths = [math.comb(d - a - 1, s - 1) for a in range(d - s + 1)]
+            suffixes = itemgetter(slice(end, end), *(slice(end - n, end) for n in lengths))
+            self._suffixes.append((slice(end, end + sum(lengths)), suffixes, np.array(lengths)))
+            end += sum(lengths)
         self._first_slot = np.concatenate(
             [basis_size(d, s - 1) + (np.arange(math.comb(d, s)) << s) for s in self.sizes]
         )
@@ -124,16 +129,15 @@ class ClauseBasis:
         return [self.clause(j) for j in range(self.d_prime)]
 
     def patterns(self, bits: np.ndarray) -> np.ndarray:
-        """The side's sign pattern on each variable subset, built a size at a
-        time: each smaller pattern shifted once per later variable, that
-        variable's bit below it."""
-        tails = patterns = bits.astype(self._dtype)
-        out = [patterns]
-        for counts, starts in self._steps:
-            tails = np.concatenate([tails[start:] for start in starts])
-            patterns = (np.repeat(patterns, counts) << 1) | tails
-            out.append(patterns)
-        return np.concatenate(out)
+        """The side's sign pattern on each variable subset, a size at a time:
+        per first variable, the smaller patterns after it, its bit on top."""
+        out = np.empty(self._first_slot.size, dtype=self._dtype)
+        out[: self.d] = bits
+        for shift, (size, suffixes, lengths) in enumerate(self._suffixes, 1):
+            block = out[size]
+            np.concatenate(suffixes(out), out=block)
+            block |= np.repeat(out[: lengths.size] << shift, lengths)
+        return out
 
     def falsified(self, bits: np.ndarray) -> np.ndarray:
         """Basis rows of the clauses false on a side, a subset at a time."""

@@ -91,6 +91,38 @@ class TestBuildBasis:
             assert got.shape[0] == sum(math.comb(d, s) for s in range(1, k + 1))
             assert np.sort(got).tolist() == want
 
+    # (117, 3) is the kcnf3 width; (9, 9) has uint16 patterns; d < k in the rest
+    @pytest.mark.parametrize(
+        "d, k, dtype", [(117, 3, np.uint8), (9, 9, np.uint16), (1, 3, np.uint8), (2, 4, np.uint8)]
+    )
+    def test_patterns_are_the_side_signs_on_each_subset(self, d, k, dtype):
+        """By size, in `combinations` order, the first variable highest."""
+        basis = cached_basis(d, k)
+        rng = np.random.default_rng(d + k)
+        sizes = range(1, min(d, k) + 1)
+        for side in [np.ones(d, dtype=np.uint8)] + [rng.integers(0, 2, d, dtype=np.uint8) for _ in range(3)]:
+            before = side.copy()
+            signs = side.tolist()
+            want = [
+                sum(signs[v] << (s - 1 - i) for i, v in enumerate(subset))
+                for s in sizes
+                for subset in itertools.combinations(range(d), s)
+            ]
+            got = basis.patterns(side)
+            assert got.dtype == dtype
+            assert got.shape == (sum(math.comb(d, s) for s in sizes),)
+            assert got.tolist() == want
+            assert np.array_equal(side, before)
+
+    def test_falsified_rows_are_the_zero_columns_at_k3(self):
+        """The rank path that MADNB and memorize take behind a k = 3 map."""
+        basis = cached_basis(117, 3)
+        rng = np.random.default_rng(3)
+        for _ in range(3):
+            side = rng.integers(0, 2, 117, dtype=np.uint8)
+            values = ClauseMap(basis).columns(side[None], slice(None))[0]
+            assert np.array_equal(np.sort(basis.falsified(side)), np.flatnonzero(values == 0))
+
     def test_budget_refusal_names_both_numbers(self):
         with pytest.raises(ValueError, match="1160.*100"):
             build_basis(10, 3, max_features=100)
