@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Iterator, NamedTuple, Optional, Sequence, Tuple, Union
+from typing import Iterable, NamedTuple, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -34,12 +34,11 @@ __all__ = [
     "logsumexp2",
     "pack_key",
     "pack_keys",
-    "row_blocks",
 ]
 
-# `OnlinePredictor.score_trace` works through a trace in row blocks of
-# about this many values of the columns the predictor reads, so no whole
-# feature matrix, mapped or not, is ever held at once.
+# `OnlinePredictor.score_trace` works through a trace in blocks of whole
+# 64-row words (`pack_rows`), about this many values of the columns the
+# predictor reads, so no whole feature matrix is ever held at once.
 BLOCK_BITS = 1 << 16
 
 
@@ -152,11 +151,19 @@ def pack_keys(rows: np.ndarray) -> list:
     return rows.view(np.dtype((np.void, rows.shape[1]))).reshape(-1).tolist()
 
 
-def row_blocks(n: int, width: int) -> Iterator[slice]:
-    """Consecutive row slices covering n rows, each about BLOCK_BITS wide."""
-    rows = max(1, BLOCK_BITS // max(1, width))
-    for start in range(0, n, rows):
-        yield slice(start, min(start + rows, n))
+def pack_rows(sides: np.ndarray) -> np.ndarray:
+    """n validated rows as (columns, words) uint64, bit t % 64 of word t // 64
+    a column's value on row t; bits past row n are 0, in at least one word."""
+    n = sides.shape[0]
+    # NumPy packs contiguous rows several times faster than strided ones
+    padded = np.zeros((sides.shape[1], 64 * max(1, -(-n // 64))), dtype=np.uint8)
+    padded[:, :n] = sides.T
+    return np.packbits(padded, axis=1, bitorder="little").view("<u8")
+
+
+def unpack_rows(words: np.ndarray, n: int) -> np.ndarray:
+    """The (n, columns) 0/1 bytes of `pack_rows` words, as a transposed view."""
+    return np.unpackbits(words.view(np.uint8), axis=1, count=n, bitorder="little").T
 
 
 @dataclass(frozen=True)
@@ -277,8 +284,8 @@ class OnlinePredictor:
         tie whose `tie_label` is the realised label. Leaves the predictor
         in the state that `predict`/`update` over the same rows would.
 
-        Rows are scored in blocks of about BLOCK_BITS values of the columns
-        the predictor reads, read again before each block as survivors shrink.
+        Rows are scored in blocks of whole 64-row words, about BLOCK_BITS values
+        of the columns read, which are read again before each block.
         """
         sides = as_bit_matrix(sides, self.d)
         labels = _check_labels(labels, sides.shape[0])
@@ -287,7 +294,7 @@ class OnlinePredictor:
         while not parts or start < labels.shape[0]:
             columns = self.read_columns()
             width = columns.stop if isinstance(columns, slice) else len(columns)
-            rows = slice(start, start + max(1, BLOCK_BITS // max(1, width)))
+            rows = slice(start, start + 64 * max(1, BLOCK_BITS // 64 // max(1, width)))
             block = sides[rows]
             values = self._column_values(block, columns)
             parts.append(self._score_columns(block, columns, values, labels[rows]))

@@ -26,7 +26,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .core import BoundViolation, Example, OnlinePredictor, row_blocks
+from .core import BoundViolation, Example, OnlinePredictor, pack_rows, unpack_rows
 from .madnb import Madnb
 from .oracles import (
     count_consistent,
@@ -263,15 +263,12 @@ def _trial_stream(rng, config: SyntheticConfig, mapping):
     trace is realizable for the predictor behind the map.
     """
     d_prime = config.d if mapping is None else mapping.d_prime
-    mask = _sample_mask(rng, d_prime)
+    target = np.flatnonzero(_sample_mask(rng, d_prime))
     sides = rng.integers(0, 2, size=(config.n, config.d), dtype=np.uint8)
-    labels = np.zeros(config.n, dtype=bool)
-    for rows in row_blocks(config.n, d_prime):
-        features = sides[rows] if mapping is None else mapping.features_matrix(sides[rows])
-        labels[rows] = features[:, mask].all(axis=1)
-    if mapping is not None and mapping.flip:
-        labels = ~labels
-    return sides, labels.astype(np.uint8)
+    words = pack_rows(sides)
+    words = words[target] if mapping is None else mapping.columns(words, target)
+    labels = unpack_rows(np.bitwise_and.reduce(words, axis=0)[None], config.n)[:, 0]
+    return sides, labels ^ np.uint8(mapping is not None and mapping.flip)
 
 
 def _check_bound(

@@ -33,7 +33,7 @@ from typing import Iterable, Sequence, Tuple
 
 import numpy as np
 
-from .core import NumericalError, OnlinePredictor, Prediction, logsumexp2, row_blocks
+from .core import BLOCK_BITS, NumericalError, OnlinePredictor, Prediction, logsumexp2
 from .oracles import BRUTE_FORCE_CAP
 
 LN2 = math.log(2.0)
@@ -267,7 +267,9 @@ class Madnb(OnlinePredictor):
         """
         log_p = np.empty(labels.shape[0], dtype=np.float64)
         # about a dozen (rows, d) arrays of 8-byte values are live per block
-        for rows in row_blocks(labels.shape[0], _BLOCK_SCALE * self.d):
+        step = max(1, BLOCK_BITS // (_BLOCK_SCALE * self.d))
+        for start in range(0, labels.shape[0], step):
+            rows = slice(start, start + step)
             log_p[rows] = self._score_block(values[rows], labels[rows])
         return log_p, log_p > -1.0
 

@@ -16,19 +16,21 @@ they trade computation against worst-case log loss on realizable traces:
 HeuristicMixture, HybridPredictor and PracticalPredictor share one state,
 `SurvivingColumns`: the coordinates on in every positive side so far, as
 one word per variable subset (`SubsetWords`). They step through a side's
-zero set, mapped or not, and score a trace block by a prefix-AND of the
-surviving columns.
+zero set, mapped or not, and score a trace block on the 64-row words of
+the surviving columns.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from types import SimpleNamespace
 from typing import FrozenSet, Optional, Sequence, Tuple
 
 import numpy as np
 
 from .core import (
+    BLOCK_BITS,
     LN2,
     BitVector,
     OnlinePredictor,
@@ -40,6 +42,8 @@ from .core import (
     logsumexp2,
     pack_key,
     pack_keys,
+    pack_rows,
+    unpack_rows,
 )
 from .oracles import BRUTE_FORCE_CAP
 
@@ -274,8 +278,8 @@ class SurvivingColumns(OnlinePredictor):
     (`read_through`); unmapped, a side's zero set is the side itself.
 
     A positive step switches the zero set off. Subclasses price a step from
-    the zero set (`_predict_zeros`) and a block of rows from the prefix-AND
-    of its surviving columns (`_score_columns`).
+    the zero set (`_predict_zeros`) and a block of rows from the words of
+    its surviving columns (`_zeros_before`, in `_score_columns`).
     """
 
     def __init__(self, d: int):
@@ -315,16 +319,21 @@ class SurvivingColumns(OnlinePredictor):
         return self._form.surviving(self._mask)
 
     def _column_values(self, sides: np.ndarray, columns) -> np.ndarray:
-        return sides[:, self._form.rows(columns)]
+        return pack_rows(sides)[self._form.rows(columns)]
 
-    def _absorb_block(self, columns: np.ndarray, values: np.ndarray, labels: np.ndarray) -> np.ndarray:
-        """Which of a block's surviving `columns` survive before each row: row
-        t is the AND of every positive row before t. The columns that the
-        whole block switches off leave `_mask`."""
-        running = np.logical_and.accumulate(values.astype(bool) | (labels[:, None] != 1), axis=0)
-        states = np.vstack([np.ones((1, values.shape[1]), dtype=bool), running])
-        self._form.drop(self._mask, columns[~states[-1]])
-        return states[:-1]
+    def _zeros_before(self, columns: np.ndarray, values: np.ndarray, labels: np.ndarray) -> np.ndarray:
+        """The `pack_rows` words of a block's surviving `columns`, bit t set
+        where row t is 0 on the column and it survives before t: through its
+        first kill, a positive row 0 on it, the lowest set bit `low` of its
+        first nonzero kill word, so (low << 1) - 1 there, all-ones before and
+        0 after. The columns that die leave `_mask`; rows past the block never kill."""
+        zeros = ~values
+        kill = zeros & pack_rows(labels[:, None])
+        zeros &= ((kill & -kill) << 1) - 1
+        dead = np.logical_or.accumulate(kill != 0, axis=1)
+        zeros[:, 1:][dead[:, :-1]] = 0
+        self._form.drop(self._mask, columns[dead[:, -1]])
+        return zeros
 
 
 class ColumnPricedPredictor(SurvivingColumns):
@@ -348,8 +357,11 @@ class ColumnPricedPredictor(SurvivingColumns):
 
     def _switched_off(self, columns, values, labels) -> np.ndarray:
         """m for each row: how many columns that survive before it the row is 0 on."""
-        # a surviving column counts where the row's value is 0: True > 0
-        return (self._absorb_block(columns, values, labels) > values).sum(axis=1)
+        zeros, n = self._zeros_before(columns, values, labels), labels.shape[0]
+        m, part = np.zeros(n, dtype=np.intp), BLOCK_BITS // 64 // zeros.shape[1]
+        for i in range(0, len(zeros), part):  # about BLOCK_BITS values a part, whose counts fit 16 bits
+            m += unpack_rows(zeros[i : i + part], n).sum(axis=1, dtype=np.uint16)
+        return m
 
     def _price(self, m: np.ndarray, labels: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
         """Score each row from its count m; m = -1 stands for the certain
@@ -398,6 +410,25 @@ class Memorizer(OnlinePredictor):
 
     def __len__(self) -> int:
         return len(self._store)
+
+    # Behind a map the store keys the unmapped side, exact as every map is injective: no zero set or column.
+    def read_through(self, mapping) -> SimpleNamespace:
+        return SimpleNamespace(zeros=lambda bits: bits, rows=lambda cols: cols)
+
+    def read_columns(self) -> np.ndarray:
+        return np.empty(0, dtype=np.intp)
+
+    def _predict_zeros(self, side: np.ndarray, zeros: np.ndarray) -> Prediction:
+        return self._predict(side)
+
+    def _update_zeros(self, side: np.ndarray, zeros: np.ndarray, label: int) -> None:
+        self._update(side, label)
+
+    def _tie_zeros(self, zeros: np.ndarray) -> None:
+        return None
+
+    def _score_columns(self, sides, columns, values, labels) -> Tuple[np.ndarray, np.ndarray]:
+        return super()._score_columns(sides, columns, sides, labels)
 
 
 class HybridPredictor(ColumnPricedPredictor):
@@ -475,8 +506,8 @@ class PracticalPredictor(SurvivingColumns):
         self._t += 1
 
     def _score_columns(self, sides, columns, values, labels) -> Tuple[np.ndarray, np.ndarray]:
-        before = self._absorb_block(columns, values, labels)
-        structural = (values.astype(bool) | ~before).all(axis=1)
+        misses = np.bitwise_or.reduce(self._zeros_before(columns, values, labels), axis=0)
+        structural = unpack_rows(misses[None], labels.shape[0])[:, 0] == 0
         t = self._t + np.arange(labels.shape[0], dtype=np.float64)
         self._t += labels.shape[0]
         # an exact 1/2 tie (t = 1) is scored by the structural label, so a

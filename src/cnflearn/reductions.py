@@ -16,22 +16,22 @@ coincide with the plain conjunction transform (side then negated side).
 General conjunctions (negations allowed) only need the k=1 feature map;
 disjunctions reduce through De Morgan by flipping side bits and labels.
 
-Every map gives a side's zero set, the features that are 0 on it, and
-the values of chosen feature columns on a block of sides. `ReducedPredictor`
-is the one reduction path: it hands the inner predictor each step as a
-zero set and each trace block as the columns the predictor reads. alg1,
-alg2 and xi-plus step as in Valiant's elimination and read only their
-surviving columns, in the survivor form the map hands them
+Every map gives a side's zero set, the features that are 0 on it, and a
+word formula for chosen feature columns on a block of sides packed 64 rows
+to a uint64 word (`pack_rows`): literal words ORed into a clause, negated
+by XOR with all-ones. `ReducedPredictor` is the one reduction path: it
+hands the inner predictor each step as a zero set and each trace block as
+the columns the predictor reads. alg1, alg2 and xi-plus step as in
+Valiant's elimination, in the survivor form the map hands them
 (`survivors`): one word per variable subset, bit p set while the feature
 that sign pattern p on the subset switches off survives. A side falsifies
-one clause per variable subset, signed by its own bits, so behind a
-clause basis a step reads one bit of each of sum_s C(d,s) words and ranks
-no clause; size s of the patterns joins those of size s-1 after each
-first variable, its bit on top. At d = 117, k = 3 that is 267 KB of words
-against a 2.1 MB byte mask, and 0.33-0.36 ms a step against 3.8-4.2 ms
-with the rank gather. The other predictors read the lexicographic zero
-set. `ExpandedPractical` and `ExpandedHybrid` are alg2 and alg1 behind
-the `ClauseMap` of a basis.
+one clause per variable subset, signed by its own bits, so behind a clause
+basis a step reads one bit of each of sum_s C(d,s) words and ranks no
+clause, and a trace block is scored on the words of the surviving columns.
+MADNB and bayes-exact read the lexicographic zero set and the bytes of
+their columns' words; memorize keys the unmapped side and reads neither.
+`ExpandedPractical` and `ExpandedHybrid` are alg2 and alg1 behind the
+`ClauseMap` of a basis.
 """
 
 from __future__ import annotations
@@ -49,6 +49,8 @@ from .core import (
     Prediction,
     as_bits,
     pack_key,
+    pack_rows,
+    unpack_rows,
 )
 from .predictors import HybridPredictor, PracticalPredictor, SubsetWords
 
@@ -186,18 +188,17 @@ def expand_matrix(basis: ClauseBasis, sides: np.ndarray) -> np.ndarray:
 class _FeatureMap:
     """A map from d-bit sides to d_prime features, given by two methods:
     `zeros(bits)`, the features that are 0 on a side, and
-    `columns(sides, cols)`, chosen feature columns on a block of sides.
+    `columns(words, cols)`, the words of chosen feature columns on the
+    `pack_rows` words of a block of sides, with negation as `~`.
     `survivors()` is the `SubsetWords` form that alg1, alg2 and xi-plus
     read sides in behind it; the other predictors read the map's own
     columns, which are their features (`rows`)."""
 
     def features(self, bits: np.ndarray) -> np.ndarray:
-        values = np.ones(self.d_prime, dtype=np.uint8)
-        values[self.zeros(bits)] = 0
-        return values
+        return self.features_matrix(bits[None])[0]
 
     def features_matrix(self, sides: np.ndarray) -> np.ndarray:
-        return self.columns(sides, slice(None))
+        return unpack_rows(self.columns(pack_rows(sides), slice(None)), sides.shape[0])
 
     def rows(self, columns):
         return columns
@@ -212,9 +213,9 @@ class ConjunctionMap(_FeatureMap):
     def __init__(self, d: int):
         self.d = d
         self.d_prime = 2 * d
-        # each feature's variable, and whether it reads that variable negated
+        # each feature's variable, and the word that it XORs that variable with
         self._variable = np.tile(np.arange(d), 2)
-        self._negated = np.repeat(np.array([self.flip, not self.flip], dtype=np.uint8), d)
+        self._negation = np.repeat(np.array([self.flip, not self.flip], dtype=np.uint64), d) * ~np.uint64(0)
         # the feature of each variable that a 0 bit sets to 0, and a 1 bit
         self._zero_if_off = np.arange(d) + d * self.flip
         self._zero_if_on = np.arange(d) + d * (not self.flip)
@@ -222,8 +223,8 @@ class ConjunctionMap(_FeatureMap):
     def zeros(self, bits: np.ndarray) -> np.ndarray:
         return np.where(bits, self._zero_if_on, self._zero_if_off)
 
-    def columns(self, sides: np.ndarray, cols) -> np.ndarray:
-        return sides[:, self._variable[cols]] ^ self._negated[cols]
+    def columns(self, words: np.ndarray, cols) -> np.ndarray:
+        return words[self._variable[cols]] ^ self._negation[cols, None]
 
     def survivors(self) -> SubsetWords:
         # bit 0 of variable i's word is feature i, bit 1 feature d + i
@@ -263,14 +264,14 @@ class ClauseMap(_FeatureMap):
         rows = lambda cols: basis.rank[basis._first_slot[cols >> width.bit_length() - 1] + (cols & width - 1)]
         return SubsetWords(full, width // 8, basis.patterns, rows)
 
-    def columns(self, sides: np.ndarray, cols) -> np.ndarray:
-        """Truth of the chosen clauses, each the OR of its literal columns."""
+    def columns(self, words: np.ndarray, cols) -> np.ndarray:
+        """Truth of the chosen clauses, each the OR of its literal words."""
         clauses = self.basis.clause_matrix[cols]
-        lits = np.concatenate([sides, 1 - sides], axis=1).astype(bool)
-        values = lits[:, clauses[:, 0]]
+        lits = np.concatenate([words, ~words])
+        values = lits[clauses[:, 0]]
         for j in range(1, clauses.shape[1]):
-            values |= lits[:, clauses[:, j]]
-        return values.view(np.uint8)
+            values |= lits[clauses[:, j]]
+        return values
 
 
 class ReducedPredictor(OnlinePredictor):
@@ -322,7 +323,9 @@ class ReducedPredictor(OnlinePredictor):
         return self.inner.read_columns()
 
     def _column_values(self, sides: np.ndarray, columns) -> np.ndarray:
-        return self.mapping.columns(sides, self._form.rows(columns))
+        words = self.mapping.columns(pack_rows(sides), self._form.rows(columns))
+        # survivors are scored on the words, the other predictors on bytes
+        return words if isinstance(self._form, SubsetWords) else unpack_rows(words, sides.shape[0])
 
     def _score_columns(self, sides, columns, values, labels) -> Tuple[np.ndarray, np.ndarray]:
         return self.inner._score_columns(sides, columns, values, 1 - labels if self.mapping.flip else labels)

@@ -203,6 +203,12 @@ def assert_same_state(got, want):
         assert np.array_equal(a, b) if isinstance(b, np.ndarray) else a == b, name
 
 
+def block_rows(width):
+    """The rows of a `score_trace` block that reads `width` columns: whole
+    64-row words, about BLOCK_BITS values."""
+    return 64 * max(1, BLOCK_BITS // (64 * max(1, width)))
+
+
 def switching_run(make, sides, labels, cut1, cut2):
     """predict/update before cut1, score_trace up to cut2, then predict/update."""
     predictor = make()
@@ -231,7 +237,36 @@ def traces(draw):
     return algorithm, reduction, k, d, n, seed, coin_flip, cut1, cut2
 
 
+@st.composite
+def word_edge_traces(draw):
+    """Survivor traces whose lengths sit at the edges of the 64-row words;
+    1,000 rows of d <= 4 bits, mapped or not, are one block of 16 words."""
+    algorithm = draw(st.sampled_from(["alg1", "alg2", "xi-plus"]))
+    reduction, k = draw(st.sampled_from(REDUCTION_CASES))
+    d = draw(st.integers(2, 4))
+    n = draw(st.sampled_from([0, 1, 63, 64, 65, 127, 129, 1000]))
+    # mostly-1 sides and a run of negatives first put kills in later words
+    ones = draw(st.sampled_from([0.5, 0.9, 0.99]))
+    quiet = draw(st.integers(0, n))
+    seed = draw(st.integers(0, 2 ** 32 - 1))
+    return algorithm, reduction, k, d, n, ones, quiet, seed
+
+
 class TestScoreTraceMatchesSequentialLoop:
+    @settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(word_edge_traces())
+    def test_survivor_words_at_the_edges(self, case):
+        algorithm, reduction, k, d, n, ones, quiet, seed = case
+        rng = np.random.default_rng(seed)
+        sides = (rng.random((n, d)) < ones).astype(np.uint8)
+        labels = rng.integers(0, 2, size=n, dtype=np.uint8)
+        labels[:quiet] = 0
+        make = lambda: build_predictor(algorithm, d, reduction, k)[0]
+        reference, predictor = make(), make()
+        want = sequential(reference, sides, labels)
+        assert_same_scores(predictor.score_trace(sides, labels), want)
+        assert_same_state(predictor, reference)
+
     @settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
     @given(traces())
     def test_every_algorithm_and_reduction(self, case):
@@ -266,7 +301,7 @@ class TestScoreTraceMatchesSequentialLoop:
     )
     def test_trace_crossing_block_boundaries(self, algorithm, reduction):
         predictor, d_prime = build_predictor(algorithm, 40, reduction)
-        n = 2 * (BLOCK_BITS // d_prime) + 17
+        n = 2 * block_rows(d_prime) + 17
         rng = np.random.default_rng(5)
         sides = rng.integers(0, 2, size=(n, 40), dtype=np.uint8)
         sides[1::3] = sides[::3][: len(sides[1::3])]  # repeats, some relabelled
@@ -296,10 +331,11 @@ class TestScoreTraceMatchesSequentialLoop:
         predictor = PracticalPredictor(d)
         assert_same_scores(predictor.score_trace(sides, labels), want)
         assert_same_state(predictor, reference)
-        # each block holds at most the rows its columns' width allows
+        # each block but the last holds the whole words its columns' width allows
         assert len(blocks) >= 2 and sum(rows for _, rows in blocks) == n
-        assert blocks[0] == (d, BLOCK_BITS // d)
-        assert all(rows <= max(1, BLOCK_BITS // max(1, width)) for width, rows in blocks)
+        assert blocks[0] == (d, block_rows(d))
+        assert all(rows == block_rows(width) for width, rows in blocks[:-1])
+        assert blocks[-1][1] <= block_rows(blocks[-1][0])
 
     @pytest.mark.parametrize("algorithm", ["alg1", "alg2"])
     def test_kcnf_trace_crossing_survivor_blocks(self, algorithm, monkeypatch):
@@ -309,9 +345,9 @@ class TestScoreTraceMatchesSequentialLoop:
         blocks = []
         columns = ClauseMap.columns
 
-        def recorded(self, sides, cols):
-            values = columns(self, sides, cols)
-            blocks.append(values.shape)
+        def recorded(self, words, cols):
+            values = columns(self, words, cols)
+            blocks.append((64 * values.shape[1], values.shape[0]))  # (rows, width)
             return values
 
         monkeypatch.setattr(ClauseMap, "columns", recorded)
@@ -329,9 +365,9 @@ class TestScoreTraceMatchesSequentialLoop:
         assert 0 < predictor.surviving_count < d_prime
         # each block but the last is sized by the survivors left before it
         assert len(blocks) >= 3
-        assert blocks[0] == (BLOCK_BITS // d_prime, d_prime)
+        assert blocks[0] == (block_rows(d_prime), d_prime)
         assert blocks[1][1] < d_prime
-        assert all(rows == BLOCK_BITS // width for rows, width in blocks[:-1])
+        assert all(rows == block_rows(width) for rows, width in blocks[:-1])
 
     @pytest.mark.parametrize("algorithm", ["alg1", "alg2"])
     def test_kcnf3_survivors_carry_across_both_paths(self, algorithm):
@@ -393,7 +429,7 @@ class TestScoreTraceMatchesSequentialLoop:
 
     def test_unmapped_alg1_second_block_reads_the_negative_store(self, monkeypatch):
         d = 8
-        n = BLOCK_BITS // d + 300
+        n = block_rows(d) + 300
         stored = []
         score_columns = HybridPredictor._score_columns
 
@@ -594,7 +630,7 @@ class TestRunDataset:
         config = DatasetConfig(path, "class", "e")
         report = run_dataset(config, "alg2", "kcnf", 2)
         predictor, d_prime = build_predictor("alg2", report.d, "kcnf", 2)
-        assert report.n > BLOCK_BITS // d_prime  # more than one block
+        assert report.n > block_rows(d_prime)  # more than one block
         examples = ingest_dataset(config).examples
         log_p, correct = sequential(
             predictor, [ex.side for ex in examples], [ex.label for ex in examples]

@@ -6,8 +6,8 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from cnflearn.core import OnlinePredictor, cumulative_loss
-from cnflearn.predictors import HeuristicMixture, HybridPredictor, PracticalPredictor
+from cnflearn.core import OnlinePredictor, cumulative_loss, pack_key, pack_rows, unpack_rows
+from cnflearn.predictors import HeuristicMixture, HybridPredictor, Memorizer, PracticalPredictor
 from cnflearn.reductions import (
     ClauseMap,
     ConjunctionMap,
@@ -120,7 +120,7 @@ class TestBuildBasis:
         rng = np.random.default_rng(3)
         for _ in range(3):
             side = rng.integers(0, 2, 117, dtype=np.uint8)
-            values = ClauseMap(basis).columns(side[None], slice(None))[0]
+            values = ClauseMap(basis).features_matrix(side[None])[0]
             assert np.array_equal(np.sort(basis.falsified(side)), np.flatnonzero(values == 0))
 
     def test_budget_refusal_names_both_numbers(self):
@@ -196,8 +196,9 @@ def reference_features(reduction, d, k, sides):
 
 
 class TestMapContract:
-    """A map is given by `zeros` and `columns`; `features` and
-    `features_matrix` derive from them."""
+    """A map is given by `zeros` and `columns`, a word formula on the
+    `pack_rows` words of a block; `features` and `features_matrix` derive
+    from them."""
 
     CASES = [(reduction, d, k) for reduction, k in MAP_KINDS for d in (1, 4, 6)] + [
         ("conj", 117, None), ("disj", 117, None), ("kcnf", 117, 2),
@@ -207,12 +208,16 @@ class TestMapContract:
     def test_zeros_and_columns_match_the_features(self, reduction, d, k):
         mapping = make_map(reduction, d, k)
         rng = np.random.default_rng(d)
-        sides = rng.integers(0, 2, size=(8, d), dtype=np.uint8)
-        want = reference_features(reduction, d, k, sides)
-        assert np.array_equal(mapping.features_matrix(sides), want)
         cols = rng.permutation(mapping.d_prime)[:40]
-        assert np.array_equal(mapping.columns(sides, cols), want[:, cols])
-        assert mapping.columns(sides, cols[:0]).shape == (8, 0)
+        # row counts at the edges of the 64-row words
+        for n in (0, 1, 8, 63, 64, 65, 127, 129):
+            sides = rng.integers(0, 2, size=(n, d), dtype=np.uint8)
+            want = reference_features(reduction, d, k, sides)
+            assert np.array_equal(mapping.features_matrix(sides), want)
+            words = mapping.columns(pack_rows(sides), cols)
+            assert words.shape == (len(cols), max(1, -(-n // 64)))
+            assert np.array_equal(unpack_rows(words, n), want[:, cols])
+            assert mapping.columns(pack_rows(sides), cols[:0]).shape == (0, words.shape[1])
         for side, row in zip(sides, want):
             assert np.array_equal(mapping.features(side), row)
             # each zero feature exactly once
@@ -287,7 +292,7 @@ class TestReducedPredictor:
         with pytest.raises(ValueError):
             ReducedPredictor(PracticalPredictor(3), ConjunctionMap(3))
 
-    @pytest.mark.parametrize("inner", [HeuristicMixture, HybridPredictor])
+    @pytest.mark.parametrize("inner", [HeuristicMixture, HybridPredictor, Memorizer])
     def test_tie_label_behind_a_map_builds_no_feature_row(self, inner, monkeypatch):
         d = 6
         predictor = ReducedPredictor(inner(2 * d), ConjunctionMap(d))
@@ -303,10 +308,35 @@ class TestReducedPredictor:
             return feature_row(self, zeros)
 
         monkeypatch.setattr(OnlinePredictor, "_feature_row", recorded)
-        if inner is HeuristicMixture:
+        if inner is not HybridPredictor:
             assert predictor.predict(other).log_p1 == -1.0  # a 1/2 tie
         assert predictor.tie_label(other) is None
         assert rows == []
+
+    @pytest.mark.parametrize("reduction,k", MAP_KINDS)
+    def test_memorizer_keys_the_unmapped_side_and_reads_no_column(self, reduction, k, monkeypatch):
+        d = 4
+        mapping = make_map(reduction, d, k)
+        read = []
+        columns = type(mapping).columns
+
+        def recorded(self, words, cols):
+            read.append(len(cols))
+            return columns(self, words, cols)
+
+        monkeypatch.setattr(type(mapping), "columns", recorded)
+        monkeypatch.setattr(type(mapping), "zeros", None)  # no step reads a zero set
+        predictor = ReducedPredictor(Memorizer(mapping.d_prime), mapping)
+        rng = np.random.default_rng(k or 0)
+        sides = rng.integers(0, 2, size=(150, d), dtype=np.uint8)
+        labels = rng.integers(0, 2, size=150, dtype=np.uint8)
+        predictor.score_trace(sides[:100], labels[:100])
+        for side, label in zip(sides[100:], labels[100:]):
+            predictor.predict(side)
+            predictor.update(side, label)
+        assert read and not any(read)
+        assert set(predictor.inner._store) == {pack_key(side) for side in sides}
+        assert len(predictor.inner) == len({pack_key(side) for side in sides})
 
 
 def _kcnf_labels(basis, chosen, sides):
