@@ -253,9 +253,11 @@ class OnlinePredictor:
     """Contract for sequential binary predictors over d-bit side information.
 
     A predictor owns mutable state. `predict` must not change state;
-    `update` folds one labelled example in. Subclasses implement `_predict`
-    and `_update` on validated uint8 arrays, and may batch `score_trace` by
-    overriding `_score_columns`.
+    `update` folds one labelled example in. A step is three methods on a
+    validated side: `_predict`, `_update` and `_tie_label`. Behind a map
+    (`ReducedPredictor`) they take the side as `read_through` reads it.
+    Subclasses implement `_predict` and `_update`, and may batch
+    `score_trace` by overriding `_score_columns`.
     """
 
     def __init__(self, d: int):
@@ -274,7 +276,7 @@ class OnlinePredictor:
 
         None means a tie is counted against the predictor.
         """
-        return None
+        return self._tie_label(as_bits(side, self.d))
 
     def score_trace(self, sides, labels) -> Tuple[np.ndarray, np.ndarray]:
         """Predict then update on each (row, label) in order.
@@ -308,29 +310,14 @@ class OnlinePredictor:
     def _update(self, bits: np.ndarray, label: int) -> None:
         raise NotImplementedError
 
-    # Behind a feature map (`ReducedPredictor`) a step arrives as `zeros`,
-    # the side's zero set in the form `read_through` chose, next to the
-    # unmapped `side`. The defaults take the map's own form, the indices of
-    # the features that are 0 on the side, and rebuild the feature row;
-    # predictors that read a side only through its zero set override them.
-
-    def _predict_zeros(self, side: np.ndarray, zeros: np.ndarray) -> Prediction:
-        return self._predict(self._feature_row(zeros))
-
-    def _update_zeros(self, side: np.ndarray, zeros: np.ndarray, label: int) -> None:
-        self._update(self._feature_row(zeros), label)
-
-    def _tie_zeros(self, zeros: np.ndarray) -> Optional[int]:
-        return self.tie_label(self._feature_row(zeros))
-
-    def _feature_row(self, zeros: np.ndarray) -> np.ndarray:
-        row = np.ones(self.d, dtype=np.uint8)
-        row[zeros] = 0
-        return row
+    def _tie_label(self, bits: np.ndarray) -> Optional[int]:
+        return None
 
     def read_through(self, mapping):
-        """What gives this predictor its zero sets (`zeros`) and its columns'
-        features (`rows`) behind `mapping`: by default the map itself."""
+        """The reader of this predictor's steps behind `mapping`: `read(bits)`,
+        the side as `_predict`, `_update` and `_tie_label` take it, and
+        `rows(columns)`, its columns' features. By default the map itself,
+        which reads a side as its feature row."""
         return mapping
 
     def read_columns(self):
@@ -356,7 +343,7 @@ class OnlinePredictor:
         for t, (bits, label) in enumerate(zip(values, labels.tolist())):
             lp = self._predict(bits).log_prob(label)
             log_p[t] = lp
-            correct[t] = lp > -1.0 or (lp == -1.0 and self.tie_label(bits) == label)
+            correct[t] = lp > -1.0 or (lp == -1.0 and self._tie_label(bits) == label)
             self._update(bits, label)
         return log_p, correct
 

@@ -24,8 +24,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from types import SimpleNamespace
-from typing import FrozenSet, Optional, Sequence, Tuple
+from typing import FrozenSet, Sequence, Tuple
 
 import numpy as np
 
@@ -230,16 +229,24 @@ def map_index_set(alpha: float, sides: Sequence[BitVector], d: int) -> MapEstima
     return MapEstimate(surviving, len(surviving) == 0)
 
 
-class SubsetWords:
+class _UnmappedSide:
+    """A `read_through` reader that hands the predictor behind a map the
+    unmapped side, and its columns as the map's features."""
+
+    read = rows = staticmethod(lambda value: value)
+
+
+class SubsetWords(_UnmappedSide):
     """Survivors as one word per variable subset (of a clause basis, or a
     single variable). On each subset a side has a sign pattern p, and it
     switches off the feature that bit p of the subset's word stands for;
     the bit is set while that feature survives.
 
-    A side's zero set in this form is its patterns (`zeros`), so a step
-    reads or clears one bit per word. A surviving column is a set bit of
-    the state, at 8 * byte + bit, and `rows` gives its feature in the map's
-    order. `full` is the state of a fresh predictor.
+    A step reads the unmapped side (`read`), and the predictor takes its
+    zero set in this form, its patterns (`zeros`), so it reads or clears
+    one bit per word. A surviving column is a set bit of the state, at
+    8 * byte + bit, and `rows` gives its feature in the map's order.
+    `full` is the state of a fresh predictor.
     """
 
     def __init__(self, full: np.ndarray, word_bytes: int, zeros, rows):
@@ -277,9 +284,10 @@ class SurvivingColumns(OnlinePredictor):
     side so far, in the `SubsetWords` form `_form` that a map hands over
     (`read_through`); unmapped, a side's zero set is the side itself.
 
-    A positive step switches the zero set off. Subclasses price a step from
-    the zero set (`_predict_zeros`) and a block of rows from the words of
-    its surviving columns (`_zeros_before`, in `_score_columns`).
+    A positive step switches the side's zero set off. Subclasses price a
+    step from how many survivors its zero set holds (`SubsetWords.count`)
+    and a block of rows from the words of its surviving columns
+    (`_zeros_before`, in `_score_columns`).
     """
 
     def __init__(self, d: int):
@@ -299,21 +307,9 @@ class SurvivingColumns(OnlinePredictor):
         mask[self._form.rows(self.read_columns())] = 1
         return mask
 
-    def _predict(self, bits: np.ndarray) -> Prediction:
-        return self._predict_zeros(bits, self._form.zeros(bits))
-
     def _update(self, bits: np.ndarray, label: int) -> None:
-        self._update_zeros(bits, self._form.zeros(bits), label)
-
-    def tie_label(self, side: BitVector) -> Optional[int]:
-        return self._tie_zeros(self._form.zeros(as_bits(side, self.d)))
-
-    def _update_zeros(self, side: np.ndarray, zeros: np.ndarray, label: int) -> None:
         if label:
-            self._form.clear(self._mask, zeros)
-
-    def _tie_zeros(self, zeros: np.ndarray) -> Optional[int]:
-        return None
+            self._form.clear(self._mask, self._form.zeros(bits))
 
     def read_columns(self) -> np.ndarray:
         return self._form.surviving(self._mask)
@@ -324,13 +320,16 @@ class SurvivingColumns(OnlinePredictor):
     def _zeros_before(self, columns: np.ndarray, values: np.ndarray, labels: np.ndarray) -> np.ndarray:
         """The `pack_rows` words of a block's surviving `columns`, bit t set
         where row t is 0 on the column and it survives before t: through its
-        first kill, a positive row 0 on it, the lowest set bit `low` of its
-        first nonzero kill word, so (low << 1) - 1 there, all-ones before and
-        0 after. The columns that die leave `_mask`; rows past the block never kill."""
-        zeros = ~values
+        first kill, a positive row 0 on it, so kill ^ (kill - 1), the bits up
+        to its lowest set one, on its first nonzero kill word, all-ones before
+        and 0 after. The columns that die leave `_mask`; rows past the block
+        never kill. `values`, fresh from `_column_values`, is inverted in
+        place, so at most three (columns, words) arrays are alive."""
+        zeros = np.invert(values, out=values)
         kill = zeros & pack_rows(labels[:, None])
-        zeros &= ((kill & -kill) << 1) - 1
         dead = np.logical_or.accumulate(kill != 0, axis=1)
+        kill ^= kill - 1
+        zeros &= kill
         zeros[:, 1:][dead[:, :-1]] = 0
         self._form.drop(self._mask, columns[dead[:, -1]])
         return zeros
@@ -348,8 +347,8 @@ class ColumnPricedPredictor(SurvivingColumns):
         super().__init__(d)
         self.log2_one_minus_alpha = float(log2_one_minus_alpha)
 
-    def _predict_zeros(self, side: np.ndarray, zeros: np.ndarray) -> Prediction:
-        m = self._form.count(self._mask, zeros)
+    def _predict(self, bits: np.ndarray) -> Prediction:
+        m = self._form.count(self._mask, self._form.zeros(bits))
         return Prediction.from_log_p1(m * self.log2_one_minus_alpha)
 
     def _score_columns(self, sides, columns, values, labels) -> Tuple[np.ndarray, np.ndarray]:
@@ -412,20 +411,11 @@ class Memorizer(OnlinePredictor):
         return len(self._store)
 
     # Behind a map the store keys the unmapped side, exact as every map is injective: no zero set or column.
-    def read_through(self, mapping) -> SimpleNamespace:
-        return SimpleNamespace(zeros=lambda bits: bits, rows=lambda cols: cols)
+    def read_through(self, mapping) -> _UnmappedSide:
+        return _UnmappedSide()
 
     def read_columns(self) -> np.ndarray:
         return np.empty(0, dtype=np.intp)
-
-    def _predict_zeros(self, side: np.ndarray, zeros: np.ndarray) -> Prediction:
-        return self._predict(side)
-
-    def _update_zeros(self, side: np.ndarray, zeros: np.ndarray, label: int) -> None:
-        self._update(side, label)
-
-    def _tie_zeros(self, zeros: np.ndarray) -> None:
-        return None
 
     def _score_columns(self, sides, columns, values, labels) -> Tuple[np.ndarray, np.ndarray]:
         return super()._score_columns(sides, columns, sides, labels)
@@ -448,16 +438,16 @@ class HybridPredictor(ColumnPricedPredictor):
         super().__init__(d, hybrid_log2_one_minus_alpha(d))
         self._neg: set = set()
 
-    def _predict_zeros(self, side: np.ndarray, zeros: np.ndarray) -> Prediction:
-        # the store answers before the survivors are read
-        if pack_key(side) in self._neg:
+    def _predict(self, bits: np.ndarray) -> Prediction:
+        # the store answers before the side's zero set is found
+        if pack_key(bits) in self._neg:
             return Prediction.certain(0)
-        return super()._predict_zeros(side, zeros)
+        return super()._predict(bits)
 
-    def _update_zeros(self, side: np.ndarray, zeros: np.ndarray, label: int) -> None:
-        super()._update_zeros(side, zeros, label)
+    def _update(self, bits: np.ndarray, label: int) -> None:
+        super()._update(bits, label)
         if not label:
-            self._neg.add(pack_key(side))
+            self._neg.add(pack_key(bits))
 
     def _score_columns(self, sides, columns, values, labels) -> Tuple[np.ndarray, np.ndarray]:
         """Column pricing, except for the steps that the negative store,
@@ -491,18 +481,18 @@ class PracticalPredictor(SurvivingColumns):
     def step(self) -> int:
         return self._t
 
-    def _tie_zeros(self, zeros: np.ndarray) -> int:
-        return 0 if self._form.count(self._mask, zeros) else 1
+    def _tie_label(self, bits: np.ndarray) -> int:
+        return 0 if self._form.count(self._mask, self._form.zeros(bits)) else 1
 
-    def _predict_zeros(self, side: np.ndarray, zeros: np.ndarray) -> Prediction:
+    def _predict(self, bits: np.ndarray) -> Prediction:
         log_hi = math.log2(self._t) - math.log2(self._t + 1)
         log_lo = -math.log2(self._t + 1)
-        if self._tie_zeros(zeros):
+        if self._tie_label(bits):
             return Prediction(log_lo, log_hi)
         return Prediction(log_hi, log_lo)
 
-    def _update_zeros(self, side: np.ndarray, zeros: np.ndarray, label: int) -> None:
-        super()._update_zeros(side, zeros, label)
+    def _update(self, bits: np.ndarray, label: int) -> None:
+        super()._update(bits, label)
         self._t += 1
 
     def _score_columns(self, sides, columns, values, labels) -> Tuple[np.ndarray, np.ndarray]:

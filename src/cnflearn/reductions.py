@@ -19,17 +19,17 @@ disjunctions reduce through De Morgan by flipping side bits and labels.
 Every map gives a side's zero set, the features that are 0 on it, and a
 word formula for chosen feature columns on a block of sides packed 64 rows
 to a uint64 word (`pack_rows`): literal words ORed into a clause, negated
-by XOR with all-ones. `ReducedPredictor` is the one reduction path: it
-hands the inner predictor each step as a zero set and each trace block as
-the columns the predictor reads. alg1, alg2 and xi-plus step as in
-Valiant's elimination, in the survivor form the map hands them
+by XOR with all-ones. `ReducedPredictor` is the one reduction path: a step
+is the inner predictor's own, on the side as `read_through` reads it, and
+a trace block is the columns the predictor reads. alg1, alg2 and xi-plus
+step as in Valiant's elimination, in the survivor form the map hands them
 (`survivors`): one word per variable subset, bit p set while the feature
 that sign pattern p on the subset switches off survives. A side falsifies
 one clause per variable subset, signed by its own bits, so behind a clause
 basis a step reads one bit of each of sum_s C(d,s) words and ranks no
 clause, and a trace block is scored on the words of the surviving columns.
-MADNB and bayes-exact read the lexicographic zero set and the bytes of
-their columns' words; memorize keys the unmapped side and reads neither.
+MADNB and bayes-exact read a side as its feature row, from its zero set,
+and their columns' words as bytes; memorize keys the unmapped side.
 `ExpandedPractical` and `ExpandedHybrid` are alg2 and alg1 behind the
 `ClauseMap` of a basis.
 """
@@ -43,15 +43,7 @@ from typing import List, Optional, Tuple
 
 import numpy as np
 
-from .core import (
-    BitVector,
-    OnlinePredictor,
-    Prediction,
-    as_bits,
-    pack_key,
-    pack_rows,
-    unpack_rows,
-)
+from .core import OnlinePredictor, Prediction, pack_key, pack_rows, unpack_rows
 from .predictors import HybridPredictor, PracticalPredictor, SubsetWords
 
 DEFAULT_FEATURE_BUDGET = 4_000_000
@@ -191,11 +183,16 @@ class _FeatureMap:
     `columns(words, cols)`, the words of chosen feature columns on the
     `pack_rows` words of a block of sides, with negation as `~`.
     `survivors()` is the `SubsetWords` form that alg1, alg2 and xi-plus
-    read sides in behind it; the other predictors read the map's own
-    columns, which are their features (`rows`)."""
+    read sides in behind it; the other predictors read a side as its
+    feature row (`read`) and the map's own columns, which are their
+    features (`rows`)."""
 
     def features(self, bits: np.ndarray) -> np.ndarray:
-        return self.features_matrix(bits[None])[0]
+        row = np.ones(self.d_prime, dtype=np.uint8)
+        row[self.zeros(bits)] = 0
+        return row
+
+    read = features
 
     def features_matrix(self, sides: np.ndarray) -> np.ndarray:
         return unpack_rows(self.columns(pack_rows(sides), slice(None)), sides.shape[0])
@@ -252,9 +249,19 @@ class ClauseMap(_FeatureMap):
         self.basis = basis
         self.d = basis.d
         self.d_prime = basis.d_prime
+        self._cached = (None, None)
 
     def zeros(self, bits: np.ndarray) -> np.ndarray:
-        return self.basis.falsified(bits)
+        # `basis.falsified` on the patterns kept for the last side
+        return self.basis.rank[self.basis._first_slot + self.patterns(bits)].astype(np.intp)
+
+    def patterns(self, bits: np.ndarray) -> np.ndarray:
+        """`basis.patterns` of the side, kept for the last side, so that
+        predict, tie_label and update of one step build them once."""
+        key = pack_key(bits)
+        if self._cached[0] != key:
+            self._cached = (key, self.basis.patterns(bits))
+        return self._cached[1]
 
     def survivors(self) -> SubsetWords:
         """Each subset's word has a bit per clause on it, in 2**k bits or 8."""
@@ -262,7 +269,7 @@ class ClauseMap(_FeatureMap):
         full = [np.packbits(np.arange(width) < 2 ** s, bitorder="little") for s in basis.sizes]
         full = np.repeat(full, [math.comb(basis.d, s) for s in basis.sizes], axis=0).reshape(-1)
         rows = lambda cols: basis.rank[basis._first_slot[cols >> width.bit_length() - 1] + (cols & width - 1)]
-        return SubsetWords(full, width // 8, basis.patterns, rows)
+        return SubsetWords(full, width // 8, self.patterns, rows)
 
     def columns(self, words: np.ndarray, cols) -> np.ndarray:
         """Truth of the chosen clauses, each the OR of its literal words."""
@@ -277,9 +284,10 @@ class ClauseMap(_FeatureMap):
 class ReducedPredictor(OnlinePredictor):
     """Run any predictor over mapped features, unmapping its predictions.
 
-    The inner predictor sees a step as the side's zero set (`zeros`) and a
-    trace as the values of the columns it reads (`columns`), so a predictor
-    that reads only those never builds a d_prime-wide row.
+    A step is the inner predictor's own `_predict`, `_update` and
+    `_tie_label` on the side as its reader (`read_through`) reads it, and a
+    trace is the values of the columns it reads (`columns`), so a predictor
+    that reads the unmapped side never builds a d_prime-wide row.
     """
 
     def __init__(self, inner: OnlinePredictor, mapping):
@@ -291,28 +299,18 @@ class ReducedPredictor(OnlinePredictor):
             )
         self.inner = inner
         self.mapping = mapping
-        # the form the inner predictor reads sides in: the map's, or its own
-        self._form = inner.read_through(mapping)
-        self._cached = (None, None)
-
-    def _zeros(self, bits: np.ndarray) -> np.ndarray:
-        """The side's zero set; predict, tie_label and update of one step
-        map the side once."""
-        key = pack_key(bits)
-        if self._cached[0] != key:
-            self._cached = (key, self._form.zeros(bits))
-        return self._cached[1]
+        # what reads a side for the inner predictor: the map, or its own form
+        self._reader = inner.read_through(mapping)
 
     def _predict(self, bits: np.ndarray) -> Prediction:
-        pred = self.inner._predict_zeros(bits, self._zeros(bits))
+        pred = self.inner._predict(self._reader.read(bits))
         return pred.flip() if self.mapping.flip else pred
 
     def _update(self, bits: np.ndarray, label: int) -> None:
-        inner_label = 1 - label if self.mapping.flip else label
-        self.inner._update_zeros(bits, self._zeros(bits), inner_label)
+        self.inner._update(self._reader.read(bits), 1 - label if self.mapping.flip else label)
 
-    def tie_label(self, side: BitVector) -> Optional[int]:
-        tie = self.inner._tie_zeros(self._zeros(as_bits(side, self.d)))
+    def _tie_label(self, bits: np.ndarray) -> Optional[int]:
+        tie = self.inner._tie_label(self._reader.read(bits))
         if tie is None:
             return None
         return 1 - tie if self.mapping.flip else tie
@@ -323,9 +321,9 @@ class ReducedPredictor(OnlinePredictor):
         return self.inner.read_columns()
 
     def _column_values(self, sides: np.ndarray, columns) -> np.ndarray:
-        words = self.mapping.columns(pack_rows(sides), self._form.rows(columns))
+        words = self.mapping.columns(pack_rows(sides), self._reader.rows(columns))
         # survivors are scored on the words, the other predictors on bytes
-        return words if isinstance(self._form, SubsetWords) else unpack_rows(words, sides.shape[0])
+        return words if isinstance(self._reader, SubsetWords) else unpack_rows(words, sides.shape[0])
 
     def _score_columns(self, sides, columns, values, labels) -> Tuple[np.ndarray, np.ndarray]:
         return self.inner._score_columns(sides, columns, values, 1 - labels if self.mapping.flip else labels)

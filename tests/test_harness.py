@@ -1,6 +1,8 @@
+import importlib
 import itertools
 import math
 from dataclasses import replace
+from pathlib import Path
 
 import json
 
@@ -203,6 +205,18 @@ def assert_same_state(got, want):
         assert np.array_equal(a, b) if isinstance(b, np.ndarray) else a == b, name
 
 
+@pytest.fixture(scope="module")
+def table_prefix():
+    """The 64-row prefix of the benchmark's seed-0 mushroom-shaped table,
+    as indicator sides over all 117 values and 0/1 labels."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
+        datagen = importlib.import_module("datagen")
+    sides, labels = datagen.indicator_matrix(datagen.csv_prefix(datagen.mushroom_csv(0), 64))
+    assert sides.shape == (64, 117)
+    return sides, labels
+
+
 def block_rows(width):
     """The rows of a `score_trace` block that reads `width` columns: whole
     64-row words, about BLOCK_BITS values."""
@@ -336,6 +350,19 @@ class TestScoreTraceMatchesSequentialLoop:
         assert blocks[0] == (d, block_rows(d))
         assert all(rows == block_rows(width) for width, rows in blocks[:-1])
         assert blocks[-1][1] <= block_rows(blocks[-1][0])
+
+    # bayes-exact enumerates 2**d' hypotheses, which no map of 117 bits allows
+    @pytest.mark.parametrize("algorithm", ["alg1", "alg2", "xi-plus", "memorize", "madnb"])
+    @pytest.mark.parametrize("reduction,k", [("conj", None), ("disj", None), ("kcnf", 2)])
+    def test_generated_table_prefix_bit_for_bit(self, algorithm, reduction, k, table_prefix):
+        # madnb behind kcnf2 reads 27,378-wide feature rows, built from each side's zero set
+        sides, labels = table_prefix
+        make = lambda: build_predictor(algorithm, sides.shape[1], reduction, k)[0]
+        reference, predictor = make(), make()
+        want = sequential(reference, sides, labels)
+        got = predictor.score_trace(sides, labels)
+        assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
+        assert_same_state(predictor, reference)
 
     @pytest.mark.parametrize("algorithm", ["alg1", "alg2"])
     def test_kcnf_trace_crossing_survivor_blocks(self, algorithm, monkeypatch):

@@ -6,9 +6,10 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from cnflearn.core import OnlinePredictor, cumulative_loss, pack_key, pack_rows, unpack_rows
+from cnflearn.core import Prediction, cumulative_loss, pack_key, pack_rows, unpack_rows
 from cnflearn.predictors import HeuristicMixture, HybridPredictor, Memorizer, PracticalPredictor
 from cnflearn.reductions import (
+    ClauseBasis,
     ClauseMap,
     ConjunctionMap,
     DisjunctionMap,
@@ -301,13 +302,15 @@ class TestReducedPredictor:
         other = side.copy()
         other[0] = 0  # switches exactly one surviving feature off
         rows = []
-        feature_row = OnlinePredictor._feature_row
+        features = ConjunctionMap.features
 
-        def recorded(self, zeros):
-            rows.append(len(zeros))
-            return feature_row(self, zeros)
+        def recorded(self, bits):
+            rows.append(len(bits))
+            return features(self, bits)
 
-        monkeypatch.setattr(OnlinePredictor, "_feature_row", recorded)
+        # a feature row is built only by the map's reader, `read` or `features`
+        monkeypatch.setattr(ConjunctionMap, "read", recorded)
+        monkeypatch.setattr(ConjunctionMap, "features", recorded)
         if inner is not HybridPredictor:
             assert predictor.predict(other).log_p1 == -1.0  # a 1/2 tie
         assert predictor.tie_label(other) is None
@@ -504,3 +507,42 @@ class TestSubsetWords:
             assert runs[0][4] == (want[-1][2] if n else survivors(make_plain()).tolist())
             got_bits = runs[0][0] + runs[0][1] + runs[0][3]
             assert np.allclose(got_bits, want_bits, rtol=0.0, atol=1e-9)
+
+
+class TestPatternReads:
+    """Behind the k = 3 basis a step's sign patterns are its costliest read."""
+
+    @staticmethod
+    def recorded(monkeypatch):
+        calls = []
+        patterns = ClauseBasis.patterns
+
+        def recorded(self, bits):
+            calls.append(bits.copy())
+            return patterns(self, bits)
+
+        monkeypatch.setattr(ClauseBasis, "patterns", recorded)
+        return calls
+
+    @pytest.mark.parametrize("algorithm", sorted(WORD_PREDICTORS))
+    def test_one_step_builds_its_patterns_once(self, algorithm, monkeypatch):
+        basis = cached_basis(117, 3)
+        calls = self.recorded(monkeypatch)
+        predictor = ReducedPredictor(WORD_PREDICTORS[algorithm](basis.d_prime), ClauseMap(basis))
+        side = np.random.default_rng(117).integers(0, 2, 117, dtype=np.uint8)
+        predictor.predict(side)
+        predictor.tie_label(side)
+        predictor.update(side, 1)
+        assert len(calls) == 1 and np.array_equal(calls[0], side)
+        assert predictor.inner.read_columns().size < basis.d_prime
+
+    def test_memorised_negative_builds_no_patterns(self, monkeypatch):
+        basis = cached_basis(117, 3)
+        calls = self.recorded(monkeypatch)
+        predictor = ExpandedHybrid(basis)
+        side, other = np.random.default_rng(3).integers(0, 2, (2, 117), dtype=np.uint8)
+        predictor.update(side, 0)
+        predictor.update(other, 1)  # the last patterns built are another side's
+        built = len(calls)
+        assert predictor.predict(side) == Prediction.certain(0)
+        assert len(calls) == built
