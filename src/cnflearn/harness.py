@@ -43,7 +43,6 @@ from .predictors import (
     PracticalPredictor,
 )
 from .reductions import (
-    DEFAULT_FEATURE_BUDGET,
     ClauseMap,
     ConjunctionMap,
     DisjunctionMap,
@@ -214,10 +213,9 @@ def build_predictor(
     d: int,
     reduction: str = "none",
     k: Optional[int] = None,
-    max_features: int = DEFAULT_FEATURE_BUDGET,
 ) -> Tuple[OnlinePredictor, int]:
     """Predictor for original d-bit sides, plus the effective dimension."""
-    make, d_prime = _predictor_maker(algorithm, d, reduction, k, max_features)
+    make, d_prime = _predictor_maker(algorithm, d, reduction, k)
     return make(), d_prime
 
 
@@ -226,7 +224,6 @@ def _predictor_maker(
     d: int,
     reduction: str = "none",
     k: Optional[int] = None,
-    max_features: int = DEFAULT_FEATURE_BUDGET,
 ) -> Tuple[Callable[[], OnlinePredictor], int]:
     """A maker of fresh `build_predictor` predictors, plus the effective
     dimension. A clause basis is built once, here, and shared by every
@@ -239,7 +236,7 @@ def _predictor_maker(
     elif reduction == "disj":
         mapping = DisjunctionMap(d)
     else:
-        basis = build_basis(d, k, max_features)
+        basis = build_basis(d, k)
         if algorithm == "alg2":
             return lambda: ExpandedPractical(basis), basis.d_prime
         if algorithm == "alg1":
@@ -402,7 +399,6 @@ def run_dataset(
     algorithm: str,
     reduction: str = "none",
     k: Optional[int] = None,
-    max_features: int = DEFAULT_FEATURE_BUDGET,
 ) -> RunReport:
     """Stream an ingested dataset through one predictor, Table-style row out.
 
@@ -412,7 +408,7 @@ def run_dataset(
     _check_run(algorithm, reduction, k)
     dataset = ingest_dataset(config)
     started = time.perf_counter()
-    predictor, d_prime = build_predictor(algorithm, dataset.d, reduction, k, max_features)
+    predictor, d_prime = build_predictor(algorithm, dataset.d, reduction, k)
     log_p, hit = predictor.score_trace(dataset.sides, dataset.labels)
     return _report(
         algorithm, reduction, k, dataset.d, d_prime, dataset.n, config.shuffle_seed,

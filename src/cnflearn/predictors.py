@@ -237,10 +237,10 @@ class _UnmappedSide:
 
 
 class SubsetWords(_UnmappedSide):
-    """Survivors as one word per variable subset (of a clause basis, or a
-    single variable). On each subset a side has a sign pattern p, and it
-    switches off the feature that bit p of the subset's word stands for;
-    the bit is set while that feature survives.
+    """Survivors as one word per variable subset: of a clause map's basis,
+    or unmapped a single variable. On each subset a side has a sign
+    pattern p, and it switches off the feature that bit p of the subset's
+    word stands for; the bit is set while that feature survives.
 
     A step reads the unmapped side (`read`), and the predictor takes its
     zero set in this form, its patterns (`zeros`), so it reads or clears

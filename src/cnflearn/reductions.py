@@ -13,13 +13,14 @@ is the negation of variable i-d. Clauses are sorted tuples of literal ids
 and the basis is ordered lexicographically, which makes the k=1 basis
 coincide with the plain conjunction transform (side then negated side).
 
-General conjunctions (negations allowed) only need the k=1 feature map;
-disjunctions reduce through De Morgan by flipping side bits and labels.
+`ClauseMap` is the one feature map. General conjunctions (negations
+allowed) are the map of the k=1 basis; disjunctions reduce through De
+Morgan to that map on the complemented side (`flip`), with flipped labels.
 
-Every map gives a side's zero set, the features that are 0 on it, and a
-word formula for chosen feature columns on a block of sides packed 64 rows
-to a uint64 word (`pack_rows`): literal words ORed into a clause, negated
-by XOR with all-ones. `ReducedPredictor` is the one reduction path: a step
+A map gives a side's zero set, the features that are 0 on it, and a word
+formula for chosen feature columns on a block of sides packed 64 rows to a
+uint64 word (`pack_rows`): literal words ORed into a clause, negated by
+`~`. `ReducedPredictor` is the one reduction path: a step
 is the inner predictor's own, on the side as `read_through` reads it, and
 a trace block is the columns the predictor reads. alg1, alg2 and xi-plus
 step as in Valiant's elimination, in the survivor form the map hands them
@@ -83,7 +84,7 @@ class ClauseBasis:
     is d-s+1 such suffixes joined, each with its a's bit set on top. The
     clause on the i-th s-variable subset with sign bits p (1 = negated) has
     slot sum_{r<s} C(d,r)*2**r + i * 2**s + p, and `rank` maps slots to
-    rows, which `falsified` reads for the feature-row path.
+    rows, which a clause map reads for a side's zero set.
     """
 
     def __init__(self, d: int, k: int, clause_matrix: np.ndarray, rank: np.ndarray):
@@ -133,10 +134,6 @@ class ClauseBasis:
             block |= np.repeat(out[: lengths.size] << shift, lengths)
         return out
 
-    def falsified(self, bits: np.ndarray) -> np.ndarray:
-        """Basis rows of the clauses false on a side, a subset at a time."""
-        return self.rank[self._first_slot + self.patterns(bits)].astype(np.intp)
-
     def __repr__(self) -> str:
         return f"ClauseBasis(d={self.d}, k={self.k}, d_prime={self.d_prime})"
 
@@ -177,15 +174,32 @@ def expand_matrix(basis: ClauseBasis, sides: np.ndarray) -> np.ndarray:
     return ClauseMap(basis).features_matrix(sides)
 
 
-class _FeatureMap:
-    """A map from d-bit sides to d_prime features, given by two methods:
-    `zeros(bits)`, the features that are 0 on a side, and
+class ClauseMap:
+    """Feature map through a clause basis: feature j is the truth of clause
+    j on the side or, when `flip` is set, on its complement, so the k=1
+    basis gives the conjunction and disjunction maps. It is given by two
+    methods: `zeros(bits)`, the features that are 0 on a side, and
     `columns(words, cols)`, the words of chosen feature columns on the
     `pack_rows` words of a block of sides, with negation as `~`.
-    `survivors()` is the `SubsetWords` form that alg1, alg2 and xi-plus
-    read sides in behind it; the other predictors read a side as its
-    feature row (`read`) and the map's own columns, which are their
-    features (`rows`)."""
+    `survivors()` is the `SubsetWords` form that alg1, alg2 and xi-plus read
+    sides in behind it; the other predictors read a side as its feature row
+    (`read`) and the map's own columns, which are their features (`rows`)."""
+
+    flip = False
+
+    def __init__(self, basis: ClauseBasis):
+        self._basis = basis
+        self.d = basis.d
+        self.d_prime = basis.d_prime
+        self._cached = (None, None)
+
+    @property
+    def basis(self) -> ClauseBasis:
+        return self._basis
+
+    def zeros(self, bits: np.ndarray) -> np.ndarray:
+        """Basis rows of the clauses false on a side, a subset at a time."""
+        return self._basis.rank[self._basis._first_slot + self.patterns(bits)].astype(np.intp)
 
     def features(self, bits: np.ndarray) -> np.ndarray:
         row = np.ones(self.d_prime, dtype=np.uint8)
@@ -200,34 +214,40 @@ class _FeatureMap:
     def rows(self, columns):
         return columns
 
-
-class ConjunctionMap(_FeatureMap):
-    """Feature map for general conjunctions with negated literals: feature
-    i < d is variable i, feature d + i its negation."""
-
-    flip = False
-
-    def __init__(self, d: int):
-        self.d = d
-        self.d_prime = 2 * d
-        # each feature's variable, and the word that it XORs that variable with
-        self._variable = np.tile(np.arange(d), 2)
-        self._negation = np.repeat(np.array([self.flip, not self.flip], dtype=np.uint64), d) * ~np.uint64(0)
-        # the feature of each variable that a 0 bit sets to 0, and a 1 bit
-        self._zero_if_off = np.arange(d) + d * self.flip
-        self._zero_if_on = np.arange(d) + d * (not self.flip)
-
-    def zeros(self, bits: np.ndarray) -> np.ndarray:
-        return np.where(bits, self._zero_if_on, self._zero_if_off)
-
-    def columns(self, words: np.ndarray, cols) -> np.ndarray:
-        return words[self._variable[cols]] ^ self._negation[cols, None]
+    def patterns(self, bits: np.ndarray) -> np.ndarray:
+        """`basis.patterns` of the side (or its complement), kept for the last
+        side, so that predict, tie_label and update of one step build them once."""
+        key = pack_key(bits)
+        if self._cached[0] != key:
+            self._cached = (key, self._basis.patterns(1 - bits if self.flip else bits))
+        return self._cached[1]
 
     def survivors(self) -> SubsetWords:
-        # bit 0 of variable i's word is feature i, bit 1 feature d + i
-        patterns = (lambda bits: 1 - bits) if self.flip else (lambda bits: bits)
-        rows = lambda cols: (cols & 7) * self.d + (cols >> 3)
-        return SubsetWords(np.full(self.d, 3, dtype=np.uint8), 1, patterns, rows)
+        """Each subset's word has a bit per clause on it, in 2**k bits or 8."""
+        basis, width = self._basis, max(8, 2 ** len(self._basis.sizes))
+        full = [np.packbits(np.arange(width) < 2 ** s, bitorder="little") for s in basis.sizes]
+        full = np.repeat(full, [math.comb(basis.d, s) for s in basis.sizes], axis=0).reshape(-1)
+        rows = lambda cols: basis.rank[basis._first_slot[cols >> width.bit_length() - 1] + (cols & width - 1)]
+        return SubsetWords(full, width // 8, self.patterns, rows)
+
+    def columns(self, words: np.ndarray, cols) -> np.ndarray:
+        """Truth of the chosen clauses, each the OR of its literal words."""
+        clauses = self._basis.clause_matrix[cols]
+        lits = np.concatenate([~words, words] if self.flip else [words, ~words])
+        values = lits[clauses[:, 0]]
+        for j in range(1, clauses.shape[1]):
+            values |= lits[clauses[:, j]]
+        return values
+
+
+class ConjunctionMap(ClauseMap):
+    """Feature map for general conjunctions with negated literals: the k=1
+    basis, feature i < d variable i and feature d + i its negation."""
+
+    basis = None  # not a k-CNF reduction: a map that has a basis is named k-CNF
+
+    def __init__(self, d: int):
+        super().__init__(build_basis(d, 1))
 
 
 class DisjunctionMap(ConjunctionMap):
@@ -238,47 +258,6 @@ class DisjunctionMap(ConjunctionMap):
     """
 
     flip = True
-
-
-class ClauseMap(_FeatureMap):
-    """Feature map through a k-CNF clause basis."""
-
-    flip = False
-
-    def __init__(self, basis: ClauseBasis):
-        self.basis = basis
-        self.d = basis.d
-        self.d_prime = basis.d_prime
-        self._cached = (None, None)
-
-    def zeros(self, bits: np.ndarray) -> np.ndarray:
-        # `basis.falsified` on the patterns kept for the last side
-        return self.basis.rank[self.basis._first_slot + self.patterns(bits)].astype(np.intp)
-
-    def patterns(self, bits: np.ndarray) -> np.ndarray:
-        """`basis.patterns` of the side, kept for the last side, so that
-        predict, tie_label and update of one step build them once."""
-        key = pack_key(bits)
-        if self._cached[0] != key:
-            self._cached = (key, self.basis.patterns(bits))
-        return self._cached[1]
-
-    def survivors(self) -> SubsetWords:
-        """Each subset's word has a bit per clause on it, in 2**k bits or 8."""
-        basis, width = self.basis, max(8, 2 ** len(self.basis.sizes))
-        full = [np.packbits(np.arange(width) < 2 ** s, bitorder="little") for s in basis.sizes]
-        full = np.repeat(full, [math.comb(basis.d, s) for s in basis.sizes], axis=0).reshape(-1)
-        rows = lambda cols: basis.rank[basis._first_slot[cols >> width.bit_length() - 1] + (cols & width - 1)]
-        return SubsetWords(full, width // 8, self.patterns, rows)
-
-    def columns(self, words: np.ndarray, cols) -> np.ndarray:
-        """Truth of the chosen clauses, each the OR of its literal words."""
-        clauses = self.basis.clause_matrix[cols]
-        lits = np.concatenate([words, ~words])
-        values = lits[clauses[:, 0]]
-        for j in range(1, clauses.shape[1]):
-            values |= lits[clauses[:, j]]
-        return values
 
 
 class ReducedPredictor(OnlinePredictor):

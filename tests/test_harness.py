@@ -12,6 +12,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from cnflearn import harness
+from cnflearn.cli import main
 from cnflearn.core import BLOCK_BITS, BoundViolation, NumericalError
 from cnflearn.harness import (
     ALGORITHMS,
@@ -641,10 +642,18 @@ class TestRunDataset:
         # class fits it while the monotone class cannot
         assert expanded.mistakes < flat.mistakes
 
-    def test_feature_budget_refusal(self, tmp_path):
-        path = self.sample_file(tmp_path)
-        with pytest.raises(ValueError, match="budget"):
-            run_dataset(DatasetConfig(path, "class", "e"), "alg2", "kcnf", 2, max_features=10)
+    def test_feature_budget_refusal(self, tmp_path, capsys):
+        # 30 two-valued columns are 60 indicators: 8,083,120 clauses at
+        # k = 4, past the default budget of 4,000,000
+        rows = [",".join([f"c{j}" for j in range(30)] + ["class"])]
+        rows += [",".join(["a"] * 30 + ["e"]), ",".join(["b"] * 30 + ["p"])]
+        path = write_csv(tmp_path, "wide.csv", "\n".join(rows) + "\n")
+        message = "basis for d=60, k=4 has 8083120 clauses, over the budget of 4000000"
+        with pytest.raises(ValueError, match=message):
+            run_dataset(DatasetConfig(path, "class", "e"), "alg2", "kcnf", 4)
+        code = main(["dataset", "--path", path, "--label-column", "class", "--positive-label", "e",
+                     "--algo", "alg2", "--reduction", "kcnf", "--k", "4"])
+        assert (code, capsys.readouterr().err) == (2, f"error: {message}\n")
 
     def test_blocks_match_sequential_loop(self, tmp_path):
         rows = ["color,size,shape,class"]

@@ -87,7 +87,7 @@ class TestBuildBasis:
         rng = np.random.default_rng(d + k)
         for _ in range(4):
             side = rng.integers(0, 2, d, dtype=np.uint8)
-            got = basis.falsified(side)
+            got = ClauseMap(basis).zeros(side)
             want = [j for j, c in enumerate(clauses) if not clause_true(c, side, d)]
             assert got.shape[0] == sum(math.comb(d, s) for s in range(1, k + 1))
             assert np.sort(got).tolist() == want
@@ -122,7 +122,7 @@ class TestBuildBasis:
         for _ in range(3):
             side = rng.integers(0, 2, 117, dtype=np.uint8)
             values = ClauseMap(basis).features_matrix(side[None])[0]
-            assert np.array_equal(np.sort(basis.falsified(side)), np.flatnonzero(values == 0))
+            assert np.array_equal(np.sort(ClauseMap(basis).zeros(side)), np.flatnonzero(values == 0))
 
     def test_budget_refusal_names_both_numbers(self):
         with pytest.raises(ValueError, match="1160.*100"):
@@ -232,11 +232,14 @@ class TestTransforms:
         side = np.array([1, 0], dtype=np.uint8)
         assert ConjunctionMap(2).features(side).tolist() == [1, 0, 0, 1]
         assert not ConjunctionMap.flip
+        # the k=1 clause map, but named as no k-CNF map
+        assert ConjunctionMap(2).basis is None
 
     def test_disjunction_transform_flips_both(self):
         side = np.array([1, 0], dtype=np.uint8)
         assert DisjunctionMap(2).features(side).tolist() == [0, 1, 1, 0]
         assert DisjunctionMap.flip
+        assert DisjunctionMap(2).basis is None
 
     def test_disjunction_transform_is_an_involution(self):
         side = np.array([1, 0, 1], dtype=np.uint8)
@@ -432,38 +435,44 @@ def cached_basis(d, k):
 def word_runs(draw):
     # (9, 9) gives subsets whose words are wider than one byte
     d, k = draw(st.one_of(st.tuples(st.integers(1, 7), st.sampled_from([1, 2, 3, 4])), st.just((9, 9))))
+    # the conjunction and disjunction maps are the k = 1 basis, the second flipped
+    mapping = draw(st.sampled_from(["kcnf", "conj", "disj"]))
     algorithm = draw(st.sampled_from(sorted(WORD_PREDICTORS)))
     n = draw(st.integers(0, 40))
     cut1 = draw(st.integers(0, n))
     cut2 = draw(st.integers(cut1, n))
-    return algorithm, d, k, n, draw(st.integers(0, 2 ** 32 - 1)), draw(st.booleans()), cut1, cut2
+    return algorithm, mapping, d, k, n, draw(st.integers(0, 2 ** 32 - 1)), draw(st.booleans()), cut1, cut2
 
 
 class TestSubsetWords:
     """alg1, alg2 and xi-plus behind a `ClauseMap` keep one word per variable
-    subset; each must behave as the plain predictor fed the clause rows."""
+    subset; each must behave as the plain predictor fed the clause rows (and,
+    behind a flipped map, the flipped labels)."""
 
     @staticmethod
-    def trace(basis, seed, coin_flip, n):
+    def trace(mapping, seed, coin_flip, n):
+        """Sides, and labels realizable behind the map unless `coin_flip`."""
         rng = np.random.default_rng(seed)
         # few distinct sides, so alg1's negative store is read
-        pool = rng.integers(0, 2, size=(6, basis.d), dtype=np.uint8)
+        pool = rng.integers(0, 2, size=(6, mapping.d), dtype=np.uint8)
         sides = pool[rng.integers(0, len(pool), size=n)]
         if coin_flip:
             return sides, rng.integers(0, 2, size=n, dtype=np.uint8)
-        chosen = np.flatnonzero(rng.random(basis.d_prime) < 3 / basis.d_prime)
-        features = expand_matrix(basis, sides)
-        return sides, features[:, chosen].all(axis=1).astype(np.uint8)
+        chosen = np.flatnonzero(rng.random(mapping.d_prime) < 3 / mapping.d_prime)
+        features = mapping.features_matrix(sides)
+        return sides, features[:, chosen].all(axis=1).astype(np.uint8) ^ mapping.flip
 
     @staticmethod
-    def steps(predictor, rows, labels, survivors):
+    def steps(predictor, rows, labels, survivors, flip=False):
         """predict/update over the rows: each step's prediction, tie label and
-        survivor mask after it."""
+        survivor mask after it, the first two flipped back if `flip`."""
         out = []
         for row, label in zip(rows, labels.tolist()):
             pred = predictor.predict(row)
             tie = predictor.tie_label(row)
             predictor.update(row, label)
+            if flip:
+                pred, tie = pred.flip(), None if tie is None else 1 - tie
             out.append(((pred.log_p0, pred.log_p1), tie, survivors(predictor).tolist()))
         return out
 
@@ -478,18 +487,22 @@ class TestSubsetWords:
     @settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
     @given(word_runs())
     def test_matches_the_plain_predictor_on_clause_rows(self, case):
-        algorithm, d, k, n, seed, coin_flip, cut1, cut2 = case
-        basis = cached_basis(d, k)
-        mapping = ClauseMap(basis)
-        sides, labels = self.trace(basis, seed, coin_flip, n)
-        features = np.array([mapping.features(side) for side in sides], dtype=np.uint8).reshape(n, basis.d_prime)
-        make_plain = lambda: WORD_PREDICTORS[algorithm](basis.d_prime)
+        algorithm, kind, d, k, n, seed, coin_flip, cut1, cut2 = case
+        mapping = {
+            "kcnf": lambda: ClauseMap(cached_basis(d, k)),
+            "conj": lambda: ConjunctionMap(d),
+            "disj": lambda: DisjunctionMap(d),
+        }[kind]()
+        sides, labels = self.trace(mapping, seed, coin_flip, n)
+        features = np.array([mapping.features(side) for side in sides], dtype=np.uint8).reshape(n, mapping.d_prime)
+        inner_labels = labels ^ mapping.flip
+        make_plain = lambda: WORD_PREDICTORS[algorithm](mapping.d_prime)
         make_words = lambda: ReducedPredictor(make_plain(), mapping)
         survivors = lambda p: getattr(p, "inner", p).survivor_mask()
 
         # per step: the same predictions, tie labels and survivors
         words, plain = make_words(), make_plain()
-        want = self.steps(plain, features, labels, survivors)
+        want = self.steps(plain, features, inner_labels, survivors, mapping.flip)
         assert self.steps(words, sides, labels, survivors) == want
         assert np.array_equal(survivors(plain), plain._mask)
         want_bits = [pred[label] for (pred, _, _), label in zip(want, labels.tolist())]
@@ -497,10 +510,10 @@ class TestSubsetWords:
         # score_trace, and runs that switch between it and predict/update
         for cuts in ((0, 0), (0, n), (cut1, cut2)):
             runs = []
-            for predictor, rows in ((make_words(), sides), (make_plain(), features)):
-                head = self.loop(predictor, rows[: cuts[0]], labels[: cuts[0]])
-                log_p, correct = predictor.score_trace(rows[cuts[0] : cuts[1]], labels[cuts[0] : cuts[1]])
-                tail = self.loop(predictor, rows[cuts[1] :], labels[cuts[1] :])
+            for predictor, rows, ys in ((make_words(), sides, labels), (make_plain(), features, inner_labels)):
+                head = self.loop(predictor, rows[: cuts[0]], ys[: cuts[0]])
+                log_p, correct = predictor.score_trace(rows[cuts[0] : cuts[1]], ys[cuts[0] : cuts[1]])
+                tail = self.loop(predictor, rows[cuts[1] :], ys[cuts[1] :])
                 runs.append((head, log_p.tolist(), correct.tolist(), tail, survivors(predictor).tolist()))
             assert runs[0] == runs[1]
             # and both end where predict/update alone does
