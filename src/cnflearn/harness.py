@@ -46,8 +46,6 @@ from .reductions import (
     ClauseMap,
     ConjunctionMap,
     DisjunctionMap,
-    ExpandedHybrid,
-    ExpandedPractical,
     ReducedPredictor,
     build_basis,
 )
@@ -236,21 +234,14 @@ def _predictor_maker(
     elif reduction == "disj":
         mapping = DisjunctionMap(d)
     else:
-        basis = build_basis(d, k)
-        if algorithm == "alg2":
-            return lambda: ExpandedPractical(basis), basis.d_prime
-        if algorithm == "alg1":
-            return lambda: ExpandedHybrid(basis), basis.d_prime
-        mapping = ClauseMap(basis)
+        mapping = ClauseMap(build_basis(d, k))
     return lambda: ReducedPredictor(base(mapping.d_prime), mapping), mapping.d_prime
 
 
 def _feature_map(predictor: OnlinePredictor):
     """The map from original sides to the features the predictor learns
     over, or None when it learns over the sides themselves."""
-    if isinstance(predictor, ReducedPredictor):
-        return predictor.mapping
-    return None
+    return predictor.mapping if isinstance(predictor, ReducedPredictor) else None
 
 
 def _trial_stream(rng, config: SyntheticConfig, mapping):

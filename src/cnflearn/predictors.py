@@ -84,15 +84,15 @@ class ExactMixture(OnlinePredictor):
     The prior on an index set S is alpha**|S| * (1-alpha)**(d-|S|);
     alpha = 1/2 gives the uniform prior, under which cumulative loss on a
     realizable trace never exceeds d bits. Time and memory are O(2**d) per
-    step, so construction refuses d beyond `cap`.
+    step, so construction refuses d beyond `BRUTE_FORCE_CAP`.
     """
 
-    def __init__(self, d: int, alpha: float = 0.5, cap: int = BRUTE_FORCE_CAP):
+    def __init__(self, d: int, alpha: float = 0.5):
         super().__init__(d)
         if not 0.0 < alpha < 1.0:
             raise ValueError(f"alpha must lie strictly inside (0, 1), got {alpha}")
-        if self.d > cap:
-            raise ValueError(f"dimension {d} exceeds the brute-force cap of {cap}")
+        if self.d > BRUTE_FORCE_CAP:
+            raise ValueError(f"dimension {d} exceeds the brute-force cap of {BRUTE_FORCE_CAP}")
         self.alpha = float(alpha)
         self._masks = np.arange(1 << self.d, dtype=np.int64)
         sizes = np.bitwise_count(self._masks).astype(np.float64)

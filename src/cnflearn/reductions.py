@@ -31,8 +31,8 @@ basis a step reads one bit of each of sum_s C(d,s) words and ranks no
 clause, and a trace block is scored on the words of the surviving columns.
 MADNB and bayes-exact read a side as its feature row, from its zero set,
 and their columns' words as bytes; memorize keys the unmapped side.
-`ExpandedPractical` and `ExpandedHybrid` are alg2 and alg1 behind the
-`ClauseMap` of a basis.
+`build_predictor` returns a `ReducedPredictor` for every reduction, and
+`ExpandedPractical`/`ExpandedHybrid(basis)` are its alg2/alg1 over a basis.
 """
 
 from __future__ import annotations
@@ -267,6 +267,7 @@ class ReducedPredictor(OnlinePredictor):
     `_tie_label` on the side as its reader (`read_through`) reads it, and a
     trace is the values of the columns it reads (`columns`), so a predictor
     that reads the unmapped side never builds a d_prime-wide row.
+    `build_predictor` returns one for every reduction, k-CNF included.
     """
 
     def __init__(self, inner: OnlinePredictor, mapping):
@@ -278,6 +279,7 @@ class ReducedPredictor(OnlinePredictor):
             )
         self.inner = inner
         self.mapping = mapping
+        self.basis = mapping.basis  # a k-CNF map's clause basis, else None
         # what reads a side for the inner predictor: the map, or its own form
         self._reader = inner.read_through(mapping)
 
@@ -289,10 +291,17 @@ class ReducedPredictor(OnlinePredictor):
         self.inner._update(self._reader.read(bits), 1 - label if self.mapping.flip else label)
 
     def _tie_label(self, bits: np.ndarray) -> Optional[int]:
-        tie = self.inner._tie_label(self._reader.read(bits))
+        # the side unread: only alg2 has a tie label, and its reader (SubsetWords.read) is the identity
+        tie = self.inner._tie_label(bits)
         if tie is None:
             return None
         return 1 - tie if self.mapping.flip else tie
+
+    @property
+    def surviving_count(self) -> int:
+        """The features alg1, alg2 and xi-plus still hold: behind a clause
+        basis, the clauses true on every positive so far."""
+        return len(self.inner.read_columns())
 
     # A trace is the inner predictor's columns read through the map. A flipped
     # map flips the inner labels, which carries log_p and ties over unchanged.
@@ -308,28 +317,15 @@ class ReducedPredictor(OnlinePredictor):
         return self.inner._score_columns(sides, columns, values, 1 - labels if self.mapping.flip else labels)
 
 
-class _ExpandedBasis(ReducedPredictor):
-    """A column predictor behind the `ClauseMap` of a basis."""
-
-    inner_class: type
-
-    def __init__(self, basis: ClauseBasis):
-        super().__init__(self.inner_class(basis.d_prime), ClauseMap(basis))
-        self.basis = basis
-
-    @property
-    def surviving_count(self) -> int:
-        """Clauses true on every positive so far."""
-        return len(self.inner.read_columns())
-
-
-class ExpandedPractical(_ExpandedBasis):
+class ExpandedPractical(ReducedPredictor):
     """`PracticalPredictor` over a clause basis, fed original side vectors."""
 
-    inner_class = PracticalPredictor
+    def __init__(self, basis: ClauseBasis):
+        super().__init__(PracticalPredictor(basis.d_prime), ClauseMap(basis))
 
 
-class ExpandedHybrid(_ExpandedBasis):
+class ExpandedHybrid(ReducedPredictor):
     """`HybridPredictor` over a clause basis, fed original side vectors."""
 
-    inner_class = HybridPredictor
+    def __init__(self, basis: ClauseBasis):
+        super().__init__(HybridPredictor(basis.d_prime), ClauseMap(basis))

@@ -32,7 +32,13 @@ from cnflearn.harness import (
     sample_hypothesis,
 )
 from cnflearn.predictors import HybridPredictor, PracticalPredictor
-from cnflearn.reductions import ClauseMap, basis_size
+from cnflearn.reductions import (
+    ClauseMap,
+    ExpandedHybrid,
+    ExpandedPractical,
+    ReducedPredictor,
+    basis_size,
+)
 
 
 class _ForcedTheta:
@@ -90,6 +96,38 @@ def test_no_algorithm_class_subclasses_another():
     # wrapping one class's predict/update must never wrap another's
     for a, b in itertools.permutations(ALGORITHMS.values(), 2):
         assert not issubclass(a, b), (a.__name__, b.__name__)
+
+
+class TestBuildPredictor:
+    """What the benchmark reads off `build_predictor`'s predictors: their
+    clause basis and how many clauses survive."""
+
+    # alg1, alg2 and xi-plus keep the same survivors, Valiant's elimination
+    EXPANDED = {"alg1": ExpandedHybrid, "alg2": ExpandedPractical, "xi-plus": ExpandedPractical}
+
+    @pytest.mark.parametrize("algorithm", sorted(EXPANDED))
+    @pytest.mark.parametrize("d,k", [(4, 2), (5, 3)])
+    def test_kcnf_predictor_reports_its_basis_and_survivors(self, algorithm, d, k):
+        predictor, d_prime = build_predictor(algorithm, d, "kcnf", k)
+        assert isinstance(predictor, ReducedPredictor)
+        assert predictor.basis.d_prime == d_prime == basis_size(d, k)
+        reference = self.EXPANDED[algorithm](predictor.basis)
+        assert predictor.surviving_count == reference.surviving_count == d_prime
+        rng = np.random.default_rng(109)
+        sides = rng.integers(0, 2, size=(40, d), dtype=np.uint8)
+        labels = (rng.random(40) < 0.1).astype(np.uint8)
+        predictor.score_trace(sides, labels)
+        for side, label in zip(sides, labels.tolist()):
+            reference.predict(side)
+            reference.update(side, label)
+        assert 0 < predictor.surviving_count == reference.surviving_count < d_prime
+
+    @pytest.mark.parametrize("algorithm", sorted(ALGORITHMS))
+    @pytest.mark.parametrize("reduction", ["conj", "disj"])
+    def test_conj_and_disj_predictors_have_no_basis(self, algorithm, reduction):
+        predictor, d_prime = build_predictor(algorithm, 4, reduction)
+        assert isinstance(predictor, ReducedPredictor)
+        assert predictor.basis is None and d_prime == 8
 
 
 class TestRunSynthetic:

@@ -7,7 +7,14 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from cnflearn.core import Prediction, cumulative_loss, pack_key, pack_rows, unpack_rows
-from cnflearn.predictors import HeuristicMixture, HybridPredictor, Memorizer, PracticalPredictor
+from cnflearn.madnb import Madnb
+from cnflearn.predictors import (
+    ExactMixture,
+    HeuristicMixture,
+    HybridPredictor,
+    Memorizer,
+    PracticalPredictor,
+)
 from cnflearn.reductions import (
     ClauseBasis,
     ClauseMap,
@@ -318,6 +325,39 @@ class TestReducedPredictor:
             assert predictor.predict(other).log_p1 == -1.0  # a 1/2 tie
         assert predictor.tie_label(other) is None
         assert rows == []
+
+    # bayes-exact only where d' <= 20: 2d behind conj, 2d**2 behind kcnf2
+    @pytest.mark.parametrize(
+        "inner,reduction,k,d",
+        [
+            (Madnb, "conj", None, 6),
+            (Madnb, "kcnf", 2, 6),
+            (ExactMixture, "conj", None, 6),
+            (ExactMixture, "kcnf", 2, 3),
+        ],
+    )
+    def test_tie_label_of_a_feature_row_reader_reads_no_side(self, inner, reduction, k, d, monkeypatch):
+        mapping = make_map(reduction, d, k)
+        predictor = ReducedPredictor(inner(mapping.d_prime), mapping)
+        rng = np.random.default_rng(107)
+        for side in rng.integers(0, 2, size=(4, d), dtype=np.uint8):
+            predictor.update(side, 1)
+        calls = []
+
+        def spy(name):
+            method = getattr(ClauseMap, name)
+
+            def recorded(self, bits):
+                calls.append(name)
+                return method(self, bits)
+
+            return recorded
+
+        # `read` is bound to `features` when the class is made, so spy on both
+        for name in ("read", "features", "patterns"):
+            monkeypatch.setattr(ClauseMap, name, spy(name))
+        assert predictor.tie_label(rng.integers(0, 2, d, dtype=np.uint8)) is None
+        assert calls == []
 
     @pytest.mark.parametrize("reduction,k", MAP_KINDS)
     def test_memorizer_keys_the_unmapped_side_and_reads_no_column(self, reduction, k, monkeypatch):
