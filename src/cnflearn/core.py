@@ -166,6 +166,11 @@ def unpack_rows(words: np.ndarray, n: int) -> np.ndarray:
     return np.unpackbits(words.view(np.uint8), axis=1, count=n, bitorder="little").T
 
 
+def column_count(columns) -> int:
+    """How many columns `OnlinePredictor.read_columns()` names."""
+    return columns.stop if isinstance(columns, slice) else len(columns)
+
+
 @dataclass(frozen=True)
 class Prediction:
     """A distribution over a binary label, stored as (log2 p0, log2 p1)."""
@@ -295,8 +300,7 @@ class OnlinePredictor:
         start = 0
         while not parts or start < labels.shape[0]:
             columns = self.read_columns()
-            width = columns.stop if isinstance(columns, slice) else len(columns)
-            rows = slice(start, start + 64 * max(1, BLOCK_BITS // 64 // max(1, width)))
+            rows = slice(start, start + 64 * max(1, BLOCK_BITS // 64 // max(1, column_count(columns))))
             block = sides[rows]
             values = self._column_values(block, columns)
             parts.append(self._score_columns(block, columns, values, labels[rows]))

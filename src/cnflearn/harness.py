@@ -26,7 +26,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .core import BoundViolation, Example, OnlinePredictor, pack_rows, unpack_rows
+from .core import BoundViolation, Example, OnlinePredictor, cumulative_loss, pack_rows, unpack_rows
 from .madnb import Madnb
 from .oracles import (
     count_consistent,
@@ -41,6 +41,7 @@ from .predictors import (
     HybridPredictor,
     Memorizer,
     PracticalPredictor,
+    exact_mixture_joint,
 )
 from .reductions import (
     ClauseMap,
@@ -530,10 +531,7 @@ def _check_counting_identities(rng, d_cap: int, trials: int) -> List[CheckResult
         ]
         trace = [(_indicator(s, d), 0) for s in sets]
         alive = count_consistent(trace, d)
-        mix = ExactMixture(d)
-        for side, label in trace:
-            mix.update(side, label)
-        joint = mix.log_joint()
+        joint = exact_mixture_joint(trace, d)
         expect = math.log2(alive) - d if alive else -math.inf
         if math.isinf(joint) or math.isinf(expect):
             ok = ok and joint == expect
@@ -585,11 +583,7 @@ def _check_counting_targets(d_max: int) -> CheckResult:
                 int(all(row[i] for i in range(d) if target >> i & 1)) for row in rows
             ]
             seen.add(tuple(labels))
-            mix = ExactMixture(d)
-            total = 0.0
-            for row, label in zip(rows, labels):
-                total += mix.predict(row).loss_bits(label)
-                mix.update(row, label)
+            total = cumulative_loss(ExactMixture(d), zip(rows, labels)).total_bits
             worst = max(worst, abs(total - d))
         ok = ok and len(seen) == 1 << d and worst <= 1e-9
         detail.append(f"d={d}: {len(seen)} targets, |loss-d| <= {worst:.1e}")

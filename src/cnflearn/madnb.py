@@ -29,14 +29,13 @@ closed-form tables, so there is no drift to track.
 from __future__ import annotations
 
 import math
-from typing import Iterable, Sequence, Tuple
+from typing import Iterable, Tuple
 
 import numpy as np
 
-from .core import BLOCK_BITS, NumericalError, OnlinePredictor, Prediction, logsumexp2
+from .core import BLOCK_BITS, LN2, NumericalError, OnlinePredictor, Prediction, logsumexp2
 from .oracles import BRUTE_FORCE_CAP
 
-LN2 = math.log(2.0)
 _LN_PI = math.log(math.pi)
 # Madnb._score_columns takes row blocks of BLOCK_BITS / (_BLOCK_SCALE * d) rows
 _BLOCK_SCALE = 4

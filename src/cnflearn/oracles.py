@@ -1,10 +1,11 @@
 """Brute-force counting oracles used as ground truth across the test suite.
 
-Everything here is plain integer enumeration over all 2**d candidate index
-sets (or all 2**n vertex subsets for graphs). The point is independence:
-these routines share no state or vectorised code path with the predictors
-they are used to check, so an agreement between the two is evidence rather
-than tautology. All of them refuse dimensions beyond a small cap.
+The counting routines enumerate all 2**d candidate index sets (or all 2**n
+vertex subsets for graphs) and refuse dimensions beyond a small cap. They
+share no state or vectorised code path with the predictors they check, so
+an agreement is evidence rather than tautology. `hybrid_column_penalty` is
+the closed form alg1 prices a column with; the tests check alg1 against a
+tilted mixture enumerated over every index set.
 """
 
 from __future__ import annotations

@@ -30,7 +30,6 @@ import numpy as np
 
 from .core import (
     BLOCK_BITS,
-    LN2,
     BitVector,
     OnlinePredictor,
     Prediction,
@@ -44,7 +43,7 @@ from .core import (
     pack_rows,
     unpack_rows,
 )
-from .oracles import BRUTE_FORCE_CAP
+from .oracles import BRUTE_FORCE_CAP, hybrid_column_penalty
 
 __all__ = [
     "ColumnPricedPredictor",
@@ -57,25 +56,9 @@ __all__ = [
     "SurvivingColumns",
     "SubsetWords",
     "exact_mixture_joint",
-    "hybrid_log2_one_minus_alpha",
     "map_index_set",
     "positive_trace_log2",
 ]
-
-
-def hybrid_log2_one_minus_alpha(d: int) -> float:
-    """log2(1 - alpha) for the hybrid predictor's alpha = 2**(-d/2**d).
-
-    Never forms 1 - alpha linearly, which underflows around d = 55. Past
-    d = 1024 the exponent -d/2**d itself leaves double range, where the
-    first-order expansion log2(d) - d + log2(ln 2) is exact to double
-    precision.
-    """
-    if d < 2:
-        raise ValueError(f"the hybrid construction needs d >= 2, got {d}")
-    if d >= 1024:
-        return math.log2(d) - d + math.log2(LN2)
-    return log1mexp2(-d / 2.0 ** d)
 
 
 class ExactMixture(OnlinePredictor):
@@ -433,9 +416,7 @@ class HybridPredictor(ColumnPricedPredictor):
     """
 
     def __init__(self, d: int):
-        if d < 2:
-            raise ValueError(f"HybridPredictor needs d >= 2, got {d}")
-        super().__init__(d, hybrid_log2_one_minus_alpha(d))
+        super().__init__(d, -hybrid_column_penalty(int(d)))
         self._neg: set = set()
 
     def _predict(self, bits: np.ndarray) -> Prediction:

@@ -7,6 +7,8 @@ bit per clause. The canonical clause basis here contains every clause of
 a clause collapse, tautologies are constant and dropped, and reordered
 duplicates are the same clause. That keeps the basis at
 sum_s C(d,s)*2**s features instead of the (2d)**k syntactic tuples.
+`ClauseBasis(d, k)`, or `build_basis`, builds it in one pass over the sizes
+and refuses more than `DEFAULT_FEATURE_BUDGET` clauses before it allocates.
 
 Literals are numbered 0..2d-1: literal i < d is variable i, literal i >= d
 is the negation of variable i-d. Clauses are sorted tuples of literal ids
@@ -44,7 +46,7 @@ from typing import List, Optional, Tuple
 
 import numpy as np
 
-from .core import OnlinePredictor, Prediction, pack_key, pack_rows, unpack_rows
+from .core import OnlinePredictor, Prediction, column_count, pack_key, pack_rows, unpack_rows
 from .predictors import HybridPredictor, PracticalPredictor, SubsetWords
 
 DEFAULT_FEATURE_BUDGET = 4_000_000
@@ -70,7 +72,8 @@ def basis_size(d: int, k: int) -> int:
 
 
 class ClauseBasis:
-    """Canonical clause basis for k-CNF over d variables.
+    """Canonical clause basis for k-CNF over d >= 1 variables, k >= 1,
+    refused past `DEFAULT_FEATURE_BUDGET` clauses before it allocates.
 
     `clause_matrix` has one row per clause, padded to width k by repeating
     the first literal (a duplicate literal never changes a disjunction).
@@ -87,22 +90,41 @@ class ClauseBasis:
     rows, which a clause map reads for a side's zero set.
     """
 
-    def __init__(self, d: int, k: int, clause_matrix: np.ndarray, rank: np.ndarray):
-        self.d = d
-        self.k = k
-        self.clause_matrix = clause_matrix
-        self.rank = rank
+    def __init__(self, d: int, k: int):
+        if d < 1 or k < 1:
+            raise ValueError(f"need d >= 1 and k >= 1, got d={d}, k={k}")
+        size = basis_size(d, k)
+        if size > DEFAULT_FEATURE_BUDGET:
+            raise ValueError(
+                f"basis for d={d}, k={k} has {size} clauses, over the budget of {DEFAULT_FEATURE_BUDGET}"
+            )
+        self.d, self.k = d, k
         self.sizes = range(1, min(d, k) + 1)
         self._dtype = np.min_scalar_type(2 ** len(self.sizes) - 1)
-        # Per size s from 2: its slice, a getter of its suffixes of size s-1
-        # (which ends where s starts), padded by an empty one as itemgetter
-        # gives a tuple of two or more, and their lengths.
-        self._suffixes, end = [], d
-        for s in self.sizes[1:]:
-            lengths = [math.comb(d - a - 1, s - 1) for a in range(d - s + 1)]
-            suffixes = itemgetter(slice(end, end), *(slice(end - n, end) for n in lengths))
-            self._suffixes.append((slice(end, end + sum(lengths)), suffixes, np.array(lengths)))
-            end += sum(lengths)
+        # Per size s: its clauses, in slot order with -1 padding, and from s = 2 its subsets'
+        # slice, a getter of its suffixes of size s-1 (which ends where s starts), padded by an
+        # empty one as itemgetter gives a tuple of two or more, and their lengths.
+        matrix = np.full((size, k), -1, dtype=np.int32)
+        self._suffixes, start = [], 0
+        for s in self.sizes:
+            variables = np.fromiter(chain.from_iterable(combinations(range(d), s)), np.int32).reshape(-1, s)
+            signs = np.array(list(product((0, d), repeat=s)), dtype=np.int32)
+            rows = slice(basis_size(d, s - 1), basis_size(d, s))
+            matrix[rows, :s] = (variables[:, None, :] + signs).reshape(-1, s)
+            matrix[rows, :s].sort(axis=1)
+            if s > 1:
+                lengths = [math.comb(d - a - 1, s - 1) for a in range(d - s + 1)]
+                suffixes = itemgetter(slice(start, start), *(slice(start - n, start) for n in lengths))
+                self._suffixes.append((slice(start, start + sum(lengths)), suffixes, np.array(lengths)))
+            start += math.comb(d, s)
+        # Sorting the slot-ordered clauses with -1 padding gives tuple order. No view of the
+        # unsorted matrix is kept, so rebinding frees it before the rank table is built.
+        order = np.lexsort(matrix.T[::-1])
+        matrix = matrix[order]
+        np.copyto(matrix, matrix[:, :1], where=matrix < 0)
+        self.clause_matrix = matrix
+        self.rank = np.empty(size, dtype=np.int32)
+        self.rank[order] = np.arange(size, dtype=np.int32)
         self._first_slot = np.concatenate(
             [basis_size(d, s - 1) + (np.arange(math.comb(d, s)) << s) for s in self.sizes]
         )
@@ -110,11 +132,6 @@ class ClauseBasis:
     @property
     def d_prime(self) -> int:
         return self.clause_matrix.shape[0]
-
-    @property
-    def syntactic_tuple_count(self) -> int:
-        """Ordered literal tuples the canonical basis stands in for."""
-        return (2 * self.d) ** self.k
 
     def clause(self, j: int) -> Tuple[int, ...]:
         row = self.clause_matrix[j]
@@ -138,35 +155,9 @@ class ClauseBasis:
         return f"ClauseBasis(d={self.d}, k={self.k}, d_prime={self.d_prime})"
 
 
-def build_basis(d: int, k: int, max_features: int = DEFAULT_FEATURE_BUDGET) -> ClauseBasis:
-    """Enumerate the canonical clause basis, refusing runaway expansions.
-
-    Sorting the slot-ordered clauses with -1 padding gives tuple order.
-    """
-    if d < 1 or k < 1:
-        raise ValueError(f"need d >= 1 and k >= 1, got d={d}, k={k}")
-    size = basis_size(d, k)
-    if size > max_features:
-        raise ValueError(
-            f"basis for d={d}, k={k} has {size} clauses, over the budget "
-            f"of {max_features}"
-        )
-    matrix = np.full((size, k), -1, dtype=np.int32)
-    offset = 0
-    for s in range(1, min(d, k) + 1):
-        count = math.comb(d, s)
-        variables = np.fromiter(chain.from_iterable(combinations(range(d), s)), np.int32).reshape(-1, s)
-        signs = np.array(list(product((0, d), repeat=s)), dtype=np.int32)
-        block = matrix[offset : offset + count * 2 ** s, :s]
-        block[...] = (variables[:, None, :] + signs).reshape(-1, s)
-        block.sort(axis=1)
-        offset += count * 2 ** s
-    order = np.lexsort(matrix.T[::-1])
-    matrix = matrix[order]
-    np.copyto(matrix, matrix[:, :1], where=matrix < 0)
-    rank = np.empty(size, dtype=np.int32)
-    rank[order] = np.arange(size, dtype=np.int32)
-    return ClauseBasis(d, k, matrix, rank)
+def build_basis(d: int, k: int) -> ClauseBasis:
+    """The canonical clause basis, refusing runaway expansions."""
+    return ClauseBasis(d, k)
 
 
 def expand_matrix(basis: ClauseBasis, sides: np.ndarray) -> np.ndarray:
@@ -299,9 +290,9 @@ class ReducedPredictor(OnlinePredictor):
 
     @property
     def surviving_count(self) -> int:
-        """The features alg1, alg2 and xi-plus still hold: behind a clause
-        basis, the clauses true on every positive so far."""
-        return len(self.inner.read_columns())
+        """The count of columns the inner predictor still reads: survivors
+        for alg1, alg2 and xi-plus, d' for madnb and bayes-exact, 0 for memorize."""
+        return column_count(self.inner.read_columns())
 
     # A trace is the inner predictor's columns read through the map. A flipped
     # map flips the inner labels, which carries log_p and ties over unchanged.

@@ -129,6 +129,42 @@ class TestBuildPredictor:
         assert isinstance(predictor, ReducedPredictor)
         assert predictor.basis is None and d_prime == 8
 
+    @pytest.mark.parametrize("algorithm", sorted(ALGORITHMS))
+    @pytest.mark.parametrize("reduction,k", [("conj", None), ("kcnf", 2)])
+    def test_surviving_count_is_the_columns_the_inner_predictor_reads(self, algorithm, reduction, k):
+        # d = 3 gives d' = 6 and 18, which bayes-exact fits
+        predictor, d_prime = build_predictor(algorithm, 3, reduction, k)
+        fixed = {"madnb": d_prime, "bayes-exact": d_prime, "memorize": 0}
+        assert predictor.surviving_count == fixed.get(algorithm, d_prime)
+        predictor.update(np.ones(3, dtype=np.uint8), 1)
+        if algorithm in fixed:
+            assert predictor.surviving_count == fixed[algorithm]
+        else:
+            assert 0 < predictor.surviving_count < d_prime
+
+    # bayes-exact is unmapped only: d' = 50 at kcnf2 is past its brute-force cap
+    @pytest.mark.parametrize(
+        "algorithm,reduction,k",
+        [(a, "none", None) for a in sorted(ALGORITHMS)]
+        + [(a, "kcnf", 2) for a in sorted(ALGORITHMS) if a != "bayes-exact"],
+    )
+    def test_numpy_integer_dimension_predicts_as_int(self, algorithm, reduction, k):
+        rng = np.random.default_rng(113)
+        sides = rng.integers(0, 2, size=(40, 5), dtype=np.uint8)
+        labels = sides[:, 0] & sides[:, 3]  # a conjunction, so bayes-exact fits
+        scores = []
+        for d in (np.int64(5), 5):
+            predictor, _ = build_predictor(algorithm, d, reduction, k)
+            scores.append(predictor.score_trace(sides[:30], labels[:30]))
+            scores.append([predictor.predict(side) for side in sides[30:]])
+        assert np.array_equal(scores[0], scores[2]) and scores[1] == scores[3]
+
+    def test_numpy_integer_dimension_past_the_penalty_expansion(self):
+        side = np.zeros(1024, dtype=np.uint8)
+        wide, plain = build_predictor("alg1", np.int64(1024))[0], build_predictor("alg1", 1024)[0]
+        assert wide.log2_one_minus_alpha == plain.log2_one_minus_alpha
+        assert wide.predict(side) == plain.predict(side)
+
 
 class TestRunSynthetic:
     def test_zero_steps_cost_zero_bits(self):

@@ -14,7 +14,6 @@ from cnflearn.predictors import (
     SubsetWords,
     _side_groups,
     exact_mixture_joint,
-    hybrid_log2_one_minus_alpha,
     map_index_set,
     positive_trace_log2,
 )
@@ -253,10 +252,8 @@ class TestHybridPredictor:
         assert len(reads) == 1
 
     def test_alpha_parameter_matches_penalty_oracle(self):
-        for d in (2, 5, 16, 64, 256):
-            assert math.isclose(
-                -hybrid_log2_one_minus_alpha(d), hybrid_column_penalty(d), rel_tol=1e-12
-            )
+        for d in (2, 5, 16, 64, 256, 1024, 1500):
+            assert HybridPredictor(d).log2_one_minus_alpha == -hybrid_column_penalty(d)
 
     def test_predictions_match_tilted_enumeration(self):
         # the positive branch must equal the ratio of the alpha-prior
@@ -358,9 +355,9 @@ def test_hybrid_alpha_log_identity():
     for d in (2, 3, 8, 16):
         alpha = 2.0 ** (-d / 2.0 ** d)
         assert math.isclose(
-            hybrid_log2_one_minus_alpha(d), math.log2(1.0 - alpha), rel_tol=1e-10
+            HybridPredictor(d).log2_one_minus_alpha, math.log2(1.0 - alpha), rel_tol=1e-10
         )
-        assert hybrid_log2_one_minus_alpha(d) == log1mexp2(-d / 2.0 ** d)
+        assert -hybrid_column_penalty(d) == log1mexp2(-d / 2.0 ** d)
 
 
 @pytest.mark.parametrize("d", [8, 63, 64, 117])

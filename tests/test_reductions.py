@@ -58,7 +58,6 @@ class TestBuildBasis:
     def test_d2_k2_has_eight_clauses(self):
         basis = build_basis(2, 2)
         assert basis.d_prime == 8
-        assert basis.syntactic_tuple_count == 16
 
     def test_size_formula_matches_enumeration(self):
         for d in (1, 2, 3, 5, 7):
@@ -132,8 +131,9 @@ class TestBuildBasis:
             assert np.array_equal(np.sort(ClauseMap(basis).zeros(side)), np.flatnonzero(values == 0))
 
     def test_budget_refusal_names_both_numbers(self):
-        with pytest.raises(ValueError, match="1160.*100"):
-            build_basis(10, 3, max_features=100)
+        # 10,587,200 clauses: refused before the matrix is allocated
+        with pytest.raises(ValueError, match="10587200.*4000000"):
+            build_basis(200, 3)
 
     def test_rejects_bad_dims(self):
         with pytest.raises(ValueError):
