@@ -26,6 +26,7 @@ __all__ = [
     "NumericalError",
     "OnlinePredictor",
     "Prediction",
+    "Unmapped",
     "UnrealizableTrace",
     "as_bits",
     "cumulative_loss",
@@ -166,9 +167,11 @@ def unpack_rows(words: np.ndarray, n: int) -> np.ndarray:
     return np.unpackbits(words.view(np.uint8), axis=1, count=n, bitorder="little").T
 
 
-def column_count(columns) -> int:
-    """How many columns `OnlinePredictor.read_columns()` names."""
-    return columns.stop if isinstance(columns, slice) else len(columns)
+class Unmapped:
+    """The reader of an unmapped predictor: a step's input is the side, a block's its rows."""
+
+    read = staticmethod(lambda bits: bits)
+    values = staticmethod(lambda sides, columns: sides)
 
 
 @dataclass(frozen=True)
@@ -259,11 +262,16 @@ class OnlinePredictor:
 
     A predictor owns mutable state. `predict` must not change state;
     `update` folds one labelled example in. A step is three methods on a
-    validated side: `_predict`, `_update` and `_tie_label`. Behind a map
-    (`ReducedPredictor`) they take the side as `read_through` reads it.
-    Subclasses implement `_predict` and `_update`, and may batch
-    `score_trace` by overriding `_score_columns`.
+    validated side: `_predict`, `_update` and `_tie_label`. The reader
+    (`_reader`: `Unmapped`, or behind a map what `read_through` returns)
+    gives a step's input, `read(bits)`, and a `score_trace` block's,
+    `values(sides, columns)`. Behind a map `_tie_label` takes the side
+    unread, right only because alg2, the one predictor with a tie label,
+    reads a side unchanged. Subclasses implement `_predict` and `_update`,
+    and may batch `score_trace` by overriding `_score_columns`.
     """
+
+    _reader = Unmapped()
 
     def __init__(self, d: int):
         if not isinstance(d, (int, np.integer)) or d < 1:
@@ -300,9 +308,9 @@ class OnlinePredictor:
         start = 0
         while not parts or start < labels.shape[0]:
             columns = self.read_columns()
-            rows = slice(start, start + 64 * max(1, BLOCK_BITS // 64 // max(1, column_count(columns))))
+            rows = slice(start, start + 64 * max(1, BLOCK_BITS // 64 // max(1, len(columns))))
             block = sides[rows]
-            values = self._column_values(block, columns)
+            values = self._reader.values(block, columns)
             parts.append(self._score_columns(block, columns, values, labels[rows]))
             start = rows.stop
         # a trace of one block is returned as scored, without a copy
@@ -318,29 +326,23 @@ class OnlinePredictor:
         return None
 
     def read_through(self, mapping):
-        """The reader of this predictor's steps behind `mapping`: `read(bits)`,
-        the side as `_predict`, `_update` and `_tie_label` take it, and
-        `rows(columns)`, its columns' features. By default the map itself,
-        which reads a side as its feature row."""
+        """This predictor's reader behind `mapping`; by default the map, which
+        reads a side as its feature row and a block as its features' bytes."""
         return mapping
 
-    def read_columns(self):
-        """The feature columns `_score_columns` needs the values of: an index
-        array, or slice(0, d) for every column, which keeps a view."""
-        return slice(0, self.d)
-
-    def _column_values(self, sides: np.ndarray, columns) -> np.ndarray:
-        """The values of the `columns` features on a block of sides."""
-        return sides[:, columns]
+    def read_columns(self) -> np.ndarray:
+        """The feature columns `_score_columns` needs the values of, as an
+        index array; every column by default."""
+        return np.arange(self.d)
 
     def _score_columns(
         self, sides: np.ndarray, columns: np.ndarray, values: np.ndarray, labels: np.ndarray
     ) -> Tuple[np.ndarray, np.ndarray]:
         """`score_trace` on a block of validated rows, given the unmapped
-        `sides` and the `values` of the `read_columns()` columns on them.
+        `sides` and their `values` as read for the `read_columns()` columns.
 
         The default loops `_predict`/`_update` over the rows of `values`,
-        so it needs every column; a predictor batches by overriding it.
+        each a step's input; a predictor batches by overriding it.
         """
         log_p = np.empty(labels.shape[0], dtype=np.float64)
         correct = np.empty(labels.shape[0], dtype=bool)

@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from operator import getitem
 from typing import FrozenSet, Sequence, Tuple
 
 import numpy as np
@@ -33,6 +34,7 @@ from .core import (
     BitVector,
     OnlinePredictor,
     Prediction,
+    Unmapped,
     UnrealizableTrace,
     as_bits,
     log1mexp2,
@@ -212,14 +214,7 @@ def map_index_set(alpha: float, sides: Sequence[BitVector], d: int) -> MapEstima
     return MapEstimate(surviving, len(surviving) == 0)
 
 
-class _UnmappedSide:
-    """A `read_through` reader that hands the predictor behind a map the
-    unmapped side, and its columns as the map's features."""
-
-    read = rows = staticmethod(lambda value: value)
-
-
-class SubsetWords(_UnmappedSide):
+class SubsetWords(Unmapped):
     """Survivors as one word per variable subset: of a clause map's basis,
     or unmapped a single variable. On each subset a side has a sign
     pattern p, and it switches off the feature that bit p of the subset's
@@ -228,14 +223,16 @@ class SubsetWords(_UnmappedSide):
     A step reads the unmapped side (`read`), and the predictor takes its
     zero set in this form, its patterns (`zeros`), so it reads or clears
     one bit per word. A surviving column is a set bit of the state, at
-    8 * byte + bit, and `rows` gives its feature in the map's order.
-    `full` is the state of a fresh predictor.
+    8 * byte + bit, and `rows` gives its feature in the map's order; a block
+    reads as those features' words (`values`), `column_words(words, rows)`
+    on the block's `pack_rows` words. `full` is the state of a fresh predictor.
     """
 
-    def __init__(self, full: np.ndarray, word_bytes: int, zeros, rows):
+    def __init__(self, full: np.ndarray, word_bytes: int, zeros, rows, column_words):
         self.full = full
         self.zeros = zeros
         self.rows = rows
+        self.column_words = column_words
         # the first byte of each word, where a word has more than one
         self._first = np.arange(0, full.size, word_bytes) if word_bytes > 1 else None
 
@@ -261,11 +258,14 @@ class SubsetWords(_UnmappedSide):
     def drop(self, mask: np.ndarray, columns: np.ndarray) -> None:
         np.bitwise_and.at(mask, columns >> 3, ~(np.uint8(1) << (columns & 7).astype(np.uint8)))
 
+    def values(self, sides: np.ndarray, columns: np.ndarray) -> np.ndarray:
+        return self.column_words(pack_rows(sides), self.rows(columns))
+
 
 class SurvivingColumns(OnlinePredictor):
     """Valiant's elimination state `_mask`: the features on in every positive
-    side so far, in the `SubsetWords` form `_form` that a map hands over
-    (`read_through`); unmapped, a side's zero set is the side itself.
+    side so far, in the `SubsetWords` form of its reader, which a map hands
+    over (`read_through`); unmapped, a side's zero set is the side itself.
 
     A positive step switches the side's zero set off. Subclasses price a
     step from how many survivors its zero set holds (`SubsetWords.count`)
@@ -275,30 +275,27 @@ class SurvivingColumns(OnlinePredictor):
 
     def __init__(self, d: int):
         super().__init__(d)
-        self._form = SubsetWords(np.ones(d, dtype=np.uint8), 1, lambda bits: bits, lambda cols: cols >> 3)
-        self._mask = self._form.full.copy()
+        self._reader = SubsetWords(np.ones(d, np.uint8), 1, lambda bits: bits, lambda cols: cols >> 3, getitem)
+        self._mask = self._reader.full.copy()
 
     def read_through(self, mapping) -> SubsetWords:
         """Start the survivors afresh in the form `mapping` hands over."""
-        self._form = mapping.survivors()
-        self._mask = self._form.full.copy()
-        return self._form
+        self._reader = mapping.survivors()
+        self._mask = self._reader.full.copy()
+        return self._reader
 
     def survivor_mask(self) -> np.ndarray:
         """The surviving features as a 0/1 mask in the map's feature order."""
         mask = np.zeros(self.d, dtype=np.uint8)
-        mask[self._form.rows(self.read_columns())] = 1
+        mask[self._reader.rows(self.read_columns())] = 1
         return mask
 
     def _update(self, bits: np.ndarray, label: int) -> None:
         if label:
-            self._form.clear(self._mask, self._form.zeros(bits))
+            self._reader.clear(self._mask, self._reader.zeros(bits))
 
     def read_columns(self) -> np.ndarray:
-        return self._form.surviving(self._mask)
-
-    def _column_values(self, sides: np.ndarray, columns) -> np.ndarray:
-        return pack_rows(sides)[self._form.rows(columns)]
+        return self._reader.surviving(self._mask)
 
     def _zeros_before(self, columns: np.ndarray, values: np.ndarray, labels: np.ndarray) -> np.ndarray:
         """The `pack_rows` words of a block's surviving `columns`, bit t set
@@ -306,7 +303,7 @@ class SurvivingColumns(OnlinePredictor):
         first kill, a positive row 0 on it, so kill ^ (kill - 1), the bits up
         to its lowest set one, on its first nonzero kill word, all-ones before
         and 0 after. The columns that die leave `_mask`; rows past the block
-        never kill. `values`, fresh from `_column_values`, is inverted in
+        never kill. `values`, fresh from `SubsetWords.values`, is inverted in
         place, so at most three (columns, words) arrays are alive."""
         zeros = np.invert(values, out=values)
         kill = zeros & pack_rows(labels[:, None])
@@ -314,7 +311,7 @@ class SurvivingColumns(OnlinePredictor):
         kill ^= kill - 1
         zeros &= kill
         zeros[:, 1:][dead[:, :-1]] = 0
-        self._form.drop(self._mask, columns[dead[:, -1]])
+        self._reader.drop(self._mask, columns[dead[:, -1]])
         return zeros
 
 
@@ -331,7 +328,7 @@ class ColumnPricedPredictor(SurvivingColumns):
         self.log2_one_minus_alpha = float(log2_one_minus_alpha)
 
     def _predict(self, bits: np.ndarray) -> Prediction:
-        m = self._form.count(self._mask, self._form.zeros(bits))
+        m = self._reader.count(self._mask, self._reader.zeros(bits))
         return Prediction.from_log_p1(m * self.log2_one_minus_alpha)
 
     def _score_columns(self, sides, columns, values, labels) -> Tuple[np.ndarray, np.ndarray]:
@@ -394,14 +391,11 @@ class Memorizer(OnlinePredictor):
         return len(self._store)
 
     # Behind a map the store keys the unmapped side, exact as every map is injective: no zero set or column.
-    def read_through(self, mapping) -> _UnmappedSide:
-        return _UnmappedSide()
+    def read_through(self, mapping) -> Unmapped:
+        return Unmapped()
 
     def read_columns(self) -> np.ndarray:
         return np.empty(0, dtype=np.intp)
-
-    def _score_columns(self, sides, columns, values, labels) -> Tuple[np.ndarray, np.ndarray]:
-        return super()._score_columns(sides, columns, sides, labels)
 
 
 class HybridPredictor(ColumnPricedPredictor):
@@ -463,7 +457,7 @@ class PracticalPredictor(SurvivingColumns):
         return self._t
 
     def _tie_label(self, bits: np.ndarray) -> int:
-        return 0 if self._form.count(self._mask, self._form.zeros(bits)) else 1
+        return 0 if self._reader.count(self._mask, self._reader.zeros(bits)) else 1
 
     def _predict(self, bits: np.ndarray) -> Prediction:
         log_hi = math.log2(self._t) - math.log2(self._t + 1)

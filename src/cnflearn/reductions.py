@@ -22,17 +22,17 @@ Morgan to that map on the complemented side (`flip`), with flipped labels.
 A map gives a side's zero set, the features that are 0 on it, and a word
 formula for chosen feature columns on a block of sides packed 64 rows to a
 uint64 word (`pack_rows`): literal words ORed into a clause, negated by
-`~`. `ReducedPredictor` is the one reduction path: a step
-is the inner predictor's own, on the side as `read_through` reads it, and
-a trace block is the columns the predictor reads. alg1, alg2 and xi-plus
-step as in Valiant's elimination, in the survivor form the map hands them
-(`survivors`): one word per variable subset, bit p set while the feature
-that sign pattern p on the subset switches off survives. A side falsifies
-one clause per variable subset, signed by its own bits, so behind a clause
-basis a step reads one bit of each of sum_s C(d,s) words and ranks no
-clause, and a trace block is scored on the words of the surviving columns.
-MADNB and bayes-exact read a side as its feature row, from its zero set,
-and their columns' words as bytes; memorize keys the unmapped side.
+`~`. `ReducedPredictor` is the one reduction path: the inner predictor's
+reader behind the map (`read_through`) gives a step's input (`read`) and
+a trace block's (`values`). alg1, alg2 and xi-plus step as in Valiant's
+elimination, in the survivor form the map hands them (`survivors`): one
+word per variable subset, bit p set while the feature that sign pattern p
+on the subset switches off survives. A side falsifies one clause per
+variable subset, signed by its own bits, so behind a clause basis a step
+reads one bit of each of sum_s C(d,s) words and ranks no clause, and a
+block is read as the surviving columns' words. MADNB and bayes-exact read
+through the map: a side as its feature row, from its zero set, and a
+block as its features' bytes; memorize reads the unmapped side.
 `build_predictor` returns a `ReducedPredictor` for every reduction, and
 `ExpandedPractical`/`ExpandedHybrid(basis)` are its alg2/alg1 over a basis.
 """
@@ -46,7 +46,7 @@ from typing import List, Optional, Tuple
 
 import numpy as np
 
-from .core import OnlinePredictor, Prediction, column_count, pack_key, pack_rows, unpack_rows
+from .core import OnlinePredictor, Prediction, pack_key, pack_rows, unpack_rows
 from .predictors import HybridPredictor, PracticalPredictor, SubsetWords
 
 DEFAULT_FEATURE_BUDGET = 4_000_000
@@ -162,7 +162,7 @@ def build_basis(d: int, k: int) -> ClauseBasis:
 
 def expand_matrix(basis: ClauseBasis, sides: np.ndarray) -> np.ndarray:
     """Row-wise clause truth values: an (n, d) matrix to (n, d_prime)."""
-    return ClauseMap(basis).features_matrix(sides)
+    return ClauseMap(basis).values(sides, slice(None))
 
 
 class ClauseMap:
@@ -174,7 +174,7 @@ class ClauseMap:
     `pack_rows` words of a block of sides, with negation as `~`.
     `survivors()` is the `SubsetWords` form that alg1, alg2 and xi-plus read
     sides in behind it; the other predictors read a side as its feature row
-    (`read`) and the map's own columns, which are their features (`rows`)."""
+    (`read`) and a block as its chosen features' bytes (`values`)."""
 
     flip = False
 
@@ -199,11 +199,8 @@ class ClauseMap:
 
     read = features
 
-    def features_matrix(self, sides: np.ndarray) -> np.ndarray:
-        return unpack_rows(self.columns(pack_rows(sides), slice(None)), sides.shape[0])
-
-    def rows(self, columns):
-        return columns
+    def values(self, sides: np.ndarray, columns) -> np.ndarray:
+        return unpack_rows(self.columns(pack_rows(sides), columns), sides.shape[0])
 
     def patterns(self, bits: np.ndarray) -> np.ndarray:
         """`basis.patterns` of the side (or its complement), kept for the last
@@ -219,7 +216,8 @@ class ClauseMap:
         full = [np.packbits(np.arange(width) < 2 ** s, bitorder="little") for s in basis.sizes]
         full = np.repeat(full, [math.comb(basis.d, s) for s in basis.sizes], axis=0).reshape(-1)
         rows = lambda cols: basis.rank[basis._first_slot[cols >> width.bit_length() - 1] + (cols & width - 1)]
-        return SubsetWords(full, width // 8, self.patterns, rows)
+        # columns looked up at call time, so the words come from the map's class as it is then
+        return SubsetWords(full, width // 8, self.patterns, rows, lambda words, cols: self.columns(words, cols))
 
     def columns(self, words: np.ndarray, cols) -> np.ndarray:
         """Truth of the chosen clauses, each the OR of its literal words."""
@@ -256,8 +254,8 @@ class ReducedPredictor(OnlinePredictor):
 
     A step is the inner predictor's own `_predict`, `_update` and
     `_tie_label` on the side as its reader (`read_through`) reads it, and a
-    trace is the values of the columns it reads (`columns`), so a predictor
-    that reads the unmapped side never builds a d_prime-wide row.
+    trace block is what that reader's `values` gives, so a predictor that
+    reads the unmapped side never builds a d_prime-wide row.
     `build_predictor` returns one for every reduction, k-CNF included.
     """
 
@@ -271,7 +269,7 @@ class ReducedPredictor(OnlinePredictor):
         self.inner = inner
         self.mapping = mapping
         self.basis = mapping.basis  # a k-CNF map's clause basis, else None
-        # what reads a side for the inner predictor: the map, or its own form
+        # the inner predictor's reader, of steps and blocks: the map, or a form of its own
         self._reader = inner.read_through(mapping)
 
     def _predict(self, bits: np.ndarray) -> Prediction:
@@ -292,17 +290,12 @@ class ReducedPredictor(OnlinePredictor):
     def surviving_count(self) -> int:
         """The count of columns the inner predictor still reads: survivors
         for alg1, alg2 and xi-plus, d' for madnb and bayes-exact, 0 for memorize."""
-        return column_count(self.inner.read_columns())
+        return len(self.inner.read_columns())
 
-    # A trace is the inner predictor's columns read through the map. A flipped
+    # A trace is the inner predictor's columns read by its reader. A flipped
     # map flips the inner labels, which carries log_p and ties over unchanged.
-    def read_columns(self):
+    def read_columns(self) -> np.ndarray:
         return self.inner.read_columns()
-
-    def _column_values(self, sides: np.ndarray, columns) -> np.ndarray:
-        words = self.mapping.columns(pack_rows(sides), self._reader.rows(columns))
-        # survivors are scored on the words, the other predictors on bytes
-        return words if isinstance(self._reader, SubsetWords) else unpack_rows(words, sides.shape[0])
 
     def _score_columns(self, sides, columns, values, labels) -> Tuple[np.ndarray, np.ndarray]:
         return self.inner._score_columns(sides, columns, values, 1 - labels if self.mapping.flip else labels)

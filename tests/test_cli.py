@@ -3,15 +3,27 @@ import random
 
 import pytest
 
-from cnflearn import cli
+from cnflearn import cli, harness
 from cnflearn.cli import main
 from cnflearn.core import Prediction
+from cnflearn.predictors import PracticalPredictor
 
 
 def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def overpay_alg2(monkeypatch):
+    """Make alg2's batched scoring charge 64 bits a step more than it should."""
+    score_columns = PracticalPredictor._score_columns
+
+    def overpaid(self, sides, columns, values, labels):
+        log_p, correct = score_columns(self, sides, columns, values, labels)
+        return log_p - 64.0, correct
+
+    monkeypatch.setattr(PracticalPredictor, "_score_columns", overpaid)
 
 
 class TestSyntheticCommand:
@@ -61,6 +73,12 @@ class TestSyntheticCommand:
     def test_unknown_algorithm_rejected_by_parser(self, capsys):
         with pytest.raises(SystemExit):
             main(["synthetic", "--algo", "sgd", "--d", "3"])
+
+    def test_bound_violation_exits_3(self, capsys, monkeypatch):
+        overpay_alg2(monkeypatch)
+        code, out, err = run(capsys, "synthetic", "--algo", "alg2", "--d", "4", "--n", "64")
+        assert code == 3 and out == ""
+        assert err.startswith("bound violation: ")
 
     def test_numerical_failure_exits_4(self, capsys, monkeypatch):
         def unnormalised(config):
@@ -139,6 +157,14 @@ class TestDatasetCommand:
         )
         assert code == 2
         assert "cannot read" in err
+        empty = tmp_path / "empty.csv"
+        empty.write_text("\n", encoding="utf-8")
+        code, out, err = run(
+            capsys, "dataset", "--path", str(empty),
+            "--label-column", "class", "--positive-label", "e", "--algo", "alg2",
+        )
+        assert (code, out) == (2, "")
+        assert err == f"error: dataset {str(empty)!r} is empty\n"
 
 
 class TestOracleCheckCommand:
@@ -153,6 +179,23 @@ class TestOracleCheckCommand:
         code, _, err = run(capsys, "oracle-check", "--d", "1")
         assert code == 2 and "d must" in err
 
+    def test_failing_checks_print_fail_and_exit_1(self, capsys, monkeypatch):
+        # a union count one too large breaks both complement identities, and
+        # a penalty of d + 1 leaves alg1's window
+        upow = harness.upow
+        monkeypatch.setattr(harness, "upow", lambda sets, d: upow(sets, d) + 1)
+        monkeypatch.setattr(harness, "hybrid_column_penalty", lambda d: d + 1)
+        code, out, _ = run(capsys, "oracle-check", "--d", "6", "--trials", "20")
+        assert code == 1
+        status = {line.split()[1].rstrip(":"): line.split()[0] for line in out.strip().splitlines()}
+        assert status == {
+            "consistent-count-complement": "FAIL",
+            "mixture-vs-counting": "PASS",
+            "independent-set-complement": "FAIL",
+            "counting-construction": "PASS",
+            "column-penalty-window": "FAIL",
+        }
+
 
 class TestBoundsTableCommand:
     def test_emits_rows_per_dimension_and_algorithm(self, capsys):
@@ -165,6 +208,12 @@ class TestBoundsTableCommand:
         assert len(lines) == 5
         assert lines[1].split(",")[:2] == ["2", "alg1"]
         assert lines[1].split(",")[-1] == "8"
+
+    def test_bound_violation_exits_3(self, capsys, monkeypatch):
+        overpay_alg2(monkeypatch)
+        code, out, err = run(capsys, "bounds-table", "--d-list", "4", "--n", "64", "--repeats", "2")
+        assert code == 3 and out == ""
+        assert err.startswith("bound violation: ")
 
     def test_empty_d_list_exits_nonzero(self, capsys):
         code, _, err = run(capsys, "bounds-table", "--d-list", ",")

@@ -74,6 +74,8 @@ class TestPrediction:
         assert math.isclose(p.prob(1), 0.25)
         assert math.isclose(p.prob(0), 0.75)
         assert math.isclose(p.loss_bits(1), 2.0)
+        with pytest.raises(ValueError, match="p1 must lie in"):
+            Prediction.from_p1(1.5)
 
     def test_certain(self):
         p = Prediction.certain(0)

@@ -72,6 +72,8 @@ class TestConfigValidation:
     def test_rejects_unknown_algorithm(self):
         with pytest.raises(ValueError, match="algorithm"):
             SyntheticConfig(algorithm="gradient", d=3, n=10, repeats=1, seed=0)
+        with pytest.raises(ValueError, match="unknown reduction 'dnf'; choose from"):
+            SyntheticConfig(algorithm="alg2", d=3, n=10, repeats=1, seed=0, reduction="dnf")
 
     def test_rejects_bad_shapes(self):
         with pytest.raises(ValueError, match="d must"):

@@ -83,6 +83,10 @@ class TestNbJoint:
             nb_joint_log2([3], [([0, 1], 1)], 2)
         with pytest.raises(ValueError, match="label"):
             nb_joint_log2([], [([0], 2)], 1)
+        with pytest.raises(ValueError, match="expected 2 feature bits"):
+            nb_joint_log2([], [([0, 1, 1], 1)], 2)
+        with pytest.raises(ValueError, match="enumeration cap of 16"):
+            nb_mixture_log2([], 17)
 
 
 class TestProductIdentity:

@@ -50,6 +50,8 @@ class TestUpow:
             upow([{0}], BRUTE_FORCE_CAP + 1)
         with pytest.raises(ValueError):
             upow([{5}], 3)
+        with pytest.raises(ValueError, match="positive integer, got 3.0"):
+            upow([{0}], 3.0)
 
 
 class TestCountConsistent:

@@ -237,7 +237,7 @@ class TestHybridPredictor:
         h.update(np.ones(d, dtype=np.uint8), 1)
         h.update(side, 0)
         # an unmapped side is its own zero set in the survivor form
-        assert h._form.zeros(side) is side
+        assert h._reader.zeros(side) is side
         reads = []
         count = SubsetWords.count
 

@@ -127,7 +127,7 @@ class TestBuildBasis:
         rng = np.random.default_rng(3)
         for _ in range(3):
             side = rng.integers(0, 2, 117, dtype=np.uint8)
-            values = ClauseMap(basis).features_matrix(side[None])[0]
+            values = ClauseMap(basis).values(side[None], slice(None))[0]
             assert np.array_equal(np.sort(ClauseMap(basis).zeros(side)), np.flatnonzero(values == 0))
 
     def test_budget_refusal_names_both_numbers(self):
@@ -205,8 +205,7 @@ def reference_features(reduction, d, k, sides):
 
 class TestMapContract:
     """A map is given by `zeros` and `columns`, a word formula on the
-    `pack_rows` words of a block; `features` and `features_matrix` derive
-    from them."""
+    `pack_rows` words of a block; `features` and `values` derive from them."""
 
     CASES = [(reduction, d, k) for reduction, k in MAP_KINDS for d in (1, 4, 6)] + [
         ("conj", 117, None), ("disj", 117, None), ("kcnf", 117, 2),
@@ -221,7 +220,7 @@ class TestMapContract:
         for n in (0, 1, 8, 63, 64, 65, 127, 129):
             sides = rng.integers(0, 2, size=(n, d), dtype=np.uint8)
             want = reference_features(reduction, d, k, sides)
-            assert np.array_equal(mapping.features_matrix(sides), want)
+            assert np.array_equal(mapping.values(sides, slice(None)), want)
             words = mapping.columns(pack_rows(sides), cols)
             assert words.shape == (len(cols), max(1, -(-n // 64)))
             assert np.array_equal(unpack_rows(words, n), want[:, cols])
@@ -380,7 +379,7 @@ class TestReducedPredictor:
         for side, label in zip(sides[100:], labels[100:]):
             predictor.predict(side)
             predictor.update(side, label)
-        assert read and not any(read)
+        assert read == []
         assert set(predictor.inner._store) == {pack_key(side) for side in sides}
         assert len(predictor.inner) == len({pack_key(side) for side in sides})
 
@@ -499,7 +498,7 @@ class TestSubsetWords:
         if coin_flip:
             return sides, rng.integers(0, 2, size=n, dtype=np.uint8)
         chosen = np.flatnonzero(rng.random(mapping.d_prime) < 3 / mapping.d_prime)
-        features = mapping.features_matrix(sides)
+        features = mapping.values(sides, slice(None))
         return sides, features[:, chosen].all(axis=1).astype(np.uint8) ^ mapping.flip
 
     @staticmethod
