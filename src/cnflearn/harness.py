@@ -29,6 +29,7 @@ import numpy as np
 from .core import BoundViolation, Example, OnlinePredictor, cumulative_loss, pack_rows, unpack_rows
 from .madnb import Madnb
 from .oracles import (
+    conjunction_holds,
     count_consistent,
     counting_side_info,
     hybrid_column_penalty,
@@ -214,7 +215,7 @@ def build_predictor(
     k: Optional[int] = None,
 ) -> Tuple[OnlinePredictor, int]:
     """Predictor for original d-bit sides, plus the effective dimension."""
-    make, d_prime = _predictor_maker(algorithm, d, reduction, k)
+    make, _, d_prime = _predictor_maker(algorithm, d, reduction, k)
     return make(), d_prime
 
 
@@ -223,35 +224,30 @@ def _predictor_maker(
     d: int,
     reduction: str = "none",
     k: Optional[int] = None,
-) -> Tuple[Callable[[], OnlinePredictor], int]:
-    """A maker of fresh `build_predictor` predictors, plus the effective
-    dimension. A clause basis is built once, here, and shared by every
-    predictor the maker returns, which only ever reads it."""
+) -> Tuple[Callable[[], OnlinePredictor], Optional[ClauseMap], int]:
+    """A maker of fresh `build_predictor` predictors, the map from original
+    sides to the features they learn over (None when they learn over the
+    sides themselves), and the number d' of those features. A clause basis
+    is built once, here, and shared by every predictor the maker returns,
+    which only ever reads it."""
     base = ALGORITHMS[algorithm]
     if reduction == "none":
-        return lambda: base(d), d
+        return lambda: base(d), None, d
     if reduction == "conj":
         mapping = ConjunctionMap(d)
     elif reduction == "disj":
         mapping = DisjunctionMap(d)
     else:
         mapping = ClauseMap(build_basis(d, k))
-    return lambda: ReducedPredictor(base(mapping.d_prime), mapping), mapping.d_prime
+    return lambda: ReducedPredictor(base(mapping.d_prime), mapping), mapping, mapping.d_prime
 
 
-def _feature_map(predictor: OnlinePredictor):
-    """The map from original sides to the features the predictor learns
-    over, or None when it learns over the sides themselves."""
-    return predictor.mapping if isinstance(predictor, ReducedPredictor) else None
-
-
-def _trial_stream(rng, config: SyntheticConfig, mapping):
+def _trial_stream(rng, config: SyntheticConfig, mapping: Optional[ClauseMap], d_prime: int):
     """Sides and labels for one trial; labels realizable by construction.
 
-    The target is a monotone conjunction over the mapped features, so the
-    trace is realizable for the predictor behind the map.
+    The target is a monotone conjunction over the d' mapped features, so
+    the trace is realizable for the predictor behind the map.
     """
-    d_prime = config.d if mapping is None else mapping.d_prime
     target = np.flatnonzero(_sample_mask(rng, d_prime))
     sides = rng.integers(0, 2, size=(config.n, config.d), dtype=np.uint8)
     words = pack_rows(sides)
@@ -276,13 +272,12 @@ def run_synthetic(config: SyntheticConfig) -> RunReport:
     started = time.perf_counter()
     trial_bits: List[float] = []
     correct = 0
-    make, d_prime = _predictor_maker(config.algorithm, config.d, config.reduction, config.k)
+    make, mapping, d_prime = _predictor_maker(config.algorithm, config.d, config.reduction, config.k)
     bound = _bound_bits(config.algorithm, d_prime, config.n)
     for trial in range(config.repeats):
-        predictor = make()
         rng = np.random.default_rng(np.random.SeedSequence([config.seed, trial]))
-        sides, labels = _trial_stream(rng, config, _feature_map(predictor))
-        log_p, hit = predictor.score_trace(sides, labels)
+        sides, labels = _trial_stream(rng, config, mapping, d_prime)
+        log_p, hit = make().score_trace(sides, labels)
         total = 0.0 - float(log_p.sum())
         _check_bound(config.algorithm, total, bound, d_prime, trial)
         trial_bits.append(total)
@@ -506,11 +501,8 @@ def _check_counting_identities(rng, d_cap: int, trials: int) -> List[CheckResult
     worst_int = True
     for _ in range(trials):
         d = int(rng.integers(2, d_cap + 1))
-        sets = [
-            [int(i) for i in np.flatnonzero(rng.integers(0, 2, size=d))]
-            for _ in range(int(rng.integers(1, 7)))
-        ]
-        trace = [(_indicator(s, d), 0) for s in sets]
+        trace = [(rng.integers(0, 2, size=d), 0) for _ in range(int(rng.integers(1, 7)))]
+        sets = [np.flatnonzero(side) for side, _ in trace]
         if count_consistent(trace, d) + upow(sets, d) != 2 ** d:
             worst_int = False
     results.append(
@@ -525,11 +517,7 @@ def _check_counting_identities(rng, d_cap: int, trials: int) -> List[CheckResult
     ok = True
     for _ in range(max(10, trials // 4)):
         d = int(rng.integers(2, min(d_cap, 10) + 1))
-        sets = [
-            [int(i) for i in np.flatnonzero(rng.integers(0, 2, size=d))]
-            for _ in range(int(rng.integers(1, 5)))
-        ]
-        trace = [(_indicator(s, d), 0) for s in sets]
+        trace = [(rng.integers(0, 2, size=d), 0) for _ in range(int(rng.integers(1, 5)))]
         alive = count_consistent(trace, d)
         joint = exact_mixture_joint(trace, d)
         expect = math.log2(alive) - d if alive else -math.inf
@@ -564,13 +552,6 @@ def _check_counting_identities(rng, d_cap: int, trials: int) -> List[CheckResult
     return results
 
 
-def _indicator(indices, d: int) -> List[int]:
-    side = [0] * d
-    for i in indices:
-        side[i] = 1
-    return side
-
-
 def _check_counting_targets(d_max: int) -> CheckResult:
     ok = True
     detail = []
@@ -579,9 +560,8 @@ def _check_counting_targets(d_max: int) -> CheckResult:
         seen = set()
         worst = 0.0
         for target in range(1 << d):
-            labels = [
-                int(all(row[i] for i in range(d) if target >> i & 1)) for row in rows
-            ]
+            # row t-1 is the bits of t-1, so its side mask is t-1
+            labels = [int(conjunction_holds(target, side)) for side in range(1 << d)]
             seen.add(tuple(labels))
             total = cumulative_loss(ExactMixture(d), zip(rows, labels)).total_bits
             worst = max(worst, abs(total - d))

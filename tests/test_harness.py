@@ -19,7 +19,7 @@ from cnflearn.harness import (
     DatasetConfig,
     SyntheticConfig,
     _check_bound,
-    _feature_map,
+    _predictor_maker,
     _trial_stream,
     build_predictor,
     emit_report,
@@ -242,6 +242,27 @@ class TestRunSynthetic:
         with pytest.raises(ValueError, match="d >= 2"):
             run_synthetic(SyntheticConfig(algorithm="alg1", d=1, n=8, repeats=1, seed=0))
 
+    @pytest.mark.parametrize(
+        "algorithm,reduction,k,trial_bits,correct,d_prime,bound_bits",
+        [
+            ("alg1", "none", None, (1.37532, 3.12757, 6.38173), 188, 3, 18.0),
+            ("alg1", "conj", None, (0.00287479, 0.00287479, 23.9426), 189, 6, 72.0),
+            ("alg1", "disj", None, (0.00287479, 0.00287479, 23.9426), 189, 6, 72.0),
+            ("alg1", "kcnf", 2, (1.34138e-25, 1.34138e-25, 244.101), 187, 18, 648.0),
+            ("alg2", "none", None, (6.02237, 9.60733, 9.02237), 188, 3, 24.0895),
+            ("alg2", "conj", None, (6.02237, 6.02237, 8.60733), 189, 6, 42.1566),
+            ("alg2", "disj", None, (6.02237, 6.02237, 8.60733), 189, 6, 42.1566),
+            ("alg2", "kcnf", 2, (6.02237, 6.02237, 16.9516), 187, 18, 114.425),
+        ],
+    )
+    def test_reports_through_each_map_are_pinned(
+        self, algorithm, reduction, k, trial_bits, correct, d_prime, bound_bits
+    ):
+        # trials labelled through the map the predictor runs behind, flipped for disj
+        report = run_synthetic(SyntheticConfig(algorithm, 3, 64, 3, 0, reduction, k))
+        assert report.trial_bits == trial_bits
+        assert (report.correct, report.d_prime, report.bound_bits) == (correct, d_prime, bound_bits)
+
 
 def sequential(predictor, sides, labels):
     """Reference for score_trace: predict/update one step at a time."""
@@ -367,7 +388,7 @@ class TestScoreTraceMatchesSequentialLoop:
         rng = np.random.default_rng(seed)
         # at most 16 distinct sides, so sides repeat, and coin-flip labels
         # relabel memorised negatives (+inf steps for alg1)
-        sides, labels = _trial_stream(rng, config, _feature_map(make()))
+        sides, labels = _trial_stream(rng, config, *_predictor_maker(algorithm, d, reduction, k)[1:])
         if coin_flip:
             labels = rng.integers(0, 2, size=n, dtype=np.uint8)
         reference, predictor = make(), make()

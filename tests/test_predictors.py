@@ -350,6 +350,48 @@ class TestPracticalPredictor:
             assert ledger.total_bits <= (d + 1) * math.log2(n + 1) + 1e-9
 
 
+def tight_trace(d, n):
+    """All-positive trace of the empty conjunction: n - d all-ones sides,
+    then d sides that each switch off one more survivor."""
+    sides = np.ones((n, d), dtype=np.uint8)
+    sides[n - d :] = np.arange(d) >= np.arange(1, d + 1)[:, None]
+    return sides, np.ones(n, dtype=np.uint8)
+
+
+@pytest.mark.parametrize("d,n", [(2, 64), (8, 8192)])
+class TestTightTraces:
+    """The realizable trace that meets each bound, so a predictor that paid
+    more than the correct loss fails here."""
+
+    def test_alg2_mistakes_and_loss_meet_the_bound(self, d, n):
+        sides, labels = tight_trace(d, n)
+        want = math.log2(n - d + 1) + sum(math.log2(t + 1) for t in range(n - d + 1, n + 1))
+        assert 0.0 <= (d + 1) * math.log2(n + 1) - want < 0.1
+        batched = PracticalPredictor(d)
+        log_p, correct = batched.score_trace(sides, labels)
+        assert np.count_nonzero(~correct) == d
+        assert math.isclose(-log_p.sum(), want, rel_tol=0, abs_tol=1e-9)
+        assert batched.surviving == frozenset()
+        p, loss, mistakes = PracticalPredictor(d), 0.0, 0
+        for side, label in zip(sides, labels.tolist()):
+            mistakes += p.tie_label(side) != label
+            loss += p.predict(side).loss_bits(label)
+            p.update(side, label)
+        assert mistakes == d
+        assert math.isclose(loss, want, rel_tol=0, abs_tol=1e-9)
+        assert p.surviving == frozenset()
+
+    def test_alg1_pays_the_column_penalty_once_per_survivor(self, d, n):
+        sides, labels = tight_trace(d, n)
+        penalty = hybrid_column_penalty(d)
+        batched, p = HybridPredictor(d), HybridPredictor(d)
+        loss = cumulative_loss(p, zip(sides, labels.tolist())).total_bits
+        for got in (-batched.score_trace(sides, labels)[0].sum(), loss):
+            assert math.isclose(got, d * penalty, rel_tol=0, abs_tol=1e-9)
+            assert got <= d * (penalty + 1)
+        assert not batched.survivor_mask().any() and not p.survivor_mask().any()
+
+
 def test_hybrid_alpha_log_identity():
     # log2(1-alpha) recovered from the linear side where it is representable
     for d in (2, 3, 8, 16):
