@@ -330,10 +330,11 @@ class OnlinePredictor:
         reads a side as its feature row and a block as its features' bytes."""
         return mapping
 
-    def read_columns(self) -> np.ndarray:
+    def read_columns(self) -> Sequence[int]:
         """The feature columns `_score_columns` needs the values of, as an
-        index array; every column by default."""
-        return np.arange(self.d)
+        index array, or by default every column as a `range`, which costs
+        no memory at any width."""
+        return range(self.d)
 
     def _score_columns(
         self, sides: np.ndarray, columns: np.ndarray, values: np.ndarray, labels: np.ndarray

@@ -7,8 +7,9 @@ bit per clause. The canonical clause basis here contains every clause of
 a clause collapse, tautologies are constant and dropped, and reordered
 duplicates are the same clause. That keeps the basis at
 sum_s C(d,s)*2**s features instead of the (2d)**k syntactic tuples.
-`ClauseBasis(d, k)`, or `build_basis`, builds it in one pass over the sizes
-and refuses more than `DEFAULT_FEATURE_BUDGET` clauses before it allocates.
+`ClauseBasis(d, k)`, or `build_basis`, refuses more than
+`DEFAULT_FEATURE_BUDGET` clauses before it allocates. It enumerates no
+clause until something reads the clause matrix or its rank table.
 
 Literals are numbered 0..2d-1: literal i < d is variable i, literal i >= d
 is the negation of variable i-d. Clauses are sorted tuples of literal ids
@@ -40,9 +41,10 @@ block as its features' bytes; memorize reads the unmapped side.
 from __future__ import annotations
 
 import math
+from functools import cached_property
 from itertools import chain, combinations, product
 from operator import itemgetter
-from typing import List, Optional, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -88,50 +90,63 @@ class ClauseBasis:
     clause on the i-th s-variable subset with sign bits p (1 = negated) has
     slot sum_{r<s} C(d,r)*2**r + i * 2**s + p, and `rank` maps slots to
     rows, which a clause map reads for a side's zero set.
+
+    Built at once, from `math.comb` alone: what an alg1, alg2 or xi-plus
+    step reads (`d_prime`, `sizes`, the suffix getters, the first slots).
+    `clause_matrix` and `rank` are built together on first read, by madnb
+    and bayes-exact feature rows (`ClauseMap.zeros`), `score_trace` blocks
+    (`ClauseMap.columns`), `clause`/`clauses`, `survivor_mask` and
+    `expand_matrix`.
     """
 
     def __init__(self, d: int, k: int):
         if d < 1 or k < 1:
             raise ValueError(f"need d >= 1 and k >= 1, got d={d}, k={k}")
-        size = basis_size(d, k)
-        if size > DEFAULT_FEATURE_BUDGET:
+        self.d_prime = basis_size(d, k)
+        if self.d_prime > DEFAULT_FEATURE_BUDGET:
             raise ValueError(
-                f"basis for d={d}, k={k} has {size} clauses, over the budget of {DEFAULT_FEATURE_BUDGET}"
+                f"basis for d={d}, k={k} has {self.d_prime} clauses, over the budget of {DEFAULT_FEATURE_BUDGET}"
             )
         self.d, self.k = d, k
         self.sizes = range(1, min(d, k) + 1)
         self._dtype = np.min_scalar_type(2 ** len(self.sizes) - 1)
-        # Per size s: its clauses, in slot order with -1 padding, and from s = 2 its subsets'
-        # slice, a getter of its suffixes of size s-1 (which ends where s starts), padded by an
-        # empty one as itemgetter gives a tuple of two or more, and their lengths.
-        matrix = np.full((size, k), -1, dtype=np.int32)
+        # From s = 2, per size s: its subsets' slice, a getter of its suffixes of size s-1 (which
+        # ends where s starts), padded by an empty one as itemgetter gives a tuple of two or
+        # more, and their lengths.
         self._suffixes, start = [], 0
+        for s in self.sizes:
+            if s > 1:
+                lengths = [math.comb(d - a - 1, s - 1) for a in range(d - s + 1)]
+                suffixes = itemgetter(slice(start, start), *(slice(start - n, start) for n in lengths))
+                self._suffixes.append((slice(start, start + sum(lengths)), suffixes, np.array(lengths)))
+            start += math.comb(d, s)
+        self._first_slot = np.concatenate(
+            [basis_size(d, s - 1) + (np.arange(math.comb(d, s)) << s) for s in self.sizes]
+        )
+
+    @cached_property
+    def _lexicographic(self) -> Tuple[np.ndarray, np.ndarray]:
+        """`clause_matrix` and `rank`, built together on the first read of either."""
+        d, k, size = self.d, self.k, self.d_prime
+        # Per size s, its clauses in slot order with -1 padding.
+        matrix = np.full((size, k), -1, dtype=np.int32)
         for s in self.sizes:
             variables = np.fromiter(chain.from_iterable(combinations(range(d), s)), np.int32).reshape(-1, s)
             signs = np.array(list(product((0, d), repeat=s)), dtype=np.int32)
             rows = slice(basis_size(d, s - 1), basis_size(d, s))
             matrix[rows, :s] = (variables[:, None, :] + signs).reshape(-1, s)
             matrix[rows, :s].sort(axis=1)
-            if s > 1:
-                lengths = [math.comb(d - a - 1, s - 1) for a in range(d - s + 1)]
-                suffixes = itemgetter(slice(start, start), *(slice(start - n, start) for n in lengths))
-                self._suffixes.append((slice(start, start + sum(lengths)), suffixes, np.array(lengths)))
-            start += math.comb(d, s)
         # Sorting the slot-ordered clauses with -1 padding gives tuple order. No view of the
         # unsorted matrix is kept, so rebinding frees it before the rank table is built.
         order = np.lexsort(matrix.T[::-1])
         matrix = matrix[order]
         np.copyto(matrix, matrix[:, :1], where=matrix < 0)
-        self.clause_matrix = matrix
-        self.rank = np.empty(size, dtype=np.int32)
-        self.rank[order] = np.arange(size, dtype=np.int32)
-        self._first_slot = np.concatenate(
-            [basis_size(d, s - 1) + (np.arange(math.comb(d, s)) << s) for s in self.sizes]
-        )
+        rank = np.empty(size, dtype=np.int32)
+        rank[order] = np.arange(size, dtype=np.int32)
+        return matrix, rank
 
-    @property
-    def d_prime(self) -> int:
-        return self.clause_matrix.shape[0]
+    clause_matrix = property(lambda self: self._lexicographic[0])
+    rank = property(lambda self: self._lexicographic[1])
 
     def clause(self, j: int) -> Tuple[int, ...]:
         row = self.clause_matrix[j]
@@ -174,7 +189,7 @@ class ClauseMap:
     `pack_rows` words of a block of sides, with negation as `~`.
     `survivors()` is the `SubsetWords` form that alg1, alg2 and xi-plus read
     sides in behind it; the other predictors read a side as its feature row
-    (`read`) and a block as its chosen features' bytes (`values`)."""
+    (`read`) and a block as all its features' bytes (`values`)."""
 
     flip = False
 
@@ -200,7 +215,8 @@ class ClauseMap:
     read = features
 
     def values(self, sides: np.ndarray, columns) -> np.ndarray:
-        return unpack_rows(self.columns(pack_rows(sides), columns), sides.shape[0])
+        # only given every column (expand_matrix, the default read_columns()): read without a gather
+        return unpack_rows(self.columns(pack_rows(sides), slice(None)), sides.shape[0])
 
     def patterns(self, bits: np.ndarray) -> np.ndarray:
         """`basis.patterns` of the side (or its complement), kept for the last
@@ -294,7 +310,7 @@ class ReducedPredictor(OnlinePredictor):
 
     # A trace is the inner predictor's columns read by its reader. A flipped
     # map flips the inner labels, which carries log_p and ties over unchanged.
-    def read_columns(self) -> np.ndarray:
+    def read_columns(self) -> Sequence[int]:
         return self.inner.read_columns()
 
     def _score_columns(self, sides, columns, values, labels) -> Tuple[np.ndarray, np.ndarray]:

@@ -1,5 +1,7 @@
+import hashlib
 import itertools
 import math
+from functools import cached_property
 
 import numpy as np
 import pytest
@@ -7,6 +9,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from cnflearn.core import Prediction, cumulative_loss, pack_key, pack_rows, unpack_rows
+from cnflearn.harness import build_predictor
 from cnflearn.madnb import Madnb
 from cnflearn.predictors import (
     ExactMixture,
@@ -598,3 +601,66 @@ class TestPatternReads:
         built = len(calls)
         assert predictor.predict(side) == Prediction.certain(0)
         assert len(calls) == built
+
+
+def lexicographic_builds(monkeypatch, fail=False):
+    """Records each build of `clause_matrix` and `rank`; with `fail`, a build fails the test."""
+    build, calls = ClauseBasis.__dict__["_lexicographic"].func, []
+
+    def recorded(basis):
+        if fail:
+            pytest.fail(f"the clause matrix and rank table of {basis} were built")
+        calls.append((basis.d, basis.k))
+        return build(basis)
+
+    lazy = cached_property(recorded)
+    lazy.__set_name__(ClauseBasis, "_lexicographic")
+    monkeypatch.setattr(ClauseBasis, "_lexicographic", lazy)
+    return calls
+
+
+class TestLexicographicOrderOnRead:
+    """The clause matrix and rank table are built on their first read, and
+    the survivor path of alg1, alg2 and xi-plus never reads them."""
+
+    def test_survivor_steps_build_neither(self, monkeypatch):
+        lexicographic_builds(monkeypatch, fail=True)
+        basis = build_basis(117, 3)
+        predictors = [build_predictor(algorithm, 117, "kcnf", 3)[0] for algorithm in sorted(WORD_PREDICTORS)]
+        predictors += [ExpandedPractical(basis), ExpandedHybrid(basis)]
+        for seed, predictor in enumerate(predictors):
+            sides = np.random.default_rng(seed).integers(0, 2, (24, 117), dtype=np.uint8)
+            # every third side a negative, which alg1 memorises
+            for t, side in enumerate(sides):
+                predictor.predict(side)
+                predictor.tie_label(side)
+                predictor.update(side, int(t % 3 != 2))
+            assert predictor.basis.d_prime == basis.d_prime == basis_size(117, 3)
+            assert 0 < predictor.surviving_count < basis.d_prime
+
+    def test_feature_rows_and_clauses_build_both_once(self, monkeypatch):
+        builds = lexicographic_builds(monkeypatch)
+        predictor = build_predictor("madnb", 117, "kcnf", 3)[0]
+        assert builds == []
+        side = np.random.default_rng(0).integers(0, 2, 117, dtype=np.uint8)
+        predictor.predict(side)
+        predictor.update(side, 1)
+        assert builds == [(117, 3)]
+        basis = build_basis(4, 3)
+        assert builds == [(117, 3)]
+        assert len(basis.clauses()) == basis_size(4, 3)
+        assert np.array_equal(basis.clause_matrix, reference_clause_matrix(4, 3))
+        assert builds == [(117, 3), (4, 3)]
+
+    # recorded when the whole basis was built at once
+    @pytest.mark.parametrize(
+        "k, matrix_md5, rank_md5",
+        [
+            (2, "3aa7da41535d6c87565f12a668e1fe04", "5c963fe6344c2ec35633f96e7a5e7732"),
+            (3, "477b5406885a0a90f6ede8ecd39c6317", "fe37cf611de71903bd844927a11685a4"),
+        ],
+    )
+    def test_order_is_pinned_at_the_benchmark_width(self, k, matrix_md5, rank_md5):
+        basis = cached_basis(117, k)
+        assert hashlib.md5(basis.clause_matrix.tobytes()).hexdigest() == matrix_md5
+        assert hashlib.md5(basis.rank.tobytes()).hexdigest() == rank_md5
