@@ -272,6 +272,8 @@ class OnlinePredictor:
     """
 
     _reader = Unmapped()
+    # the most bits a d-dimensional predictor loses on a realizable n-step trace; None: no bound
+    bound_bits = staticmethod(lambda d, n: None)
 
     def __init__(self, d: int):
         if not isinstance(d, (int, np.integer)) or d < 1:

@@ -3,9 +3,9 @@
 Synthetic trials follow the online protocol: sample a target hypothesis,
 stream uniform random side information, label it with the target (through
 the feature map of the predictor that runs, if any) and score the
-predictor on the trace with `score_trace`. For the predictors with
-realizable-trace guarantees the harness hard-asserts the guarantee, at the
-built predictor's dimension, on every trial; a violation raises
+predictor on the trace with `score_trace`. Where the algorithm's class
+states a guarantee (`bound_bits`), the harness hard-asserts it at d', the
+dimension the class learns over, on every trial; a violation raises
 BoundViolation because it falsifies the implementation, not the data.
 
 Trials are independent: trial i of a run seeded s uses the RNG stream
@@ -198,16 +198,6 @@ def _sample_mask(rng, d: int) -> np.ndarray:
     return np.asarray(rng.random(d) < theta)
 
 
-def _bound_bits(algorithm: str, d_prime: int, n: int) -> Optional[float]:
-    if algorithm == "alg1":
-        return 2.0 * d_prime * d_prime
-    if algorithm == "alg2":
-        return (d_prime + 1.0) * math.log2(n + 1.0)
-    if algorithm == "bayes-exact":
-        return float(d_prime)
-    return None
-
-
 def build_predictor(
     algorithm: str,
     d: int,
@@ -273,7 +263,7 @@ def run_synthetic(config: SyntheticConfig) -> RunReport:
     trial_bits: List[float] = []
     correct = 0
     make, mapping, d_prime = _predictor_maker(config.algorithm, config.d, config.reduction, config.k)
-    bound = _bound_bits(config.algorithm, d_prime, config.n)
+    bound = ALGORITHMS[config.algorithm].bound_bits(d_prime, config.n)
     for trial in range(config.repeats):
         rng = np.random.default_rng(np.random.SeedSequence([config.seed, trial]))
         sides, labels = _trial_stream(rng, config, mapping, d_prime)
@@ -308,7 +298,7 @@ def _report(
         source=source,
         max_bits=_round6(max(trial_bits)),
         mean_bits=_round6(sum(trial_bits) / len(trial_bits)),
-        bound_bits=_round6(_bound_bits(algorithm, d_prime, n)),
+        bound_bits=_round6(ALGORITHMS[algorithm].bound_bits(d_prime, n)),
         infinite_losses=sum(map(math.isinf, trial_bits)),
         correct=correct,
         mistakes=scored - correct,
@@ -389,8 +379,8 @@ def run_dataset(
 ) -> RunReport:
     """Stream an ingested dataset through one predictor, Table-style row out.
 
-    Real data is not realizable, so the bound field is reported for the
-    algorithms that have one but is not asserted.
+    Real data is not realizable, so the bound field, the algorithm class's
+    `bound_bits` at d', is reported but not asserted.
     """
     _check_run(algorithm, reduction, k)
     dataset = ingest_dataset(config)

@@ -1,13 +1,14 @@
 """Online predictors for monotone conjunctions over binary side information.
 
 The hypothesis class is the set of conjunctions h_S(a) = AND of a[i] for i
-in S, one per subset S of the d coordinates. The predictors differ in how
-they trade computation against worst-case log loss on realizable traces:
+in S, one per subset S of the d coordinates. The predictors trade time
+against worst-case loss on realizable traces, stated by `bound_bits(d, n)`:
 
 * ExactMixture       full Bayes over all 2**d index sets, O(2**d) per step
 * HeuristicMixture   product-form Bayes on positive examples only; cheap,
                      but can assign probability zero (unbounded loss)
-* Memorizer          lookup table; at most 2**d bits on realizable data
+* Memorizer          lookup table; at most 2**d bits at the unmapped d,
+                     not stated, so reports leave it empty
 * HybridPredictor    memorizes negatives, runs a tilted product mixture on
                      positives; at most 2*d**2 bits on realizable data
 * PracticalPredictor surviving-coordinate conjunction with a t/(t+1)
@@ -71,6 +72,8 @@ class ExactMixture(OnlinePredictor):
     realizable trace never exceeds d bits. Time and memory are O(2**d) per
     step, so construction refuses d beyond `BRUTE_FORCE_CAP`.
     """
+
+    bound_bits = staticmethod(lambda d, n: float(d))  # at the uniform prior, alpha = 1/2
 
     def __init__(self, d: int, alpha: float = 0.5):
         super().__init__(d)
@@ -409,6 +412,8 @@ class HybridPredictor(ColumnPricedPredictor):
     unmapped side, which is exact because every map here is injective.
     """
 
+    bound_bits = staticmethod(lambda d, n: 2.0 * d * d)
+
     def __init__(self, d: int):
         super().__init__(d, -hybrid_column_penalty(int(d)))
         self._neg: set = set()
@@ -443,6 +448,8 @@ class PracticalPredictor(SurvivingColumns):
     branch (realized label != c) occurs at most d times when labels are
     realizable.
     """
+
+    bound_bits = staticmethod(lambda d, n: (d + 1.0) * math.log2(n + 1.0))
 
     def __init__(self, d: int):
         super().__init__(d)

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 from cnflearn import harness
 from cnflearn.cli import main
-from cnflearn.core import BLOCK_BITS, BoundViolation, NumericalError
+from cnflearn.core import BLOCK_BITS, BoundViolation, NumericalError, OnlinePredictor
 from cnflearn.harness import (
     ALGORITHMS,
     DatasetConfig,
@@ -39,6 +39,10 @@ from cnflearn.reductions import (
     ReducedPredictor,
     basis_size,
 )
+
+
+# every reduction at d = 3, where d' <= 18 fits bayes-exact
+EVERY_MAP = [("none", None), ("conj", None), ("disj", None), ("kcnf", 1), ("kcnf", 2)]
 
 
 class _ForcedTheta:
@@ -161,6 +165,17 @@ class TestBuildPredictor:
             scores.append([predictor.predict(side) for side in sides[30:]])
         assert np.array_equal(scores[0], scores[2]) and scores[1] == scores[3]
 
+    @pytest.mark.parametrize("algorithm", sorted(ALGORITHMS))
+    @pytest.mark.parametrize("reduction,k", EVERY_MAP)
+    def test_a_tie_label_reads_the_side_unchanged(self, algorithm, reduction, k):
+        # ReducedPredictor._tie_label hands the inner predictor the side unread
+        predictor, _ = build_predictor(algorithm, 3, reduction, k)
+        inner = getattr(predictor, "inner", predictor)
+        if type(inner)._tie_label is not OnlinePredictor._tie_label:
+            for side in itertools.product((0, 1), repeat=3):
+                bits = np.array(side, dtype=np.uint8)
+                assert predictor._reader.read(bits) is bits
+
     def test_numpy_integer_dimension_past_the_penalty_expansion(self):
         side = np.zeros(1024, dtype=np.uint8)
         wide, plain = build_predictor("alg1", np.int64(1024))[0], build_predictor("alg1", 1024)[0]
@@ -203,6 +218,30 @@ class TestRunSynthetic:
         )
         assert report.bound_bits == 6.0
         assert report.max_bits <= 6.0 + 1e-9
+
+    # the guarantee each class states, at the dimension it learns over
+    LITERAL_BOUNDS = {
+        "bayes-exact": lambda d, n: d,
+        "alg1": lambda d, n: 2 * d ** 2,
+        "alg2": lambda d, n: (d + 1) * math.log2(n + 1),
+    }
+
+    @pytest.mark.parametrize("algorithm", sorted(ALGORITHMS))
+    @pytest.mark.parametrize("reduction,k", EVERY_MAP)
+    def test_bound_is_the_class_guarantee_at_d_prime(self, monkeypatch, algorithm, reduction, k):
+        check_bound, checked = harness._check_bound, []
+
+        def recorded(algorithm, total, bound, d_prime, trial):
+            checked.append(bound)
+            check_bound(algorithm, total, bound, d_prime, trial)
+
+        monkeypatch.setattr(harness, "_check_bound", recorded)
+        report = run_synthetic(SyntheticConfig(algorithm, 3, 64, 2, 0, reduction, k))
+        literal = self.LITERAL_BOUNDS.get(algorithm)
+        want = None if literal is None else literal(report.d_prime, 64)
+        # asserted exactly on both trials, reported to 6 significant digits
+        assert checked == [want, want]
+        assert report.bound_bits == (None if want is None else float(f"{want:.6g}"))
 
     def test_reduction_dimensions(self):
         base = dict(algorithm="alg2", n=16, repeats=1, seed=0)
