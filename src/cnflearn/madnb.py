@@ -23,7 +23,9 @@ g_i = log2 KT0 + log2 KT1 - log2 KT of feature i so far, q the add-half
 predictives of its y-conditional and marginal counts. p = (-sp(L), -sp(-L)).
 
 Counters are plain integers and every log-probability is recomputed from
-closed-form tables, so there is no drift to track.
+closed-form tables, so there is no drift to track. The tables serve `Madnb`
+alone: the brute-force references price every count through the scalar
+`log2_kt`, one `math.lgamma` call per term.
 """
 
 from __future__ import annotations
@@ -33,7 +35,9 @@ from typing import Iterable, Tuple
 
 import numpy as np
 
-from .core import BLOCK_BITS, LN2, NumericalError, OnlinePredictor, Prediction, logsumexp2
+from .core import (
+    BLOCK_BITS, LN2, NumericalError, OnlinePredictor, Prediction, _check_label, as_bits, logsumexp2
+)
 from .oracles import BRUTE_FORCE_CAP
 
 _LN_PI = math.log(math.pi)
@@ -51,22 +55,18 @@ __all__ = [
 
 
 class _CountTable:
-    """fn(c) for integer c >= 0, grown geometrically."""
+    """fn(c) for integer c >= 0, grown geometrically; read by `_gain` and `_label_log_ratio`."""
 
     def __init__(self, fn):
         self.fn = fn
         self._values = np.empty(0, dtype=np.float64)
-        self._filled = 0
 
     def ensure(self, n: int) -> np.ndarray:
-        if n >= self._filled:
+        filled = self._values.size
+        if n >= filled:
             size = max(256, 1 << (n + 1).bit_length())
-            grown = np.empty(size, dtype=np.float64)
-            grown[: self._filled] = self._values[: self._filled]
-            for c in range(self._filled, size):
-                grown[c] = self.fn(c)
-            self._values = grown
-            self._filled = size
+            grown = np.fromiter(map(self.fn, range(filled, size)), dtype=np.float64, count=size - filled)
+            self._values = np.concatenate((self._values, grown))
         return self._values
 
 
@@ -88,13 +88,6 @@ def log2_kt(zeros: int, ones: int) -> float:
     ) / LN2
 
 
-def _log2_kt_arr(zeros: np.ndarray, ones: np.ndarray) -> np.ndarray:
-    n = zeros + ones
-    half = _HALF.ensure(int(max(zeros.max(), ones.max())) if n.size else 0)
-    ints = _INTS.ensure(int(n.max()) if n.size else 0)
-    return (half[zeros] + half[ones] - _LN_PI - ints[n]) / LN2
-
-
 def kt_next_prob(zeros: int, ones: int, symbol: int) -> float:
     """Add-half predictive probability of the next symbol."""
     if symbol not in (0, 1):
@@ -110,16 +103,21 @@ def _trace_counts(trace, d: int):
     cond = np.zeros((2, d, 2), dtype=np.int64)
     idx = np.arange(d)
     for side, label in trace:
-        bits = np.asarray(side, dtype=np.int64)
+        bits = as_bits(side)
         if bits.shape != (d,):
             raise ValueError(f"expected {d} feature bits, got shape {bits.shape}")
-        label = int(label)
-        if label not in (0, 1):
-            raise ValueError(f"label must be 0 or 1, got {label!r}")
+        label = _check_label(label)
         cls[label] += 1
         marg[idx, bits] += 1
         cond[label, idx, bits] += 1
     return cls, marg, cond
+
+
+def _kt_terms(trace, d: int):
+    """log2 KT of the labels, and per feature of its marginal and of its two class-conditionals summed."""
+    cls, marg, cond = _trace_counts(trace, d)
+    marg_kt, kt0, kt1 = ([log2_kt(zeros, ones) for zeros, ones in counts.tolist()] for counts in (marg, *cond))
+    return log2_kt(*cls.tolist()), marg_kt, [a + b for a, b in zip(kt0, kt1)]
 
 
 def nb_joint_log2(feature_set: Iterable[int], trace, d: int) -> float:
@@ -154,14 +152,7 @@ def nb_mixture_log2(trace, d: int) -> float:
     """
     if d > 16:
         raise ValueError(f"dimension {d} exceeds the enumeration cap of 16")
-    cls, marg, cond = _trace_counts(trace, d)
-    class_term = log2_kt(int(cls[0]), int(cls[1]))
-    marg_terms = [log2_kt(int(marg[i, 0]), int(marg[i, 1])) for i in range(d)]
-    pair_terms = [
-        log2_kt(int(cond[0, i, 0]), int(cond[0, i, 1]))
-        + log2_kt(int(cond[1, i, 0]), int(cond[1, i, 1]))
-        for i in range(d)
-    ]
+    class_term, marg_terms, pair_terms = _kt_terms(trace, d)
     joints = []
     for mask in range(1 << d):
         t = class_term - d
@@ -173,13 +164,8 @@ def nb_mixture_log2(trace, d: int) -> float:
 
 def factored_joint_log2(trace, d: int) -> float:
     """log2 NB* of a trace via the per-feature product form, O(n*d)."""
-    cls, marg, cond = _trace_counts(trace, d)
-    class_term = log2_kt(int(cls[0]), int(cls[1]))
-    marg_t = _log2_kt_arr(marg[:, 0], marg[:, 1])
-    pair_t = _log2_kt_arr(cond[0, :, 0], cond[0, :, 1]) + _log2_kt_arr(
-        cond[1, :, 0], cond[1, :, 1]
-    )
-    mixed = np.logaddexp2(marg_t, pair_t) - 1.0
+    class_term, marg_terms, pair_terms = _kt_terms(trace, d)
+    mixed = np.logaddexp2(marg_terms, pair_terms) - 1.0
     return class_term + float(mixed.sum())
 
 

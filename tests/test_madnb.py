@@ -87,6 +87,49 @@ class TestNbJoint:
             nb_joint_log2([], [([0, 1, 1], 1)], 2)
         with pytest.raises(ValueError, match="enumeration cap of 16"):
             nb_mixture_log2([], 17)
+        # each reference reads a row through the predictors' own checks: a
+        # side bit or label outside {0, 1} is refused, never cast to one
+        references = (functools.partial(nb_joint_log2, [0]), nb_mixture_log2, factored_joint_log2)
+        bad_rows = (([0.5], 1), ([-1], 1), ([2], 1), ([1], 1.5))
+        for reference, row in itertools.product(references, bad_rows):
+            with pytest.raises(ValueError, match="must be 0 or 1"):
+                reference([([0], 0), row], 1)
+
+
+class TestCountTables:
+    """The log-gamma and log2 tables that `Madnb` prices its counts from."""
+
+    TABLES = (
+        (madnb._HALF, lambda c: math.lgamma(c + 0.5)),
+        (madnb._INTS, lambda c: math.lgamma(c + 1.0)),
+        (madnb._LOG2_HALF, lambda c: math.log2(c + 0.5)),
+        (madnb._LOG2_NEXT, lambda c: math.log2(c + 1.0)),
+    )
+
+    def test_references_never_read_the_tables(self, monkeypatch):
+        def refuse(self, n):
+            raise AssertionError("a reference read a count table")
+
+        monkeypatch.setattr(madnb._CountTable, "ensure", refuse)
+        trace = random_trace(random.Random(13), 4, 300)
+        assert math.isfinite(nb_joint_log2([1, 3], trace, 4))
+        assert math.isfinite(nb_mixture_log2(trace, 4))
+        assert math.isfinite(factored_joint_log2(trace, 4))
+
+    def test_each_entry_is_its_math_value_as_the_table_grows(self):
+        for table, expected in self.TABLES:
+            grown = madnb._CountTable(table.fn)
+            for n in (0, 255, 256, 1000, 5000):
+                values = grown.ensure(n)
+                assert values.size > n
+                assert values.tolist() == [expected(c) for c in range(values.size)]
+
+    def test_a_filled_table_is_returned_as_is(self):
+        table = madnb._CountTable(self.TABLES[0][1])
+        values = table.ensure(300)
+        assert table.ensure(0) is values
+        assert table.ensure(values.size - 1) is values
+        assert table.ensure(values.size) is not values
 
 
 class TestProductIdentity:
