@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from operator import getitem
 from typing import FrozenSet, Sequence, Tuple
 
@@ -223,36 +224,28 @@ class SubsetWords(Unmapped):
     pattern p, and it switches off the feature that bit p of the subset's
     word stands for; the bit is set while that feature survives.
 
-    A step reads the unmapped side (`read`), and the predictor takes its
-    zero set in this form, its patterns (`zeros`), so it reads or clears
-    one bit per word. A surviving column is a set bit of the state, at
-    8 * byte + bit, and `rows` gives its feature in the map's order; a block
-    reads as those features' words (`values`), `column_words(words, rows)`
-    on the block's `pack_rows` words. `full` is the state of a fresh predictor.
+    A step reads the unmapped side (`read`); its zero set in this form
+    (`zeros`) is per word the index of the byte with bit p (`slice(None)`
+    in one-byte words) and that byte with only bit p set, so the predictor
+    reads or clears one bit per word with an AND. A surviving column is a
+    set bit of the state, at 8 * byte + bit, and `rows` gives its feature in
+    the map's order; a block reads as those features' words (`values`),
+    `column_words(words, rows)` on the block's `pack_rows` words. `full` is
+    the state of a fresh predictor.
     """
 
-    def __init__(self, full: np.ndarray, word_bytes: int, zeros, rows, column_words):
+    def __init__(self, full: np.ndarray, zeros, rows, column_words):
         self.full = full
         self.zeros = zeros
         self.rows = rows
         self.column_words = column_words
-        # the first byte of each word, where a word has more than one
-        self._first = np.arange(0, full.size, word_bytes) if word_bytes > 1 else None
 
-    def _bit(self, patterns: np.ndarray):
-        """The byte of each word that holds its pattern's bit, and that bit."""
-        if self._first is None:
-            return slice(None), np.uint8(1) << patterns
-        return self._first + (patterns >> 3), np.uint8(1) << (patterns & 7).astype(np.uint8)
-
-    def count(self, mask: np.ndarray, patterns: np.ndarray) -> int:
-        byte, bit = self._bit(patterns)
+    def count(self, mask: np.ndarray, byte, words: np.ndarray) -> int:
         # int(): a NumPy count would make the float arithmetic after it slow
-        return int(np.count_nonzero(mask[byte] & bit))
+        return int(np.count_nonzero(mask[byte] & words))
 
-    def clear(self, mask: np.ndarray, patterns: np.ndarray) -> None:
-        byte, bit = self._bit(patterns)
-        mask[byte] &= ~bit
+    def clear(self, mask: np.ndarray, byte, words: np.ndarray) -> None:
+        mask[byte] &= ~words
 
     def surviving(self, mask: np.ndarray) -> np.ndarray:
         # NumPy finds nonzero bools several times faster than nonzero bytes
@@ -268,7 +261,8 @@ class SubsetWords(Unmapped):
 class SurvivingColumns(OnlinePredictor):
     """Valiant's elimination state `_mask`: the features on in every positive
     side so far, in the `SubsetWords` form of its reader, which a map hands
-    over (`read_through`); unmapped, a side's zero set is the side itself.
+    over (`read_through`); unmapped, built only then, a subset is a variable
+    and a side's one-hot bytes are 1 << bit (bit 1 stands for no feature).
 
     A positive step switches the side's zero set off. Subclasses price a
     step from how many survivors its zero set holds (`SubsetWords.count`)
@@ -276,10 +270,14 @@ class SurvivingColumns(OnlinePredictor):
     (`_zeros_before`, in `_score_columns`).
     """
 
-    def __init__(self, d: int):
-        super().__init__(d)
-        self._reader = SubsetWords(np.ones(d, np.uint8), 1, lambda bits: bits, lambda cols: cols >> 3, getitem)
-        self._mask = self._reader.full.copy()
+    @cached_property
+    def _reader(self) -> SubsetWords:
+        one_hot = lambda bits: (slice(None), bits + 1)
+        return SubsetWords(np.ones(self.d, np.uint8), one_hot, lambda cols: cols >> 3, getitem)
+
+    @cached_property
+    def _mask(self) -> np.ndarray:
+        return self._reader.full.copy()
 
     def read_through(self, mapping) -> SubsetWords:
         """Start the survivors afresh in the form `mapping` hands over."""
@@ -295,7 +293,7 @@ class SurvivingColumns(OnlinePredictor):
 
     def _update(self, bits: np.ndarray, label: int) -> None:
         if label:
-            self._reader.clear(self._mask, self._reader.zeros(bits))
+            self._reader.clear(self._mask, *self._reader.zeros(bits))
 
     def read_columns(self) -> np.ndarray:
         return self._reader.surviving(self._mask)
@@ -331,7 +329,7 @@ class ColumnPricedPredictor(SurvivingColumns):
         self.log2_one_minus_alpha = float(log2_one_minus_alpha)
 
     def _predict(self, bits: np.ndarray) -> Prediction:
-        m = self._reader.count(self._mask, self._reader.zeros(bits))
+        m = self._reader.count(self._mask, *self._reader.zeros(bits))
         return Prediction.from_log_p1(m * self.log2_one_minus_alpha)
 
     def _score_columns(self, sides, columns, values, labels) -> Tuple[np.ndarray, np.ndarray]:
@@ -464,7 +462,7 @@ class PracticalPredictor(SurvivingColumns):
         return self._t
 
     def _tie_label(self, bits: np.ndarray) -> int:
-        return 0 if self._reader.count(self._mask, self._reader.zeros(bits)) else 1
+        return 0 if self._reader.count(self._mask, *self._reader.zeros(bits)) else 1
 
     def _predict(self, bits: np.ndarray) -> Prediction:
         log_hi = math.log2(self._t) - math.log2(self._t + 1)

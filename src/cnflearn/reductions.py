@@ -30,8 +30,9 @@ elimination, in the survivor form the map hands them (`survivors`): one
 word per variable subset, bit p set while the feature that sign pattern p
 on the subset switches off survives. A side falsifies one clause per
 variable subset, signed by its own bits, so behind a clause basis a step
-reads one bit of each of sum_s C(d,s) words and ranks no clause, and a
-block is read as the surviving columns' words. MADNB and bayes-exact read
+ANDs each of sum_s C(d,s) words with a byte that has only that clause's
+bit, built once a side; it ranks no clause and shifts no bit. A block is
+read as the surviving columns' words. MADNB and bayes-exact read
 through the map: a side as its feature row, from its zero set, and a
 block as its features' bytes; memorize reads the unmapped side.
 `build_predictor` returns a `ReducedPredictor` for every reduction, and
@@ -43,7 +44,6 @@ from __future__ import annotations
 import math
 from functools import cached_property
 from itertools import chain, combinations, product
-from operator import itemgetter
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -86,13 +86,13 @@ class ClauseBasis:
     variable highest; a clause map's survivors are a word per subset, read
     at those patterns. The s-subsets that start at variable a are a over
     the (s-1)-subsets after a, a contiguous suffix of size s-1, so size s
-    is d-s+1 such suffixes joined, each with its a's bit set on top. The
+    is d-s+1 such suffixes joined, with a's bit on top (`_grow`). The
     clause on the i-th s-variable subset with sign bits p (1 = negated) has
     slot sum_{r<s} C(d,r)*2**r + i * 2**s + p, and `rank` maps slots to
     rows, which a clause map reads for a side's zero set.
 
     Built at once, from `math.comb` alone: what an alg1, alg2 or xi-plus
-    step reads (`d_prime`, `sizes`, the suffix getters, the first slots).
+    step reads (`d_prime`, `sizes`, the suffix slices, the first slots).
     `clause_matrix` and `rank` are built together on first read, by madnb
     and bayes-exact feature rows (`ClauseMap.zeros`), `score_trace` blocks
     (`ClauseMap.columns`), `clause`/`clauses`, `survivor_mask` and
@@ -110,16 +110,13 @@ class ClauseBasis:
         self.d, self.k = d, k
         self.sizes = range(1, min(d, k) + 1)
         self._dtype = np.min_scalar_type(2 ** len(self.sizes) - 1)
-        # From s = 2, per size s: its subsets' slice, a getter of its suffixes of size s-1 (which
-        # ends where s starts), padded by an empty one as itemgetter gives a tuple of two or
-        # more, and their lengths.
-        self._suffixes, start = [], 0
-        for s in self.sizes:
-            if s > 1:
-                lengths = [math.comb(d - a - 1, s - 1) for a in range(d - s + 1)]
-                suffixes = itemgetter(slice(start, start), *(slice(start - n, start) for n in lengths))
-                self._suffixes.append((slice(start, start + sum(lengths)), suffixes, np.array(lengths)))
-            start += math.comb(d, s)
+        # From s = 2, per size s: its subsets' slice, size s-1's, and per first variable a its
+        # suffix, the (s-1)-subsets after a, which ends where size s starts.
+        self._suffixes, before, start = [], 0, d
+        for s in self.sizes[1:]:
+            keys = [slice(start - math.comb(d - a - 1, s - 1), start) for a in range(d - s + 1)]
+            self._suffixes.append((slice(start, start + math.comb(d, s)), slice(before, start), keys))
+            before, start = start, start + math.comb(d, s)
         self._first_slot = np.concatenate(
             [basis_size(d, s - 1) + (np.arange(math.comb(d, s)) << s) for s in self.sizes]
         )
@@ -160,11 +157,19 @@ class ClauseBasis:
         per first variable, the smaller patterns after it, its bit on top."""
         out = np.empty(self._first_slot.size, dtype=self._dtype)
         out[: self.d] = bits
-        for shift, (size, suffixes, lengths) in enumerate(self._suffixes, 1):
-            block = out[size]
-            np.concatenate(suffixes(out), out=block)
-            block |= np.repeat(out[: lengths.size] << shift, lengths)
+        lifted = np.empty_like(out)
+        joins = [(out[at], out[prev], lifted[prev], (out, lifted), keys) for at, prev, keys in self._suffixes]
+        self._grow(joins, bits, lambda before, s, into: np.bitwise_or(before, 1 << s - 1, out=into))
         return out
+
+    def _grow(self, joins: list, bits: np.ndarray, lift) -> None:
+        """Fill sizes 2 and up from size 1: size s joins, per first variable,
+        its suffix `sources[bit][key]`, from a copy of size s-1 that
+        `lift(before, s, into)` gives the variable's bit where that bit is 1."""
+        bits = bits.tolist()
+        for s, (block, before, lifted, sources, keys) in enumerate(joins, 2):
+            lift(before, s, lifted)
+            np.concatenate([sources[bit][key] for key, bit in zip(keys, bits)], out=block)
 
     def __repr__(self) -> str:
         return f"ClauseBasis(d={self.d}, k={self.k}, d_prime={self.d_prime})"
@@ -188,8 +193,9 @@ class ClauseMap:
     `columns(words, cols)`, the words of chosen feature columns on the
     `pack_rows` words of a block of sides, with negation as `~`.
     `survivors()` is the `SubsetWords` form that alg1, alg2 and xi-plus read
-    sides in behind it; the other predictors read a side as its feature row
-    (`read`) and a block as all its features' bytes (`values`)."""
+    sides in behind it, a side as its one-hot subset bytes, built once a
+    side into the form's own buffer; the other predictors read a side as its
+    feature row (`read`) and a block as all its features' bytes (`values`)."""
 
     flip = False
 
@@ -197,7 +203,7 @@ class ClauseMap:
         self._basis = basis
         self.d = basis.d
         self.d_prime = basis.d_prime
-        self._cached = (None, None)
+        self._cached = (None, None, None)
 
     @property
     def basis(self) -> ClauseBasis:
@@ -219,21 +225,39 @@ class ClauseMap:
         return unpack_rows(self.columns(pack_rows(sides), slice(None)), sides.shape[0])
 
     def patterns(self, bits: np.ndarray) -> np.ndarray:
-        """`basis.patterns` of the side (or its complement), kept for the last
-        side, so that predict, tie_label and update of one step build them once."""
+        """`basis.patterns` of the side (or its complement), kept as `_last` keeps it."""
+        return self._last(bits, self._basis.patterns)
+
+    def _last(self, bits: np.ndarray, build):
+        """`build` of the side or its complement (`flip`), kept for the last side."""
         key = pack_key(bits)
-        if self._cached[0] != key:
-            self._cached = (key, self._basis.patterns(1 - bits if self.flip else bits))
-        return self._cached[1]
+        if self._cached[0] != key or self._cached[1] != build:
+            self._cached = (key, build, build(1 - bits if self.flip else bits))
+        return self._cached[2]
 
     def survivors(self) -> SubsetWords:
-        """Each subset's word has a bit per clause on it, in 2**k bits or 8."""
+        """Each subset's word has a bit per clause on it, in 2**k bits or 8. A
+        side's one-hot bytes are built into the form's own buffer, through
+        views made once: 1 << bit on a variable, times 2**2**(s-1) on an
+        s-subset whose first bit is 1, or for s >= 4 that bit picks the byte."""
         basis, width = self._basis, max(8, 2 ** len(self._basis.sizes))
         full = [np.packbits(np.arange(width) < 2 ** s, bitorder="little") for s in basis.sizes]
         full = np.repeat(full, [math.comb(basis.d, s) for s in basis.sizes], axis=0).reshape(-1)
         rows = lambda cols: basis.rank[basis._first_slot[cols >> width.bit_length() - 1] + (cols & width - 1)]
+        out, lifted = np.empty((2, basis._first_slot.size), np.uint8)
+        views = lambda keys: (([out[key] for key in keys], [lifted[key] for key in keys]), range(len(keys)))
+        joins = [(out[at], out[prev], lifted[prev], *views(keys)) for at, prev, keys in basis._suffixes]
+        lift = lambda before, s, into: np.multiply(before, 2 ** 2 ** (s - 1) if s < 4 else 1, out=into)
+
+        def one_hot(side):
+            np.add(side, 1, out=out[: basis.d])
+            basis._grow(joins, side, lift)
+            byte = slice(None) if width == 8 else np.arange(0, full.size, width // 8) + (basis.patterns(side) >> 3)
+            return byte, out
+
+        zeros = lambda bits: self._last(bits, one_hot)
         # columns looked up at call time, so the words come from the map's class as it is then
-        return SubsetWords(full, width // 8, self.patterns, rows, lambda words, cols: self.columns(words, cols))
+        return SubsetWords(full, zeros, rows, lambda words, cols: self.columns(words, cols))
 
     def columns(self, words: np.ndarray, cols) -> np.ndarray:
         """Truth of the chosen clauses, each the OR of its literal words."""

@@ -105,13 +105,20 @@ class TestAsBits:
         assert as_bits([1, 0, 1]).dtype == np.uint8
         assert as_bits((0, 1)).tolist() == [0, 1]
         assert as_bits(np.array([True, False])).tolist() == [1, 0]
+        # a uint8 side passes uncopied, a strided one too
+        side = np.array([1, 7, 0, 7], dtype=np.uint8)[::2]
+        assert as_bits(side, 2) is side
 
     def test_rejects_bad_values(self):
-        for bad in ([2, 0], [0.5, 0.5], [-1, 1], [256, 0]):
-            with pytest.raises(ValueError):
+        uint8 = [np.array([0, 1, 2], np.uint8), np.array([255], np.uint8)]
+        for bad in [[2, 0], [0.5, 0.5], [-1, 1], [256, 0]] + uint8:
+            with pytest.raises(ValueError, match="side information bits must be 0 or 1"):
                 as_bits(bad)
 
     def test_rejects_wrong_length_and_shape(self):
+        for d in (3, 0):
+            with pytest.raises(ValueError, match=f"expected {d} bits"):
+                as_bits(np.array([1, 0], np.uint8), d=d)
         with pytest.raises(ValueError):
             as_bits([1, 0], d=3)
         with pytest.raises(ValueError):

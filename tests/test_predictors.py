@@ -236,14 +236,15 @@ class TestHybridPredictor:
         h = HybridPredictor(d)
         h.update(np.ones(d, dtype=np.uint8), 1)
         h.update(side, 0)
-        # an unmapped side is its own zero set in the survivor form
-        assert h._reader.zeros(side) is side
+        # an unmapped side's zero set in the survivor form is one elementwise op on it
+        byte, words = h._reader.zeros(side)
+        assert byte == slice(None) and np.array_equal(words, np.uint8(1) << side)
         reads = []
         count = SubsetWords.count
 
-        def recorded(self, mask, zeros):
+        def recorded(self, mask, *zeros):
             reads.append(zeros)
-            return count(self, mask, zeros)
+            return count(self, mask, *zeros)
 
         monkeypatch.setattr(SubsetWords, "count", recorded)
         assert h.predict(side) == Prediction.certain(0)

@@ -563,20 +563,65 @@ class TestSubsetWords:
             got_bits = runs[0][0] + runs[0][1] + runs[0][3]
             assert np.allclose(got_bits, want_bits, rtol=0.0, atol=1e-9)
 
+    # (9, 9), (2, 4), (7, 4) and (30, 4) have words of more than one byte; "disj" is the flipped k = 1 map
+    @pytest.mark.parametrize("d, k", [(117, 3), (9, 9), (1, 3), (2, 4), (7, 4), (30, 4), (6, "disj")])
+    def test_one_hot_bytes_are_each_words_pattern_bit(self, d, k):
+        """A side's zero set in the survivor form: per word, 1 << (p & 7) at
+        its byte p >> 3, p the side's sign pattern on the word's subset."""
+        mapping = DisjunctionMap(d) if k == "disj" else ClauseMap(cached_basis(d, k))
+        reader = mapping.survivors()
+        sides = np.random.default_rng(d).integers(0, 2, (5, d), dtype=np.uint8)
+        sides[:2] = [[0], [1]]
+        for side in sides:
+            p = mapping.patterns(side).astype(np.intp)
+            word_bytes = reader.full.size // p.size
+            byte, words = reader.zeros(side)
+            assert words.dtype == np.uint8 and words.shape == p.shape
+            assert np.array_equal(np.arange(reader.full.size)[byte], np.arange(p.size) * word_bytes + (p >> 3))
+            assert np.array_equal(words, np.left_shift(1, p & 7).astype(np.uint8))
+
+    def test_two_maps_on_one_basis_step_with_their_own_bytes(self):
+        basis = cached_basis(117, 3)
+        rng = np.random.default_rng(23)
+        streams = rng.integers(0, 2, (2, 6, 117), dtype=np.uint8)
+        readers = [ClauseMap(basis).survivors() for _ in streams]
+        for sides in zip(*streams):
+            got = [reader.zeros(side)[1] for reader, side in zip(readers, sides)]
+            for words, side in zip(got, sides):
+                assert np.array_equal(words, np.left_shift(1, basis.patterns(side) & 7).astype(np.uint8))
+
+        # alg2 on each map, both predicting before either updates, against each run alone
+        def step(predictor, side):
+            pred = predictor.predict(side)
+            predictor.update(side, 1)
+            return pred
+
+        alone, shared = ([ExpandedPractical(basis) for _ in streams] for _ in range(2))
+        want = [[step(predictor, side) for side in sides] for predictor, sides in zip(alone, streams)]
+        got = [[], []]
+        for sides in zip(*streams):
+            preds = [predictor.predict(side) for predictor, side in zip(shared, sides)]
+            for predictor, side, pred, out in zip(shared, sides, preds, got):
+                predictor.update(side, 1)
+                out.append(pred)
+        assert got == want
+        assert all(np.array_equal(p.inner._mask, q.inner._mask) for p, q in zip(shared, alone))
+
 
 class TestPatternReads:
-    """Behind the k = 3 basis a step's sign patterns are its costliest read."""
+    """Behind the k = 3 basis a step's one-hot subset bytes, built by the
+    suffix recurrence that also builds sign patterns, are its costliest read."""
 
     @staticmethod
     def recorded(monkeypatch):
         calls = []
-        patterns = ClauseBasis.patterns
+        grow = ClauseBasis._grow
 
-        def recorded(self, bits):
+        def recorded(self, joins, bits, lift):
             calls.append(bits.copy())
-            return patterns(self, bits)
+            return grow(self, joins, bits, lift)
 
-        monkeypatch.setattr(ClauseBasis, "patterns", recorded)
+        monkeypatch.setattr(ClauseBasis, "_grow", recorded)
         return calls
 
     @pytest.mark.parametrize("algorithm", sorted(WORD_PREDICTORS))
