@@ -45,7 +45,7 @@ from .predictors import (
     exact_mixture_joint,
 )
 from .reductions import (
-    ClauseMap,
+    ClauseBasis,
     ConjunctionMap,
     DisjunctionMap,
     ReducedPredictor,
@@ -214,12 +214,12 @@ def _predictor_maker(
     d: int,
     reduction: str = "none",
     k: Optional[int] = None,
-) -> Tuple[Callable[[], OnlinePredictor], Optional[ClauseMap], int]:
+) -> Tuple[Callable[[], OnlinePredictor], Optional[ClauseBasis], int]:
     """A maker of fresh `build_predictor` predictors, the map from original
     sides to the features they learn over (None when they learn over the
-    sides themselves), and the number d' of those features. A clause basis
-    is built once, here, and shared by every predictor the maker returns,
-    which only ever reads it."""
+    sides themselves), and the number d' of those features. The map, a
+    clause basis, is built once, here, and shared by every predictor the
+    maker returns, which only ever reads it."""
     base = ALGORITHMS[algorithm]
     if reduction == "none":
         return lambda: base(d), None, d
@@ -228,11 +228,11 @@ def _predictor_maker(
     elif reduction == "disj":
         mapping = DisjunctionMap(d)
     else:
-        mapping = ClauseMap(build_basis(d, k))
+        mapping = build_basis(d, k)
     return lambda: ReducedPredictor(base(mapping.d_prime), mapping), mapping, mapping.d_prime
 
 
-def _trial_stream(rng, config: SyntheticConfig, mapping: Optional[ClauseMap], d_prime: int):
+def _trial_stream(rng, config: SyntheticConfig, mapping: Optional[ClauseBasis], d_prime: int):
     """Sides and labels for one trial; labels realizable by construction.
 
     The target is a monotone conjunction over the d' mapped features, so

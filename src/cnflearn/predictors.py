@@ -219,10 +219,11 @@ def map_index_set(alpha: float, sides: Sequence[BitVector], d: int) -> MapEstima
 
 
 class SubsetWords(Unmapped):
-    """Survivors as one word per variable subset: of a clause map's basis,
-    or unmapped a single variable. On each subset a side has a sign
-    pattern p, and it switches off the feature that bit p of the subset's
-    word stands for; the bit is set while that feature survives.
+    """Survivors as one word per variable subset: of the clause basis a
+    predictor reads through, or unmapped a single variable. On each subset
+    a side has a sign pattern p, and it switches off the feature that bit p
+    of the subset's word stands for; the bit is set while that feature
+    survives.
 
     A step reads the unmapped side (`read`); its zero set in this form
     (`zeros`) is per word the index of the byte with bit p (`slice(None)`

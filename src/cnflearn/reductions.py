@@ -16,9 +16,10 @@ is the negation of variable i-d. Clauses are sorted tuples of literal ids
 and the basis is ordered lexicographically, which makes the k=1 basis
 coincide with the plain conjunction transform (side then negated side).
 
-`ClauseMap` is the one feature map. General conjunctions (negations
-allowed) are the map of the k=1 basis; disjunctions reduce through De
-Morgan to that map on the complemented side (`flip`), with flipped labels.
+A clause basis is its own feature map, the one feature map: feature j is
+the truth of clause j. General conjunctions (negations allowed) are the
+k=1 basis (`ConjunctionMap`); disjunctions reduce through De Morgan to it
+on the complemented side (`DisjunctionMap`, `flip`), with flipped labels.
 
 A map gives a side's zero set, the features that are 0 on it, and a word
 formula for chosen feature columns on a block of sides packed 64 rows to a
@@ -26,15 +27,16 @@ uint64 word (`pack_rows`): literal words ORed into a clause, negated by
 `~`. `ReducedPredictor` is the one reduction path: the inner predictor's
 reader behind the map (`read_through`) gives a step's input (`read`) and
 a trace block's (`values`). alg1, alg2 and xi-plus step as in Valiant's
-elimination, in the survivor form the map hands them (`survivors`): one
-word per variable subset, bit p set while the feature that sign pattern p
-on the subset switches off survives. A side falsifies one clause per
-variable subset, signed by its own bits, so behind a clause basis a step
-ANDs each of sum_s C(d,s) words with a byte that has only that clause's
-bit, built once a side; it ranks no clause and shifts no bit. A block is
-read as the surviving columns' words. MADNB and bayes-exact read
-through the map: a side as its feature row, from its zero set, and a
-block as its features' bytes; memorize reads the unmapped side.
+elimination, in a survivor form the map hands each of them (`survivors`):
+one word per variable subset, bit p set while the feature that sign
+pattern p on the subset switches off survives. A side falsifies one
+clause per variable subset, signed by its own bits, so a step ANDs each
+of sum_s C(d,s) words with a byte that has only that clause's bit, built
+once a side into the form's own buffer; it ranks no clause, shifts no bit
+and writes nothing on the basis, which every predictor of a run shares.
+A block is read as the surviving columns' words. MADNB and bayes-exact
+read through the map: a side as its feature row, from its zero set, and
+a block as its features' bytes; memorize reads the unmapped side.
 `build_predictor` returns a `ReducedPredictor` for every reduction, and
 `ExpandedPractical`/`ExpandedHybrid(basis)` are its alg2/alg1 over a basis.
 """
@@ -55,7 +57,6 @@ DEFAULT_FEATURE_BUDGET = 4_000_000
 
 __all__ = [
     "ClauseBasis",
-    "ClauseMap",
     "ConjunctionMap",
     "DEFAULT_FEATURE_BUDGET",
     "DisjunctionMap",
@@ -75,7 +76,18 @@ def basis_size(d: int, k: int) -> int:
 
 class ClauseBasis:
     """Canonical clause basis for k-CNF over d >= 1 variables, k >= 1,
-    refused past `DEFAULT_FEATURE_BUDGET` clauses before it allocates.
+    refused past `DEFAULT_FEATURE_BUDGET` clauses before it allocates, and
+    the feature map through it: feature j is the truth of clause j on the
+    side or, when `flip` is set, on its complement, so the k=1 basis gives
+    the conjunction and disjunction maps. A map is given by two methods:
+    `zeros(bits)`, the features that are 0 on a side, and
+    `columns(words, cols)`, the words of chosen feature columns on the
+    `pack_rows` words of a block of sides, with negation as `~`.
+    `survivors()` is the `SubsetWords` form that alg1, alg2 and xi-plus read
+    sides in, a side as its one-hot subset bytes, built once a side into the
+    form's own buffer; the other predictors read a side as its feature row
+    (`read`) and a block as all its features' bytes (`values`). No step
+    writes the basis, so every predictor of a run may share one.
 
     `clause_matrix` has one row per clause, padded to width k by repeating
     the first literal (a duplicate literal never changes a disjunction).
@@ -83,21 +95,23 @@ class ClauseBasis:
     A side falsifies one clause on each variable subset: the one signed by
     the side's own bits there. `patterns` gives those signs for every
     subset, by size and then in `combinations` order, with the first
-    variable highest; a clause map's survivors are a word per subset, read
-    at those patterns. The s-subsets that start at variable a are a over
-    the (s-1)-subsets after a, a contiguous suffix of size s-1, so size s
-    is d-s+1 such suffixes joined, with a's bit on top (`_grow`). The
-    clause on the i-th s-variable subset with sign bits p (1 = negated) has
-    slot sum_{r<s} C(d,r)*2**r + i * 2**s + p, and `rank` maps slots to
-    rows, which a clause map reads for a side's zero set.
+    variable highest; the survivors are a word per subset, read at those
+    patterns. The s-subsets that start at variable a are a over the
+    (s-1)-subsets after a, a contiguous suffix of size s-1, so size s is
+    d-s+1 such suffixes joined, with a's bit on top (`_grow`). The clause
+    on the i-th s-variable subset with sign bits p (1 = negated) has slot
+    sum_{r<s} C(d,r)*2**r + i * 2**s + p, and `rank` maps slots to rows,
+    which `zeros` reads.
 
     Built at once, from `math.comb` alone: what an alg1, alg2 or xi-plus
     step reads (`d_prime`, `sizes`, the suffix slices, the first slots).
     `clause_matrix` and `rank` are built together on first read, by madnb
-    and bayes-exact feature rows (`ClauseMap.zeros`), `score_trace` blocks
-    (`ClauseMap.columns`), `clause`/`clauses`, `survivor_mask` and
-    `expand_matrix`.
+    and bayes-exact feature rows (`zeros`), `score_trace` blocks
+    (`columns`), `clause`/`clauses`, `survivor_mask` and `expand_matrix`.
     """
+
+    flip = False
+    basis = property(lambda self: self)  # a map that has a basis is named k-CNF
 
     def __init__(self, d: int, k: int):
         if d < 1 or k < 1:
@@ -152,66 +166,9 @@ class ClauseBasis:
     def clauses(self) -> List[Tuple[int, ...]]:
         return [self.clause(j) for j in range(self.d_prime)]
 
-    def patterns(self, bits: np.ndarray) -> np.ndarray:
-        """The side's sign pattern on each variable subset, a size at a time:
-        per first variable, the smaller patterns after it, its bit on top."""
-        out = np.empty(self._first_slot.size, dtype=self._dtype)
-        out[: self.d] = bits
-        lifted = np.empty_like(out)
-        joins = [(out[at], out[prev], lifted[prev], (out, lifted), keys) for at, prev, keys in self._suffixes]
-        self._grow(joins, bits, lambda before, s, into: np.bitwise_or(before, 1 << s - 1, out=into))
-        return out
-
-    def _grow(self, joins: list, bits: np.ndarray, lift) -> None:
-        """Fill sizes 2 and up from size 1: size s joins, per first variable,
-        its suffix `sources[bit][key]`, from a copy of size s-1 that
-        `lift(before, s, into)` gives the variable's bit where that bit is 1."""
-        bits = bits.tolist()
-        for s, (block, before, lifted, sources, keys) in enumerate(joins, 2):
-            lift(before, s, lifted)
-            np.concatenate([sources[bit][key] for key, bit in zip(keys, bits)], out=block)
-
-    def __repr__(self) -> str:
-        return f"ClauseBasis(d={self.d}, k={self.k}, d_prime={self.d_prime})"
-
-
-def build_basis(d: int, k: int) -> ClauseBasis:
-    """The canonical clause basis, refusing runaway expansions."""
-    return ClauseBasis(d, k)
-
-
-def expand_matrix(basis: ClauseBasis, sides: np.ndarray) -> np.ndarray:
-    """Row-wise clause truth values: an (n, d) matrix to (n, d_prime)."""
-    return ClauseMap(basis).values(sides, slice(None))
-
-
-class ClauseMap:
-    """Feature map through a clause basis: feature j is the truth of clause
-    j on the side or, when `flip` is set, on its complement, so the k=1
-    basis gives the conjunction and disjunction maps. It is given by two
-    methods: `zeros(bits)`, the features that are 0 on a side, and
-    `columns(words, cols)`, the words of chosen feature columns on the
-    `pack_rows` words of a block of sides, with negation as `~`.
-    `survivors()` is the `SubsetWords` form that alg1, alg2 and xi-plus read
-    sides in behind it, a side as its one-hot subset bytes, built once a
-    side into the form's own buffer; the other predictors read a side as its
-    feature row (`read`) and a block as all its features' bytes (`values`)."""
-
-    flip = False
-
-    def __init__(self, basis: ClauseBasis):
-        self._basis = basis
-        self.d = basis.d
-        self.d_prime = basis.d_prime
-        self._cached = (None, None, None)
-
-    @property
-    def basis(self) -> ClauseBasis:
-        return self._basis
-
     def zeros(self, bits: np.ndarray) -> np.ndarray:
         """Basis rows of the clauses false on a side, a subset at a time."""
-        return self._basis.rank[self._basis._first_slot + self.patterns(bits)].astype(np.intp)
+        return self.rank[self._first_slot + self.patterns(1 - bits if self.flip else bits)].astype(np.intp)
 
     def features(self, bits: np.ndarray) -> np.ndarray:
         row = np.ones(self.d_prime, dtype=np.uint8)
@@ -224,59 +181,86 @@ class ClauseMap:
         # only given every column (expand_matrix, the default read_columns()): read without a gather
         return unpack_rows(self.columns(pack_rows(sides), slice(None)), sides.shape[0])
 
-    def patterns(self, bits: np.ndarray) -> np.ndarray:
-        """`basis.patterns` of the side (or its complement), kept as `_last` keeps it."""
-        return self._last(bits, self._basis.patterns)
-
-    def _last(self, bits: np.ndarray, build):
-        """`build` of the side or its complement (`flip`), kept for the last side."""
-        key = pack_key(bits)
-        if self._cached[0] != key or self._cached[1] != build:
-            self._cached = (key, build, build(1 - bits if self.flip else bits))
-        return self._cached[2]
-
-    def survivors(self) -> SubsetWords:
-        """Each subset's word has a bit per clause on it, in 2**k bits or 8. A
-        side's one-hot bytes are built into the form's own buffer, through
-        views made once: 1 << bit on a variable, times 2**2**(s-1) on an
-        s-subset whose first bit is 1, or for s >= 4 that bit picks the byte."""
-        basis, width = self._basis, max(8, 2 ** len(self._basis.sizes))
-        full = [np.packbits(np.arange(width) < 2 ** s, bitorder="little") for s in basis.sizes]
-        full = np.repeat(full, [math.comb(basis.d, s) for s in basis.sizes], axis=0).reshape(-1)
-        rows = lambda cols: basis.rank[basis._first_slot[cols >> width.bit_length() - 1] + (cols & width - 1)]
-        out, lifted = np.empty((2, basis._first_slot.size), np.uint8)
-        views = lambda keys: (([out[key] for key in keys], [lifted[key] for key in keys]), range(len(keys)))
-        joins = [(out[at], out[prev], lifted[prev], *views(keys)) for at, prev, keys in basis._suffixes]
-        lift = lambda before, s, into: np.multiply(before, 2 ** 2 ** (s - 1) if s < 4 else 1, out=into)
-
-        def one_hot(side):
-            np.add(side, 1, out=out[: basis.d])
-            basis._grow(joins, side, lift)
-            byte = slice(None) if width == 8 else np.arange(0, full.size, width // 8) + (basis.patterns(side) >> 3)
-            return byte, out
-
-        zeros = lambda bits: self._last(bits, one_hot)
-        # columns looked up at call time, so the words come from the map's class as it is then
-        return SubsetWords(full, zeros, rows, lambda words, cols: self.columns(words, cols))
-
     def columns(self, words: np.ndarray, cols) -> np.ndarray:
         """Truth of the chosen clauses, each the OR of its literal words."""
-        clauses = self._basis.clause_matrix[cols]
+        clauses = self.clause_matrix[cols]
         lits = np.concatenate([~words, words] if self.flip else [words, ~words])
         values = lits[clauses[:, 0]]
         for j in range(1, clauses.shape[1]):
             values |= lits[clauses[:, j]]
         return values
 
+    def patterns(self, bits: np.ndarray) -> np.ndarray:
+        """The side's sign pattern on each variable subset, a size at a time:
+        per first variable, the smaller patterns after it, its bit on top."""
+        out = np.empty(self._first_slot.size, dtype=self._dtype)
+        out[: self.d] = bits
+        lifted = np.empty_like(out)
+        joins = [(out[at], out[prev], lifted[prev], (out, lifted), keys) for at, prev, keys in self._suffixes]
+        self._grow(joins, bits, lambda before, s, into: np.bitwise_or(before, 1 << s - 1, out=into))
+        return out
 
-class ConjunctionMap(ClauseMap):
+    def survivors(self) -> SubsetWords:
+        """Each subset's word has a bit per clause on it, in 2**k bits or 8. A
+        side's one-hot bytes are built into the form's own buffer, through
+        views made once: 1 << bit on a variable, times 2**2**(s-1) on an
+        s-subset whose first bit is 1, or for s >= 4 that bit picks the byte.
+        The form keeps the key of the side whose bytes the buffer holds, and
+        their byte index, so a step builds them once."""
+        width = max(8, 2 ** len(self.sizes))
+        full = [np.packbits(np.arange(width) < 2 ** s, bitorder="little") for s in self.sizes]
+        full = np.repeat(full, [math.comb(self.d, s) for s in self.sizes], axis=0).reshape(-1)
+        rows = lambda cols: self.rank[self._first_slot[cols >> width.bit_length() - 1] + (cols & width - 1)]
+        out, lifted = np.empty((2, self._first_slot.size), np.uint8)
+        views = lambda keys: (([out[key] for key in keys], [lifted[key] for key in keys]), range(len(keys)))
+        joins = [(out[at], out[prev], lifted[prev], *views(keys)) for at, prev, keys in self._suffixes]
+        lift = lambda before, s, into: np.multiply(before, 2 ** 2 ** (s - 1) if s < 4 else 1, out=into)
+        held = byte = None  # the key of the side whose bytes `out` holds, and their byte index
+
+        def zeros(bits):
+            nonlocal held, byte
+            if (key := pack_key(bits)) != held:
+                side = 1 - bits if self.flip else bits
+                np.add(side, 1, out=out[: self.d])
+                self._grow(joins, side, lift)
+                byte = slice(None) if width == 8 else np.arange(0, full.size, width // 8) + (self.patterns(side) >> 3)
+                held = key
+            return byte, out
+
+        # columns looked up at call time, so the words come from the map's class as it is then
+        return SubsetWords(full, zeros, rows, lambda words, cols: self.columns(words, cols))
+
+    def _grow(self, joins: list, bits: np.ndarray, lift) -> None:
+        """Fill sizes 2 and up from size 1: size s joins, per first variable,
+        its suffix `sources[bit][key]`, from a copy of size s-1 that
+        `lift(before, s, into)` gives the variable's bit where that bit is 1."""
+        bits = bits.tolist()
+        for s, (block, before, lifted, sources, keys) in enumerate(joins, 2):
+            lift(before, s, lifted)
+            np.concatenate([sources[bit][key] for key, bit in zip(keys, bits)], out=block)
+
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}(d={self.d}, k={self.k}, d_prime={self.d_prime})"
+
+
+def build_basis(d: int, k: int) -> ClauseBasis:
+    """The canonical clause basis, refusing runaway expansions."""
+    return ClauseBasis(d, k)
+
+
+def expand_matrix(basis: ClauseBasis, sides: np.ndarray) -> np.ndarray:
+    """Row-wise clause truth values: an (n, d) matrix to (n, d_prime)."""
+    return basis.values(sides, slice(None))
+
+
+class ConjunctionMap(ClauseBasis):
     """Feature map for general conjunctions with negated literals: the k=1
     basis, feature i < d variable i and feature d + i its negation."""
 
-    basis = None  # not a k-CNF reduction: a map that has a basis is named k-CNF
+    basis = None  # not a k-CNF reduction
 
     def __init__(self, d: int):
-        super().__init__(build_basis(d, 1))
+        super().__init__(d, 1)
 
 
 class DisjunctionMap(ConjunctionMap):
@@ -345,11 +329,11 @@ class ExpandedPractical(ReducedPredictor):
     """`PracticalPredictor` over a clause basis, fed original side vectors."""
 
     def __init__(self, basis: ClauseBasis):
-        super().__init__(PracticalPredictor(basis.d_prime), ClauseMap(basis))
+        super().__init__(PracticalPredictor(basis.d_prime), basis)
 
 
 class ExpandedHybrid(ReducedPredictor):
     """`HybridPredictor` over a clause basis, fed original side vectors."""
 
     def __init__(self, basis: ClauseBasis):
-        super().__init__(HybridPredictor(basis.d_prime), ClauseMap(basis))
+        super().__init__(HybridPredictor(basis.d_prime), basis)

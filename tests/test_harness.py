@@ -33,7 +33,7 @@ from cnflearn.harness import (
 )
 from cnflearn.predictors import HybridPredictor, PracticalPredictor
 from cnflearn.reductions import (
-    ClauseMap,
+    ClauseBasis,
     ExpandedHybrid,
     ExpandedPractical,
     ReducedPredictor,
@@ -181,6 +181,44 @@ class TestBuildPredictor:
         wide, plain = build_predictor("alg1", np.int64(1024))[0], build_predictor("alg1", 1024)[0]
         assert wide.log2_one_minus_alpha == plain.log2_one_minus_alpha
         assert wide.predict(side) == plain.predict(side)
+
+    @pytest.mark.parametrize(
+        "algorithm,reduction,k",
+        [(a, "kcnf", 2) for a in ("alg1", "alg2", "xi-plus", "madnb")]
+        + [(a, r, None) for r in ("conj", "disj") for a in ("alg1", "alg2", "bayes-exact")],
+    )
+    def test_no_step_writes_the_shared_map(self, algorithm, reduction, k):
+        """Two predictors from one maker, stepped interleaved, each run as it
+        runs alone, and the map they share is left as it was but for its
+        clause matrix and rank table, built on first read."""
+        d, n = 6, 40
+        make, mapping, d_prime = _predictor_maker(algorithm, d, reduction, k)
+        fields = lambda: {name: value for name, value in vars(mapping).items() if name != "_lexicographic"}
+        before = arrays_copied(fields())
+        config = SyntheticConfig(algorithm, d, n, 1, 0, reduction, k)
+        streams = [_trial_stream(np.random.default_rng(seed), config, mapping, d_prime) for seed in (1, 2)]
+
+        def steps(predictor, sides, labels):
+            """predict, tie_label and update on each row, pausing after each;
+            the last value is each step's prediction and tie label."""
+            record = []
+            for side, label in zip(sides, labels.tolist()):
+                pred = predictor.predict(side)
+                yield
+                tie = predictor.tie_label(side)
+                yield
+                predictor.update(side, label)
+                record.append((pred.log_p0, pred.log_p1, tie))
+                yield
+            yield record
+
+        alone, shared = ([make() for _ in streams] for _ in range(2))
+        want = [list(steps(predictor, *stream))[-1] for predictor, stream in zip(alone, streams)]
+        got = list(zip(*(steps(predictor, *stream) for predictor, stream in zip(shared, streams))))[-1]
+        assert list(got) == want
+        for predictor, reference in zip(shared, alone):
+            assert_same_state(predictor, reference)
+        assert unchanged(fields(), before)
 
 
 class TestRunSynthetic:
@@ -340,6 +378,28 @@ def assert_same_state(got, want):
     for name in fields:
         a, b = getattr(got, name), getattr(want, name)
         assert np.array_equal(a, b) if isinstance(b, np.ndarray) else a == b, name
+
+
+def arrays_copied(value):
+    """`value` with its arrays copied, in lists, tuples and dicts too; any other object as it is."""
+    if isinstance(value, np.ndarray):
+        return value.copy()
+    if isinstance(value, (list, tuple)):
+        return type(value)(map(arrays_copied, value))
+    if isinstance(value, dict):
+        return {key: arrays_copied(item) for key, item in value.items()}
+    return value
+
+
+def unchanged(value, copied):
+    """`value` still equals what `arrays_copied` took of it: arrays by dtype and contents."""
+    if isinstance(value, np.ndarray) or isinstance(copied, np.ndarray):
+        return type(value) is type(copied) and value.dtype == copied.dtype and np.array_equal(value, copied)
+    if isinstance(value, (list, tuple)):
+        return type(value) is type(copied) and len(value) == len(copied) and all(map(unchanged, value, copied))
+    if isinstance(value, dict):
+        return value.keys() == copied.keys() and all(unchanged(value[key], copied[key]) for key in value)
+    return value is copied or value == copied
 
 
 @pytest.fixture(scope="module")
@@ -507,14 +567,14 @@ class TestScoreTraceMatchesSequentialLoop:
         predictor, d_prime = build_predictor(algorithm, d, "kcnf", 2)
         reference = build_predictor(algorithm, d, "kcnf", 2)[0]
         blocks = []
-        columns = ClauseMap.columns
+        columns = ClauseBasis.columns
 
         def recorded(self, words, cols):
             values = columns(self, words, cols)
             blocks.append((64 * values.shape[1], values.shape[0]))  # (rows, width)
             return values
 
-        monkeypatch.setattr(ClauseMap, "columns", recorded)
+        monkeypatch.setattr(ClauseBasis, "columns", recorded)
         rng = np.random.default_rng(9)
         sides = rng.integers(0, 2, size=(n, d), dtype=np.uint8)
         sides[:, 6:] = 1  # every clause with one of these literals survives

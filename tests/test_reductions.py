@@ -20,7 +20,6 @@ from cnflearn.predictors import (
 )
 from cnflearn.reductions import (
     ClauseBasis,
-    ClauseMap,
     ConjunctionMap,
     DisjunctionMap,
     ExpandedHybrid,
@@ -96,7 +95,7 @@ class TestBuildBasis:
         rng = np.random.default_rng(d + k)
         for _ in range(4):
             side = rng.integers(0, 2, d, dtype=np.uint8)
-            got = ClauseMap(basis).zeros(side)
+            got = basis.zeros(side)
             want = [j for j, c in enumerate(clauses) if not clause_true(c, side, d)]
             assert got.shape[0] == sum(math.comb(d, s) for s in range(1, k + 1))
             assert np.sort(got).tolist() == want
@@ -130,8 +129,8 @@ class TestBuildBasis:
         rng = np.random.default_rng(3)
         for _ in range(3):
             side = rng.integers(0, 2, 117, dtype=np.uint8)
-            values = ClauseMap(basis).values(side[None], slice(None))[0]
-            assert np.array_equal(np.sort(ClauseMap(basis).zeros(side)), np.flatnonzero(values == 0))
+            values = basis.values(side[None], slice(None))[0]
+            assert np.array_equal(np.sort(basis.zeros(side)), np.flatnonzero(values == 0))
 
     def test_budget_refusal_names_both_numbers(self):
         # 10,587,200 clauses: refused before the matrix is allocated
@@ -146,12 +145,12 @@ class TestBuildBasis:
 
 
 class TestExpand:
-    """Clause expansion of one side, through `ClauseMap.features`."""
+    """Clause expansion of one side, through `ClauseBasis.features`."""
 
     def test_k1_equals_conjunction_transform(self):
         rng = np.random.default_rng(61)
         for d in (1, 2, 5, 9):
-            clause_map, conj_map = ClauseMap(build_basis(d, 1)), ConjunctionMap(d)
+            clause_map, conj_map = build_basis(d, 1), ConjunctionMap(d)
             for _ in range(5):
                 side = rng.integers(0, 2, d, dtype=np.uint8)
                 assert np.array_equal(clause_map.features(side), conj_map.features(side))
@@ -162,7 +161,7 @@ class TestExpand:
             basis = build_basis(d, k)
             for _ in range(10):
                 side = rng.integers(0, 2, d, dtype=np.uint8)
-                got = ClauseMap(basis).features(side)
+                got = basis.features(side)
                 want = [int(clause_true(c, side, d)) for c in basis.clauses()]
                 assert got.tolist() == want
 
@@ -172,7 +171,7 @@ class TestExpand:
         sides = rng.integers(0, 2, size=(25, 4), dtype=np.uint8)
         batch = expand_matrix(basis, sides)
         for row, side in zip(batch, sides):
-            assert np.array_equal(row, ClauseMap(basis).features(side))
+            assert np.array_equal(row, basis.features(side))
 
     def test_injective(self):
         # alg1 keys its negative store by the unmapped side behind every map,
@@ -191,7 +190,7 @@ MAP_KINDS = (("conj", None), ("disj", None), ("kcnf", 1), ("kcnf", 2), ("kcnf", 
 
 def make_map(reduction, d, k):
     if reduction == "kcnf":
-        return ClauseMap(build_basis(d, k))
+        return build_basis(d, k)
     return {"conj": ConjunctionMap, "disj": DisjunctionMap}[reduction](d)
 
 
@@ -241,7 +240,7 @@ class TestTransforms:
         side = np.array([1, 0], dtype=np.uint8)
         assert ConjunctionMap(2).features(side).tolist() == [1, 0, 0, 1]
         assert not ConjunctionMap.flip
-        # the k=1 clause map, but named as no k-CNF map
+        # the k=1 clause basis, but named as no k-CNF map
         assert ConjunctionMap(2).basis is None
 
     def test_disjunction_transform_flips_both(self):
@@ -249,6 +248,11 @@ class TestTransforms:
         assert DisjunctionMap(2).features(side).tolist() == [0, 1, 1, 0]
         assert DisjunctionMap.flip
         assert DisjunctionMap(2).basis is None
+
+    def test_each_map_prints_as_its_own_class(self):
+        assert repr(build_basis(3, 2)) == "ClauseBasis(d=3, k=2, d_prime=18)"
+        assert repr(ConjunctionMap(3)) == "ConjunctionMap(d=3, k=1, d_prime=6)"
+        assert repr(DisjunctionMap(3)) == "DisjunctionMap(d=3, k=1, d_prime=6)"
 
     def test_disjunction_transform_is_an_involution(self):
         side = np.array([1, 0, 1], dtype=np.uint8)
@@ -347,7 +351,7 @@ class TestReducedPredictor:
         calls = []
 
         def spy(name):
-            method = getattr(ClauseMap, name)
+            method = getattr(ClauseBasis, name)
 
             def recorded(self, bits):
                 calls.append(name)
@@ -357,7 +361,7 @@ class TestReducedPredictor:
 
         # `read` is bound to `features` when the class is made, so spy on both
         for name in ("read", "features", "patterns"):
-            monkeypatch.setattr(ClauseMap, name, spy(name))
+            monkeypatch.setattr(ClauseBasis, name, spy(name))
         assert predictor.tie_label(rng.integers(0, 2, d, dtype=np.uint8)) is None
         assert calls == []
 
@@ -410,7 +414,7 @@ class TestExpandedPredictors:
             slow = PracticalPredictor(basis.d_prime)
             for _ in range(80):
                 side = rng.integers(0, 2, d, dtype=np.uint8)
-                features = ClauseMap(basis).features(side)
+                features = basis.features(side)
                 label = int(rng.integers(0, 2))  # includes non-realizable streams
                 a, b = fast.predict(side), slow.predict(features)
                 assert (a.log_p0, a.log_p1) == (b.log_p0, b.log_p1)
@@ -429,7 +433,7 @@ class TestExpandedPredictors:
             slow = HybridPredictor(basis.d_prime)
             for _ in range(80):
                 side = rng.integers(0, 2, d, dtype=np.uint8)
-                features = ClauseMap(basis).features(side)
+                features = basis.features(side)
                 label = int(rng.integers(0, 2))
                 a, b = fast.predict(side), slow.predict(features)
                 assert (a.log_p0, a.log_p1) == (b.log_p0, b.log_p1)
@@ -487,7 +491,7 @@ def word_runs(draw):
 
 
 class TestSubsetWords:
-    """alg1, alg2 and xi-plus behind a `ClauseMap` keep one word per variable
+    """alg1, alg2 and xi-plus behind a clause basis keep one word per variable
     subset; each must behave as the plain predictor fed the clause rows (and,
     behind a flipped map, the flipped labels)."""
 
@@ -531,7 +535,7 @@ class TestSubsetWords:
     def test_matches_the_plain_predictor_on_clause_rows(self, case):
         algorithm, kind, d, k, n, seed, coin_flip, cut1, cut2 = case
         mapping = {
-            "kcnf": lambda: ClauseMap(cached_basis(d, k)),
+            "kcnf": lambda: cached_basis(d, k),
             "conj": lambda: ConjunctionMap(d),
             "disj": lambda: DisjunctionMap(d),
         }[kind]()
@@ -568,29 +572,29 @@ class TestSubsetWords:
     def test_one_hot_bytes_are_each_words_pattern_bit(self, d, k):
         """A side's zero set in the survivor form: per word, 1 << (p & 7) at
         its byte p >> 3, p the side's sign pattern on the word's subset."""
-        mapping = DisjunctionMap(d) if k == "disj" else ClauseMap(cached_basis(d, k))
+        mapping = DisjunctionMap(d) if k == "disj" else cached_basis(d, k)
         reader = mapping.survivors()
         sides = np.random.default_rng(d).integers(0, 2, (5, d), dtype=np.uint8)
         sides[:2] = [[0], [1]]
         for side in sides:
-            p = mapping.patterns(side).astype(np.intp)
+            p = mapping.patterns(1 - side if mapping.flip else side).astype(np.intp)
             word_bytes = reader.full.size // p.size
             byte, words = reader.zeros(side)
             assert words.dtype == np.uint8 and words.shape == p.shape
             assert np.array_equal(np.arange(reader.full.size)[byte], np.arange(p.size) * word_bytes + (p >> 3))
             assert np.array_equal(words, np.left_shift(1, p & 7).astype(np.uint8))
 
-    def test_two_maps_on_one_basis_step_with_their_own_bytes(self):
+    def test_two_survivor_forms_of_one_basis_step_with_their_own_bytes(self):
         basis = cached_basis(117, 3)
         rng = np.random.default_rng(23)
         streams = rng.integers(0, 2, (2, 6, 117), dtype=np.uint8)
-        readers = [ClauseMap(basis).survivors() for _ in streams]
+        readers = [basis.survivors() for _ in streams]
         for sides in zip(*streams):
             got = [reader.zeros(side)[1] for reader, side in zip(readers, sides)]
             for words, side in zip(got, sides):
                 assert np.array_equal(words, np.left_shift(1, basis.patterns(side) & 7).astype(np.uint8))
 
-        # alg2 on each map, both predicting before either updates, against each run alone
+        # alg2 on one basis twice, both predicting before either updates, against each run alone
         def step(predictor, side):
             pred = predictor.predict(side)
             predictor.update(side, 1)
@@ -628,7 +632,7 @@ class TestPatternReads:
     def test_one_step_builds_its_patterns_once(self, algorithm, monkeypatch):
         basis = cached_basis(117, 3)
         calls = self.recorded(monkeypatch)
-        predictor = ReducedPredictor(WORD_PREDICTORS[algorithm](basis.d_prime), ClauseMap(basis))
+        predictor = ReducedPredictor(WORD_PREDICTORS[algorithm](basis.d_prime), basis)
         side = np.random.default_rng(117).integers(0, 2, 117, dtype=np.uint8)
         predictor.predict(side)
         predictor.tie_label(side)
