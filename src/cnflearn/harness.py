@@ -26,7 +26,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .core import BoundViolation, Example, OnlinePredictor, cumulative_loss, pack_rows, unpack_rows
+from .core import BLOCK_BITS, BoundViolation, Example, OnlinePredictor, cumulative_loss, pack_rows, unpack_rows
 from .madnb import Madnb
 from .oracles import (
     conjunction_holds,
@@ -241,8 +241,11 @@ def _trial_stream(rng, config: SyntheticConfig, mapping: Optional[ClauseBasis], 
     target = np.flatnonzero(_sample_mask(rng, d_prime))
     sides = rng.integers(0, 2, size=(config.n, config.d), dtype=np.uint8)
     words = pack_rows(sides)
-    words = words[target] if mapping is None else mapping.columns(words, target)
-    labels = unpack_rows(np.bitwise_and.reduce(words, axis=0)[None], config.n)[:, 0]
+    truth, part = ~np.zeros(words.shape[1], dtype=np.uint64), max(1, BLOCK_BITS // words.shape[1])
+    for start in range(0, target.size, part):  # about BLOCK_BITS words a chunk, not the whole target's
+        cols = target[start : start + part]
+        truth &= np.bitwise_and.reduce(words[cols] if mapping is None else mapping.columns(words, cols), axis=0)
+    labels = unpack_rows(truth[None], config.n)[:, 0]
     return sides, labels ^ np.uint8(mapping is not None and mapping.flip)
 
 

@@ -54,26 +54,20 @@ __all__ = [
 ]
 
 
-class _CountTable:
-    """fn(c) for integer c >= 0, grown geometrically; read by `_gain` and `_label_log_ratio`."""
-
-    def __init__(self, fn):
-        self.fn = fn
-        self._values = np.empty(0, dtype=np.float64)
-
-    def ensure(self, n: int) -> np.ndarray:
-        filled = self._values.size
-        if n >= filled:
-            size = max(256, 1 << (n + 1).bit_length())
-            grown = np.fromiter(map(self.fn, range(filled, size)), dtype=np.float64, count=size - filled)
-            self._values = np.concatenate((self._values, grown))
-        return self._values
+_COUNTS = np.empty((4, 0), dtype=np.float64)  # the rows of `_count_tables`
 
 
-_HALF = _CountTable(lambda c: math.lgamma(c + 0.5))
-_INTS = _CountTable(lambda c: math.lgamma(c + 1.0))
-_LOG2_HALF = _CountTable(lambda c: math.log2(c + 0.5))
-_LOG2_NEXT = _CountTable(lambda c: math.log2(c + 1.0))
+def _count_tables(top: int) -> np.ndarray:
+    """lgamma(c + 1/2), lgamma(c + 1), log2(c + 1/2) and log2(c + 1) for each integer
+    c >= 0 up to at least top, grown geometrically; read by `_label_log_ratio`."""
+    global _COUNTS
+    filled = _COUNTS.shape[1]
+    if top >= filled:
+        new = range(filled, max(256, 1 << (top + 1).bit_length()))
+        terms = ((math.lgamma, 0.5), (math.lgamma, 1.0), (math.log2, 0.5), (math.log2, 1.0))
+        grown = np.fromiter((fn(c + shift) for fn, shift in terms for c in new), dtype=np.float64, count=4 * len(new))
+        _COUNTS = np.concatenate((_COUNTS, grown.reshape(4, -1)), axis=1)
+    return _COUNTS
 
 
 def log2_kt(zeros: int, ones: int) -> float:
@@ -169,14 +163,13 @@ def factored_joint_log2(trace, d: int) -> float:
     return class_term + float(mixed.sum())
 
 
-def _gain(totals: np.ndarray, ones: np.ndarray) -> np.ndarray:
+def _gain(totals: np.ndarray, ones: np.ndarray, half: np.ndarray, ints: np.ndarray) -> np.ndarray:
     """Per feature, log2 KT(label-0 rows) + log2 KT(label-1 rows) - log2 KT(all rows).
 
     `totals` (3, B) counts the rows labelled 0, the rows labelled 1 and all
     rows, and `ones` (3, B, d) each feature's ones among them, for B states.
+    `half` and `ints` are the lgamma(c + 1/2) and lgamma(c + 1) count tables.
     """
-    top = int(totals[2, -1])  # row counts only grow along the B states
-    half, ints = _HALF.ensure(top), _INTS.ensure(top)
     kt = half[ones]
     kt += half[totals[..., None] - ones]
     gain = kt[0] + kt[1]
@@ -194,9 +187,8 @@ def _label_log_ratio(totals, ones, sides) -> np.ndarray:
     # the gain first, so its temporaries are freed before q's are made: at
     # d = 28,800 the other order let glibc's heap shrink and regrow, and
     # each one-row block page-faulted about 3 MB afresh
-    gain = _gain(totals, ones)
-    top = int(totals[2, -1])
-    log2_half, log2_next = _LOG2_HALF.ensure(top), _LOG2_NEXT.ensure(top)
+    half, ints, log2_half, log2_next = _count_tables(int(totals[2, -1]))  # row counts only grow along the B states
+    gain = _gain(totals, ones, half, ints)
     # log2 of the add-half predictive of x_i under label 0, label 1 and all
     # rows; validated sides hold only 0 and 1, so they view as booleans
     q = log2_half[np.where(sides.view(bool), ones, totals[..., None] - ones)]

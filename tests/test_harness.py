@@ -1,6 +1,7 @@
 import importlib
 import itertools
 import math
+import tracemalloc
 from dataclasses import replace
 from pathlib import Path
 
@@ -314,6 +315,21 @@ class TestRunSynthetic:
             "algo,d,d_prime,k,n,repeats,seed,max_bits,mean_bits,bound_bits,infinite_losses\n"
             "alg2,16,4992,3,64,20,0,6.02237,6.02237,30069.7,0\n"
         )
+
+    def test_labelling_a_trial_takes_the_target_in_chunks(self):
+        # seed 0 draws theta = 0.64, so the target holds 52,347 of the
+        # 82,240 clauses at d = 40, k = 3; ANDing all of their 64-word
+        # columns at once peaks at 52.4 MiB, in BLOCK_BITS-word chunks at 1.6
+        config = SyntheticConfig("alg2", 40, 4096, 1, 0, "kcnf", 3)
+        _, mapping, d_prime = _predictor_maker("alg2", 40, "kcnf", 3)
+        mapping.clause_matrix  # built on first read, as the run's first trial does
+        tracemalloc.start()
+        try:
+            _trial_stream(np.random.default_rng(0), config, mapping, d_prime)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 2**20
 
     def test_hybrid_needs_two_dimensions(self):
         with pytest.raises(ValueError, match="d >= 2"):

@@ -99,37 +99,38 @@ class TestNbJoint:
 class TestCountTables:
     """The log-gamma and log2 tables that `Madnb` prices its counts from."""
 
-    TABLES = (
-        (madnb._HALF, lambda c: math.lgamma(c + 0.5)),
-        (madnb._INTS, lambda c: math.lgamma(c + 1.0)),
-        (madnb._LOG2_HALF, lambda c: math.log2(c + 0.5)),
-        (madnb._LOG2_NEXT, lambda c: math.log2(c + 1.0)),
+    ROWS = (
+        lambda c: math.lgamma(c + 0.5),
+        lambda c: math.lgamma(c + 1.0),
+        lambda c: math.log2(c + 0.5),
+        lambda c: math.log2(c + 1.0),
     )
 
     def test_references_never_read_the_tables(self, monkeypatch):
-        def refuse(self, n):
+        def refuse(top):
             raise AssertionError("a reference read a count table")
 
-        monkeypatch.setattr(madnb._CountTable, "ensure", refuse)
+        monkeypatch.setattr(madnb, "_count_tables", refuse)
         trace = random_trace(random.Random(13), 4, 300)
         assert math.isfinite(nb_joint_log2([1, 3], trace, 4))
         assert math.isfinite(nb_mixture_log2(trace, 4))
         assert math.isfinite(factored_joint_log2(trace, 4))
 
-    def test_each_entry_is_its_math_value_as_the_table_grows(self):
-        for table, expected in self.TABLES:
-            grown = madnb._CountTable(table.fn)
-            for n in (0, 255, 256, 1000, 5000):
-                values = grown.ensure(n)
-                assert values.size > n
+    def test_each_entry_is_its_math_value_as_the_table_grows(self, monkeypatch):
+        monkeypatch.setattr(madnb, "_COUNTS", np.empty((4, 0), dtype=np.float64))
+        for n in (0, 255, 256, 1000, 5000):
+            tables = madnb._count_tables(n)
+            assert tables.shape[0] == len(self.ROWS) and tables.shape[1] > n
+            for values, expected in zip(tables, self.ROWS):
                 assert values.tolist() == [expected(c) for c in range(values.size)]
 
-    def test_a_filled_table_is_returned_as_is(self):
-        table = madnb._CountTable(self.TABLES[0][1])
-        values = table.ensure(300)
-        assert table.ensure(0) is values
-        assert table.ensure(values.size - 1) is values
-        assert table.ensure(values.size) is not values
+    def test_a_filled_table_is_returned_as_is(self, monkeypatch):
+        monkeypatch.setattr(madnb, "_COUNTS", np.empty((4, 0), dtype=np.float64))
+        tables = madnb._count_tables(300)
+        size = tables.shape[1]
+        assert madnb._count_tables(0) is tables
+        assert madnb._count_tables(size - 1) is tables
+        assert madnb._count_tables(size) is not tables
 
 
 class TestProductIdentity:
