@@ -309,6 +309,7 @@ class OnlinePredictor:
         """
         sides = as_bit_matrix(sides, self.d)
         labels = _check_labels(labels, sides.shape[0])
+        self._start_trace(sides, labels)
         parts = []  # an empty trace is one empty block
         start = 0
         while not parts or start < labels.shape[0]:
@@ -329,6 +330,9 @@ class OnlinePredictor:
 
     def _tie_label(self, bits: np.ndarray) -> Optional[int]:
         return None
+
+    def _start_trace(self, sides: np.ndarray, labels: np.ndarray) -> None:
+        """What a predictor does once per `score_trace`, given the whole validated trace first."""
 
     def read_through(self, mapping):
         """This predictor's reader behind `mapping`; by default the map, which

@@ -21,7 +21,6 @@ import json
 import math
 import time
 from dataclasses import dataclass, field, fields
-from operator import itemgetter
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -314,11 +313,11 @@ def _report(
 def ingest_dataset(config: DatasetConfig) -> Dataset:
     """Read a delimited text file into indicator-encoded examples.
 
-    The first row is a header. Every (column, observed value) pair of the
-    non-label columns becomes one Boolean feature, in header order with
-    values sorted within a column, so the dimension is fixed by a full
-    pass before any example is built. The label column must take exactly
-    two distinct values, one of which is `positive_label`.
+    The first row is a header. Every (column, observed value) pair of the non-label
+    columns becomes one Boolean feature, in header order with values sorted within a
+    column, so the dimension is fixed by a full pass before any example is built. The
+    label column must take exactly two distinct values, one of which is `positive_label`.
+    Cells are read column by column, from one transpose of the parsed rows.
     """
     try:
         with open(config.path, newline="", encoding="utf-8-sig") as handle:
@@ -332,6 +331,7 @@ def ingest_dataset(config: DatasetConfig) -> Dataset:
     except csv.Error:
         dialect = csv.excel
     rows = [row for row in csv.reader(io.StringIO(text), dialect) if row]
+    del text
     header = rows[0]
     if len(set(header)) != len(header):
         raise ValueError("dataset header contains duplicate column names")
@@ -344,8 +344,10 @@ def ingest_dataset(config: DatasetConfig) -> Dataset:
         if len(row) != len(header):
             raise ValueError(f"row {i} has {len(row)} cells, header has {len(header)}")
 
-    body = rows[1:]
-    label_values = sorted({row[label_at] for row in body})
+    n = len(rows) - 1
+    columns = list(zip(*rows[1:])) or [()] * len(header)
+    del rows
+    label_values = sorted(set(columns[label_at]))
     if len(label_values) != 2:
         raise ValueError(
             f"label column must take exactly two values, found {label_values}"
@@ -358,18 +360,17 @@ def ingest_dataset(config: DatasetConfig) -> Dataset:
     # each feature column's values, sorted, become consecutive features,
     # and every row sets the one bit of its value in each column
     feature_cols = [j for j in range(len(header)) if j != label_at]
-    values = [sorted(set(map(itemgetter(j), body))) for j in feature_cols]
+    values = [sorted(set(columns[j])) for j in feature_cols]
     features = [(header[j], value) for j, vs in zip(feature_cols, values) for value in vs]
-    bits = np.zeros((len(body), len(features)), dtype=np.uint8)
-    rows = np.arange(len(body))
+    bits = np.zeros((n, len(features)), dtype=np.uint8)
     offset = 0
     for j, vs in zip(feature_cols, values):
         code = {value: offset + i for i, value in enumerate(vs)}
-        bits[rows, np.fromiter(map(code.__getitem__, map(itemgetter(j), body)), np.int64, len(body))] = 1
+        np.put_along_axis(bits, np.fromiter(map(code.__getitem__, columns[j]), np.intp, n)[:, None], 1, axis=1)
         offset += len(vs)
-    labels = np.fromiter((row[label_at] == config.positive_label for row in body), np.uint8, len(body))
+    labels = np.fromiter(map(config.positive_label.__eq__, columns[label_at]), np.uint8, n)
     if config.shuffle_seed is not None:
-        order = np.random.default_rng(config.shuffle_seed).permutation(len(body))
+        order = np.random.default_rng(config.shuffle_seed).permutation(n)
         bits, labels = bits[order], labels[order]
     return Dataset(bits, labels, tuple(features))
 

@@ -136,7 +136,7 @@ def memorise_negatives(sides: np.ndarray, labels: np.ndarray, neg: set) -> np.nd
 
     A step is memorised when its side is already in `neg` or was seen with
     label 0 earlier in the trace. Every negative side of the trace is then
-    added to `neg`. Each distinct side is looked up once.
+    added to `neg`. Each distinct side is looked up once, in one call per trace.
     """
     n = labels.shape[0]
     order, starts = _side_groups(sides)
@@ -428,11 +428,15 @@ class HybridPredictor(ColumnPricedPredictor):
         if not label:
             self._neg.add(pack_key(bits))
 
+    def _start_trace(self, sides: np.ndarray, labels: np.ndarray) -> None:
+        self._memorised = memorise_negatives(sides, labels, self._neg)
+
     def _score_columns(self, sides, columns, values, labels) -> Tuple[np.ndarray, np.ndarray]:
-        """Column pricing, except for the steps that the negative store,
-        keyed by `sides`, predicts 0 with certainty."""
+        """Column pricing, except for the steps that the negative store, keyed by `sides`, predicts 0
+        with certainty: found once per trace (`_start_trace`), as they hang only on the rows before them."""
         m = self._switched_off(columns, values, labels)
-        m[memorise_negatives(sides, labels, self._neg)] = -1
+        memorised, self._memorised = self._memorised[: len(m)], self._memorised[len(m) :]
+        m[memorised] = -1
         return self._price(m, labels)
 
 

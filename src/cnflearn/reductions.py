@@ -321,6 +321,9 @@ class ReducedPredictor(OnlinePredictor):
     def read_columns(self) -> Sequence[int]:
         return self.inner.read_columns()
 
+    def _start_trace(self, sides: np.ndarray, labels: np.ndarray) -> None:
+        self.inner._start_trace(sides, 1 - labels if self.mapping.flip else labels)
+
     def _score_columns(self, sides, columns, values, labels) -> Tuple[np.ndarray, np.ndarray]:
         return self.inner._score_columns(sides, columns, values, 1 - labels if self.mapping.flip else labels)
 

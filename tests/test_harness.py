@@ -12,7 +12,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from cnflearn import harness
+from cnflearn import harness, predictors
 from cnflearn.cli import main
 from cnflearn.core import BLOCK_BITS, BoundViolation, NumericalError, OnlinePredictor
 from cnflearn.harness import (
@@ -419,12 +419,17 @@ def unchanged(value, copied):
 
 
 @pytest.fixture(scope="module")
-def table_prefix():
-    """The 64-row prefix of the benchmark's seed-0 mushroom-shaped table,
-    as indicator sides over all 117 values and 0/1 labels."""
+def datagen():
+    """The benchmark's seeded table generator, perfbench/datagen.py."""
     with pytest.MonkeyPatch.context() as patch:
         patch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
-        datagen = importlib.import_module("datagen")
+        return importlib.import_module("datagen")
+
+
+@pytest.fixture(scope="module")
+def table_prefix(datagen):
+    """The 64-row prefix of the benchmark's seed-0 mushroom-shaped table,
+    as indicator sides over all 117 values and 0/1 labels."""
     sides, labels = datagen.indicator_matrix(datagen.csv_prefix(datagen.mushroom_csv(0), 64))
     assert sides.shape == (64, 117)
     return sides, labels
@@ -522,9 +527,11 @@ class TestScoreTraceMatchesSequentialLoop:
 
     @pytest.mark.parametrize(
         "algorithm,reduction",
-        # a conj case is named by its algorithm alone, an unmapped one with "-none"
+        # a conj case is named by its algorithm alone, an unmapped one with "-none";
+        # disj flips the labels the predictor behind it sees
         [pytest.param(a, "conj", id=a) for a in ("alg1", "alg2", "memorize", "madnb")]
-        + [pytest.param(a, "none", id=f"{a}-none") for a in ("alg1", "alg2", "memorize", "madnb")],
+        + [pytest.param(a, "none", id=f"{a}-none") for a in ("alg1", "alg2", "memorize", "madnb")]
+        + [pytest.param(a, "disj", id=f"{a}-disj") for a in ("alg1", "alg2", "memorize", "madnb")],
     )
     def test_trace_crossing_block_boundaries(self, algorithm, reduction):
         predictor, d_prime = build_predictor(algorithm, 40, reduction)
@@ -538,6 +545,32 @@ class TestScoreTraceMatchesSequentialLoop:
         want = sequential(reference, sides, labels)
         assert_same_scores(predictor.score_trace(sides, labels), want)
         assert_same_state(predictor, reference)
+
+    @pytest.mark.parametrize("reduction,k", [("none", None), ("conj", None), ("disj", None), ("kcnf", 2)])
+    def test_alg1_finds_memorised_steps_once_per_trace(self, reduction, k, monkeypatch):
+        d = 12
+        calls, blocks = [], []
+        memorise, score_columns = predictors.memorise_negatives, HybridPredictor._score_columns
+
+        def counted(sides, labels, neg):
+            calls.append(labels.shape[0])
+            return memorise(sides, labels, neg)
+
+        def recorded(self, sides, columns, values, labels):
+            blocks.append(labels.shape[0])
+            return score_columns(self, sides, columns, values, labels)
+
+        monkeypatch.setattr(predictors, "memorise_negatives", counted)
+        monkeypatch.setattr(HybridPredictor, "_score_columns", recorded)
+        predictor, d_prime = build_predictor("alg1", d, reduction, k)
+        n = 2 * block_rows(d_prime) + 17
+        rng = np.random.default_rng(17)
+        sides = rng.integers(0, 2, size=(n, d), dtype=np.uint8)
+        sides[1::3] = sides[::3][: len(sides[1::3])]  # repeats, some relabelled
+        labels = rng.integers(0, 2, size=n, dtype=np.uint8)
+        want = sequential(build_predictor("alg1", d, reduction, k)[0], sides, labels)
+        assert_same_scores(predictor.score_trace(sides, labels), want)
+        assert calls == [n] and len(blocks) >= 2 and sum(blocks) == n
 
     def test_unmapped_trace_arrives_in_row_blocks(self, monkeypatch):
         d, n = 1024, 200
@@ -688,7 +721,8 @@ class TestScoreTraceMatchesSequentialLoop:
         predictor = HybridPredictor(d)
         assert_same_scores(predictor.score_trace(sides, labels), want)
         assert_same_state(predictor, reference)
-        assert len(stored) == 2 and stored[0] == 0 and stored[1] > 0
+        # the store holds the trace's negatives before the first block
+        assert stored == [len(reference._neg)] * 2
 
     def test_label_arrays_follow_the_bit_rule(self):
         sides = np.zeros((2, 3), dtype=np.uint8)
@@ -802,6 +836,39 @@ class TestIngestDataset:
         path = write_csv(tmp_path, "t.tsv", "a\tclass\nx\tp\ny\te\n")
         ds = ingest_dataset(DatasetConfig(path, "class", "e"))
         assert ds.d == 2 and ds.n == 2
+
+    def test_header_only_file_has_no_label_values(self, tmp_path, capsys):
+        path = write_csv(tmp_path, "t.csv", "a,class\n")
+        with pytest.raises(ValueError, match=r"exactly two values, found \[\]"):
+            ingest_dataset(DatasetConfig(path, "class", "e"))
+        code = main(["dataset", "--path", path, "--label-column", "class", "--positive-label", "e", "--algo", "alg2"])
+        assert code == 2 and "exactly two values, found []" in capsys.readouterr().err
+
+    def test_blank_lines_are_skipped(self, tmp_path):
+        path = write_csv(tmp_path, "t.csv", "a,class\n\nx,p\n\n\ny,e\n\n")
+        ds = ingest_dataset(DatasetConfig(path, "class", "e"))
+        assert ds.n == 2 and ds.sides.tolist() == [[1, 0], [0, 1]] and ds.labels.tolist() == [0, 1]
+
+    def test_quoted_cells_stay_one_token(self, tmp_path):
+        path = write_csv(tmp_path, "t.csv", 'a,class\n"x,1",p\n"y\nz",e\n"x,1",e\n')
+        ds = ingest_dataset(DatasetConfig(path, "class", "e"))
+        assert ds.features == (("a", "x,1"), ("a", "y\nz"))
+        assert ds.sides.tolist() == [[1, 0], [0, 1], [1, 0]] and ds.labels.tolist() == [0, 1, 1]
+
+    def test_numeric_looking_values_sort_as_strings(self, tmp_path):
+        path = write_csv(tmp_path, "t.csv", "a,class\n9,p\n10,e\n2,e\n")
+        ds = ingest_dataset(DatasetConfig(path, "class", "e"))
+        assert ds.features == (("a", "10"), ("a", "2"), ("a", "9"))
+        assert ds.sides.tolist() == [[0, 0, 1], [1, 0, 0], [0, 1, 0]]
+
+    def test_generated_table_matches_the_benchmark_encoding(self, tmp_path, datagen):
+        # perfbench encodes the same table on its own, by numpy string compares
+        text = datagen.mushroom_csv(0)
+        ds = ingest_dataset(DatasetConfig(write_csv(tmp_path, "m.csv", text), "class", "e"))
+        sides, labels = datagen.indicator_matrix(text)
+        assert ds.sides.shape == (8124, 117)
+        assert ds.sides.dtype == sides.dtype and np.array_equal(ds.sides, sides)
+        assert ds.labels.dtype == labels.dtype and np.array_equal(ds.labels, labels)
 
     def test_diagnostic_failures(self, tmp_path):
         ok = "a,class\nx,p\ny,e\n"
