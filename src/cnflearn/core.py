@@ -37,10 +37,14 @@ __all__ = [
     "pack_keys",
 ]
 
-# `OnlinePredictor.score_trace` works through a trace in blocks of whole
-# 64-row words (`pack_rows`), about this many values of the columns the
-# predictor reads, so no whole feature matrix is ever held at once.
+# Every loop that works in chunks, `OnlinePredictor.score_trace` among them, takes
+# about this many values a chunk (`per_chunk`), so no whole feature matrix is held at once.
 BLOCK_BITS = 1 << 16
+
+
+def per_chunk(cost: int, unit: int = 1) -> int:
+    """Items of `cost` values each in a chunk of about BLOCK_BITS values, in whole `unit`s, at least one."""
+    return unit * max(1, BLOCK_BITS // unit // max(1, cost))
 
 
 class BoundViolation(RuntimeError):
@@ -271,7 +275,7 @@ class OnlinePredictor:
     `values(sides, columns)`. Behind a map `_tie_label` takes the side
     unread, right only because alg2, the one predictor with a tie label,
     reads a side unchanged. Subclasses implement `_predict` and `_update`,
-    and may batch `score_trace` by overriding `_score_columns`.
+    and may batch `score_trace` by overriding `_score_columns` and `_block_rows`.
     """
 
     _reader = Unmapped()
@@ -304,8 +308,8 @@ class OnlinePredictor:
         tie whose `tie_label` is the realised label. Leaves the predictor
         in the state that `predict`/`update` over the same rows would.
 
-        Rows are scored in blocks of whole 64-row words, about BLOCK_BITS values
-        of the columns read, which are read again before each block.
+        This is the one loop over row blocks. The columns read are read
+        again before each block, whose rows `_block_rows` sizes from their width.
         """
         sides = as_bit_matrix(sides, self.d)
         labels = _check_labels(labels, sides.shape[0])
@@ -314,7 +318,7 @@ class OnlinePredictor:
         start = 0
         while not parts or start < labels.shape[0]:
             columns = self.read_columns()
-            rows = slice(start, start + 64 * max(1, BLOCK_BITS // 64 // max(1, len(columns))))
+            rows = slice(start, start + self._block_rows(len(columns)))
             block = sides[rows]
             values = self._reader.values(block, columns)
             parts.append(self._score_columns(block, columns, values, labels[rows]))
@@ -338,6 +342,10 @@ class OnlinePredictor:
         """This predictor's reader behind `mapping`; by default the map, which
         reads a side as its feature row and a block as its features' bytes."""
         return mapping
+
+    def _block_rows(self, width: int) -> int:
+        """Rows of a `score_trace` block of `width` columns: whole 64-row words, about BLOCK_BITS values."""
+        return per_chunk(width, 64)
 
     def read_columns(self) -> Sequence[int]:
         """The feature columns `_score_columns` needs the values of, as an

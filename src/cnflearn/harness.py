@@ -25,7 +25,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .core import BLOCK_BITS, BoundViolation, Example, OnlinePredictor, cumulative_loss, pack_rows, unpack_rows
+from .core import BoundViolation, Example, OnlinePredictor, cumulative_loss, pack_rows, per_chunk, unpack_rows
 from .madnb import Madnb
 from .oracles import (
     conjunction_holds,
@@ -240,8 +240,8 @@ def _trial_stream(rng, config: SyntheticConfig, mapping: Optional[ClauseBasis], 
     target = np.flatnonzero(_sample_mask(rng, d_prime))
     sides = rng.integers(0, 2, size=(config.n, config.d), dtype=np.uint8)
     words = pack_rows(sides)
-    truth, part = ~np.zeros(words.shape[1], dtype=np.uint64), max(1, BLOCK_BITS // words.shape[1])
-    for start in range(0, target.size, part):  # about BLOCK_BITS words a chunk, not the whole target's
+    truth, part = ~np.zeros(words.shape[1], dtype=np.uint64), per_chunk(words.shape[1])
+    for start in range(0, target.size, part):  # a chunk of the target's words at a time, not all of them
         cols = target[start : start + part]
         truth &= np.bitwise_and.reduce(words[cols] if mapping is None else mapping.columns(words, cols), axis=0)
     labels = unpack_rows(truth[None], config.n)[:, 0]

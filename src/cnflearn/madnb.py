@@ -36,12 +36,12 @@ from typing import Iterable, Tuple
 import numpy as np
 
 from .core import (
-    BLOCK_BITS, LN2, NumericalError, OnlinePredictor, Prediction, _check_label, as_bits, logsumexp2
+    LN2, NumericalError, OnlinePredictor, Prediction, _check_label, as_bits, logsumexp2, per_chunk
 )
 from .oracles import BRUTE_FORCE_CAP
 
 _LN_PI = math.log(math.pi)
-# Madnb._score_columns takes row blocks of BLOCK_BITS / (_BLOCK_SCALE * d) rows
+# Madnb's blocks hold per_chunk(_BLOCK_SCALE * d) rows, as a dozen (rows, d) int64 arrays live per block
 _BLOCK_SCALE = 4
 
 __all__ = [
@@ -232,6 +232,9 @@ class Madnb(OnlinePredictor):
         self._ones[label] += bits
         self._ones[2] += bits
 
+    def _block_rows(self, width: int) -> int:
+        return per_chunk(_BLOCK_SCALE * width)
+
     def _score_columns(self, sides, columns, values, labels) -> Tuple[np.ndarray, np.ndarray]:
         """Vectorised `OnlinePredictor._score_columns` by prefix sums of the counts.
 
@@ -242,30 +245,22 @@ class Madnb(OnlinePredictor):
         `NumericalError` as `_predict` does, with the rows before it
         absorbed.
         """
-        log_p = np.empty(labels.shape[0], dtype=np.float64)
-        # about a dozen (rows, d) arrays of 8-byte values are live per block
-        step = max(1, BLOCK_BITS // (_BLOCK_SCALE * self.d))
-        for start in range(0, labels.shape[0], step):
-            rows = slice(start, start + step)
-            log_p[rows] = self._score_block(values[rows], labels[rows])
-        return log_p, log_p > -1.0
-
-    def _score_block(self, sides: np.ndarray, labels: np.ndarray) -> np.ndarray:
-        """log2 p of each realised label in one block, then absorb the block."""
+        n, d = values.shape
+        if not n:  # an empty trace is one empty block, which holds no counts before a row
+            return np.empty(0), np.empty(0, dtype=bool)
         # entry t of the counts: the state plus the rows before row t; the
         # last entry is the state after the block
-        n, d = sides.shape
         totals = np.zeros((3, n + 1), dtype=np.int64)
         ones = np.zeros((3, n + 1, d), dtype=np.int64)
         np.cumsum(labels, dtype=np.int64, out=totals[1, 1:])
         totals[2] = np.arange(n + 1)
-        np.cumsum(sides * labels[:, None], axis=0, dtype=np.int64, out=ones[1, 1:])
-        np.cumsum(sides, axis=0, dtype=np.int64, out=ones[2, 1:])
+        np.cumsum(values * labels[:, None], axis=0, dtype=np.int64, out=ones[1, 1:])
+        np.cumsum(values, axis=0, dtype=np.int64, out=ones[2, 1:])
         np.subtract(totals[2], totals[1], out=totals[0])
         np.subtract(ones[2], ones[1], out=ones[0])
         totals += self._totals[:, None]
         ones += self._ones[:, None]
-        ratio = _label_log_ratio(totals[:, :-1], ones[:, :-1], sides)
+        ratio = _label_log_ratio(totals[:, :-1], ones[:, :-1], values)
         tail = _softplus_tail(ratio)
         log_p0 = -(np.maximum(ratio, 0.0) + tail)
         log_p1 = -(np.maximum(-ratio, 0.0) + tail)
@@ -280,4 +275,5 @@ class Madnb(OnlinePredictor):
                 self._totals, self._ones = totals[:, t].copy(), ones[:, t].copy()
                 raise
         self._totals, self._ones = totals[:, n].copy(), ones[:, n].copy()
-        return np.where(labels == 1, log_p1, log_p0)
+        log_p = np.where(labels == 1, log_p1, log_p0)
+        return log_p, log_p > -1.0

@@ -32,7 +32,6 @@ from typing import FrozenSet, Sequence, Tuple
 import numpy as np
 
 from .core import (
-    BLOCK_BITS,
     BitVector,
     OnlinePredictor,
     Prediction,
@@ -45,6 +44,7 @@ from .core import (
     pack_key,
     pack_keys,
     pack_rows,
+    per_chunk,
     unpack_rows,
 )
 from .oracles import BRUTE_FORCE_CAP, hybrid_column_penalty
@@ -339,8 +339,8 @@ class ColumnPricedPredictor(SurvivingColumns):
     def _switched_off(self, columns, values, labels) -> np.ndarray:
         """m for each row: how many columns that survive before it the row is 0 on."""
         zeros, n = self._zeros_before(columns, values, labels), labels.shape[0]
-        m, part = np.zeros(n, dtype=np.intp), BLOCK_BITS // 64 // zeros.shape[1]
-        for i in range(0, len(zeros), part):  # about BLOCK_BITS values a part, whose counts fit 16 bits
+        m, part = np.zeros(n, dtype=np.intp), per_chunk(64 * zeros.shape[1])
+        for i in range(0, len(zeros), part):  # a chunk of columns a part, whose counts fit 16 bits
             m += unpack_rows(zeros[i : i + part], n).sum(axis=1, dtype=np.uint16)
         return m
 

@@ -316,10 +316,13 @@ class ReducedPredictor(OnlinePredictor):
         for alg1, alg2 and xi-plus, d' for madnb and bayes-exact, 0 for memorize."""
         return len(self.inner.read_columns())
 
-    # A trace is the inner predictor's columns read by its reader. A flipped
+    # A trace is the inner predictor's columns read by its reader, in its blocks. A flipped
     # map flips the inner labels, which carries log_p and ties over unchanged.
     def read_columns(self) -> Sequence[int]:
         return self.inner.read_columns()
+
+    def _block_rows(self, width: int) -> int:
+        return self.inner._block_rows(width)
 
     def _start_trace(self, sides: np.ndarray, labels: np.ndarray) -> None:
         self.inner._start_trace(sides, 1 - labels if self.mapping.flip else labels)

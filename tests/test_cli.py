@@ -1,7 +1,10 @@
 import json
+import math
 import random
 
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
 from cnflearn import cli, harness
 from cnflearn.cli import main
@@ -88,6 +91,68 @@ class TestSyntheticCommand:
         code, out, err = run(capsys, "synthetic", "--algo", "alg2", "--d", "3")
         assert code == 4 and out == ""
         assert "numerical error" in err and "must sum to 1" in err
+
+
+# d' for each reduction and the guarantees, in bits on a realizable n-step
+# trace over d' features, as the paper states them; the other algorithms state none
+PAPER_D_PRIME = {
+    "none": lambda d, k: d,
+    "conj": lambda d, k: 2 * d,
+    "disj": lambda d, k: 2 * d,
+    "kcnf": lambda d, k: sum(math.comb(d, s) * 2 ** s for s in range(1, k + 1)),
+}
+PAPER_BOUNDS = {
+    "bayes-exact": lambda d, n: float(d),
+    "alg1": lambda d, n: 2.0 * d * d,
+    "alg2": lambda d, n: (d + 1.0) * math.log2(n + 1.0),
+}
+
+
+def refused(algorithm, reduction, d, k):
+    """Whether a documented refusal turns the synthetic run away."""
+    if (reduction == "kcnf") != (k is not None) or k == 0:  # k only with kcnf, and at least 1
+        return True
+    d_prime = PAPER_D_PRIME[reduction](d, k)
+    return (
+        (reduction == "kcnf" and d_prime > 4_000_000)  # the clause budget
+        or (algorithm == "bayes-exact" and d_prime > 20)  # the brute-force cap
+        or (algorithm == "alg1" and d_prime < 2)  # the hybrid construction
+    )
+
+
+class TestSyntheticFlagSpace:
+    # every algorithm behind every reduction, each over its own draws; capsys
+    # is read out on every example, so none sees another's output
+    @pytest.mark.parametrize("reduction", harness.REDUCTIONS)
+    @pytest.mark.parametrize("algorithm", sorted(harness.ALGORITHMS))
+    @settings(
+        max_examples=20, derandomize=True, deadline=None,
+        suppress_health_check=[HealthCheck.function_scoped_fixture, HealthCheck.too_slow],
+    )
+    @given(
+        d=st.integers(1, 8) | st.just(200),  # 200 takes k = 3 past the clause budget
+        k=st.none() | st.integers(0, 3),
+        n=st.integers(0, 64),
+        repeats=st.integers(1, 3),
+    )
+    # the two sides of bayes-exact's cap, d' = 20 behind conj and 21 unmapped, which no d above gives
+    @example(d=10, k=None, n=0, repeats=1)
+    @example(d=21, k=None, n=8, repeats=1)
+    def test_d_prime_and_bound_follow_the_paper(self, capsys, algorithm, reduction, d, k, n, repeats):
+        argv = ["synthetic", "--algo", algorithm, "--reduction", reduction, "--d", str(d),
+                "--n", str(n), "--repeats", str(repeats), "--format", "json"]
+        code, out, err = run(capsys, *argv, *([] if k is None else ["--k", str(k)]))
+        if refused(algorithm, reduction, d, k):
+            assert (code, out) == (2, "")
+            assert err.startswith("error: ") and err.index("\n") == len(err) - 1
+            return
+        assert (code, err) == (0, "")
+        report = json.loads(out)
+        d_prime = PAPER_D_PRIME[reduction](d, k)
+        bound = PAPER_BOUNDS.get(algorithm, lambda d, n: None)(d_prime, n)
+        assert report["d_prime"] == d_prime
+        assert report["bound_bits"] == (None if bound is None else float(f"{bound:.6g}"))
+        assert (report["n"], len(report["trial_bits"])) == (n, repeats)
 
 
 class TestDatasetCommand:

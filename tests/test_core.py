@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from cnflearn.core import (
+    BLOCK_BITS,
     LossLedger,
     OnlinePredictor,
     Prediction,
@@ -12,7 +13,34 @@ from cnflearn.core import (
     log1mexp2,
     log1mexp2_arr,
     logsumexp2,
+    per_chunk,
 )
+
+
+class TestPerChunk:
+    # each chunking site's own formula, which `per_chunk` must give exactly
+    COSTS = [1, 2, 3, 4, 7, 40, 63, 64, 65, 117, 1000, 1023, 1024, 1025, 4096, 16383, 16384, 16385,
+             27378, 65535, 65536, 65537, 80000, 10 ** 6]
+
+    @pytest.mark.parametrize("cost", COSTS)
+    def test_gives_each_former_chunk_size(self, cost):
+        # score_trace rows for `cost` columns read, in whole 64-row words
+        assert per_chunk(cost, 64) == 64 * max(1, BLOCK_BITS // 64 // max(1, cost))
+        # madnb rows for `cost` features, at 4 values a feature
+        assert per_chunk(4 * cost) == max(1, BLOCK_BITS // (4 * cost))
+        # synthetic labelling: target columns of `cost` words each
+        assert per_chunk(cost) == max(1, BLOCK_BITS // cost)
+        if cost <= BLOCK_BITS // 64:  # a block holds at most this many words
+            # the survivor columns counted at once, of `cost` words each
+            assert per_chunk(64 * cost) == BLOCK_BITS // 64 // cost
+
+    def test_no_columns_take_one_unit(self):
+        assert per_chunk(0, 64) == 64 * (BLOCK_BITS // 64)
+        assert per_chunk(0) == BLOCK_BITS
+
+    def test_a_costly_item_still_takes_one_unit(self):
+        assert per_chunk(BLOCK_BITS + 1, 64) == 64
+        assert per_chunk(BLOCK_BITS + 1) == 1
 
 
 class TestLog1mexp2:

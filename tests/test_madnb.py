@@ -8,6 +8,7 @@ import pytest
 
 from cnflearn import madnb
 from cnflearn.core import BLOCK_BITS, NumericalError, cumulative_loss
+from cnflearn.harness import build_predictor
 from cnflearn.madnb import (
     _BLOCK_SCALE,
     Madnb,
@@ -302,6 +303,38 @@ class TestMadnbScoreTrace:
             batched.score_trace(sides, labels)
         assert str(raised.value) == error
         assert_same_counts(batched, loop)
+
+    @pytest.mark.parametrize("reduction,k,d", [("none", None, 40), ("conj", None, 40), ("kcnf", 2, 6)])
+    def test_blocks_hold_the_rows_their_width_allows(self, reduction, k, d, monkeypatch):
+        blocks = []
+        score_columns = Madnb._score_columns
+
+        def recorded(self, sides, columns, values, labels):
+            blocks.append(values.shape)
+            return score_columns(self, sides, columns, values, labels)
+
+        monkeypatch.setattr(Madnb, "_score_columns", recorded)
+        predictor, d_prime = build_predictor("madnb", d, reduction, k)
+        rows = max(1, BLOCK_BITS // (_BLOCK_SCALE * d_prime))
+        rng = np.random.default_rng(23)
+        sides = rng.integers(0, 2, size=(2 * rows + 17, d), dtype=np.uint8)
+        labels = rng.integers(0, 2, size=2 * rows + 17, dtype=np.uint8)
+        predictor.score_trace(sides, labels)
+        # one block of rows a call: the loop over blocks is score_trace's alone
+        assert blocks == [(rows, d_prime), (rows, d_prime), (17, d_prime)]
+
+    @pytest.mark.parametrize("reduction,k", [("none", None), ("kcnf", 2)])
+    def test_empty_trace_leaves_the_counts(self, reduction, k):
+        predictor = build_predictor("madnb", 3, reduction, k)[0]
+        rng = np.random.default_rng(24)
+        sides = rng.integers(0, 2, size=(5, 3), dtype=np.uint8)
+        predictor.score_trace(sides, np.array([1, 0, 1, 1, 0], dtype=np.uint8))
+        counts = getattr(predictor, "inner", predictor)
+        totals, ones = counts._totals.copy(), counts._ones.copy()
+        log_p, correct = predictor.score_trace(sides[:0], np.zeros(0, dtype=np.uint8))
+        assert log_p.shape == correct.shape == (0,)
+        assert log_p.dtype == np.float64 and correct.dtype == bool
+        assert np.array_equal(counts._totals, totals) and np.array_equal(counts._ones, ones)
 
     def test_long_wide_coin_flip_trace_agrees_with_loop(self):
         # the two joints grow to about n*d = 2e7 bits, far past where float64
