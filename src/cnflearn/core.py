@@ -22,6 +22,7 @@ __all__ = [
     "BitVector",
     "BoundViolation",
     "Example",
+    "HeldRow",
     "LossLedger",
     "NumericalError",
     "OnlinePredictor",
@@ -38,7 +39,8 @@ __all__ = [
 ]
 
 # Every loop that works in chunks, `OnlinePredictor.score_trace` among them, takes
-# about this many values a chunk (`per_chunk`), so no whole feature matrix is held at once.
+# about this many values a chunk (`per_chunk`), so no whole feature matrix is held at once;
+# a value is what the chunk's arrays hold, a byte, or a 64-row word of a surviving column.
 BLOCK_BITS = 1 << 16
 
 
@@ -179,6 +181,22 @@ class Unmapped:
 
     read = staticmethod(lambda bits: bits)
     values = staticmethod(lambda sides, columns: sides)
+
+
+class HeldRow:
+    """A predictor's reader behind `mapping`: a side is its feature row
+    (`mapping.read`), kept for the side read last, so a step's predict and
+    update build it once (neither writes it); a block is its features'
+    bytes (`mapping.values`)."""
+
+    def __init__(self, mapping):
+        self.mapping, self.values = mapping, mapping.values
+        self.held = self.row = None
+
+    def read(self, bits: np.ndarray) -> np.ndarray:
+        if (key := pack_key(bits)) != self.held:
+            self.row, self.held = self.mapping.read(bits), key
+        return self.row
 
 
 @dataclass(frozen=True)
@@ -339,12 +357,13 @@ class OnlinePredictor:
         """What a predictor does once per `score_trace`, given the whole validated trace first."""
 
     def read_through(self, mapping):
-        """This predictor's reader behind `mapping`; by default the map, which
-        reads a side as its feature row and a block as its features' bytes."""
-        return mapping
+        """This predictor's reader behind `mapping`; by default a `HeldRow`,
+        which reads a side as the map's feature row, built once a side."""
+        return HeldRow(mapping)
 
     def _block_rows(self, width: int) -> int:
-        """Rows of a `score_trace` block of `width` columns: whole 64-row words, about BLOCK_BITS values."""
+        """Rows of a `score_trace` block of `width` columns: whole 64-row words, about BLOCK_BITS
+        values; `SurvivingColumns` counts its packed words instead, and `Madnb` its rows' counts."""
         return per_chunk(width, 64)
 
     def read_columns(self) -> Sequence[int]:

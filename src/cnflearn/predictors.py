@@ -18,7 +18,7 @@ HeuristicMixture, HybridPredictor and PracticalPredictor share one state,
 `SurvivingColumns`: the coordinates on in every positive side so far, as
 one word per variable subset (`SubsetWords`). They step through a side's
 zero set, mapped or not, and score a trace block on the 64-row words of
-the surviving columns.
+the surviving columns, sized by those words (`_block_rows`).
 """
 
 from __future__ import annotations
@@ -298,6 +298,13 @@ class SurvivingColumns(OnlinePredictor):
 
     def read_columns(self) -> np.ndarray:
         return self._reader.surviving(self._mask)
+
+    def _block_rows(self, width: int) -> int:
+        """Rows of a block of `width` surviving columns, counted in the words
+        it holds: per 64 rows, a word a column and 64 of per-row arrays
+        (`log_p`, `t`, `m`, labels), so about BLOCK_BITS words and never more
+        than BLOCK_BITS rows."""
+        return 64 * per_chunk(width + 64)
 
     def _zeros_before(self, columns: np.ndarray, values: np.ndarray, labels: np.ndarray) -> np.ndarray:
         """The `pack_rows` words of a block's surviving `columns`, bit t set

@@ -35,8 +35,9 @@ of sum_s C(d,s) words with a byte that has only that clause's bit, built
 once a side into the form's own buffer; it ranks no clause, shifts no bit
 and writes nothing on the basis, which every predictor of a run shares.
 A block is read as the surviving columns' words. MADNB and bayes-exact
-read through the map: a side as its feature row, from its zero set, and
-a block as its features' bytes; memorize reads the unmapped side.
+read through the map, in a `HeldRow` each: a side as its feature row, from
+its zero set, kept for the side read last, and a block as its features'
+bytes; memorize reads the unmapped side.
 `build_predictor` returns a `ReducedPredictor` for every reduction, and
 `ExpandedPractical`/`ExpandedHybrid(basis)` are its alg2/alg1 over a basis.
 """

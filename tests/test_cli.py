@@ -200,6 +200,9 @@ class TestDatasetCommand:
         "flags,message",
         [
             (["--reduction", "kcnf"], "the kcnf reduction needs a clause width k >= 1"),
+            # harness._check_run's message, not the clause basis's own refusal
+            (["--reduction", "kcnf", "--k", "0"], "the kcnf reduction needs a clause width k >= 1"),
+            (["--reduction", "kcnf", "--k", "-1"], "the kcnf reduction needs a clause width k >= 1"),
             (["--reduction", "none", "--k", "3"], "k only applies to the kcnf reduction"),
             (["--reduction", "conj", "--k", "3"], "k only applies to the kcnf reduction"),
         ],

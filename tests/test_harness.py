@@ -435,10 +435,18 @@ def table_prefix(datagen):
     return sides, labels
 
 
+@pytest.fixture(scope="module")
+def table(datagen):
+    """The benchmark's whole seed-0 mushroom-shaped table, as indicator
+    sides over all 117 values and 0/1 labels."""
+    return datagen.indicator_matrix(datagen.mushroom_csv(0))
+
+
 def block_rows(width):
-    """The rows of a `score_trace` block that reads `width` columns: whole
-    64-row words, about BLOCK_BITS values."""
-    return 64 * max(1, BLOCK_BITS // (64 * max(1, width)))
+    """The rows of an alg1, alg2 or xi-plus `score_trace` block that reads
+    `width` surviving columns: whole 64-row words, about BLOCK_BITS words
+    with 64 a word for the per-row arrays, at most BLOCK_BITS rows."""
+    return 64 * max(1, BLOCK_BITS // (width + 64))
 
 
 def switching_run(make, sides, labels, cut1, cut2):
@@ -534,21 +542,24 @@ class TestScoreTraceMatchesSequentialLoop:
         + [pytest.param(a, "disj", id=f"{a}-disj") for a in ("alg1", "alg2", "memorize", "madnb")],
     )
     def test_trace_crossing_block_boundaries(self, algorithm, reduction):
-        predictor, d_prime = build_predictor(algorithm, 40, reduction)
-        n = 2 * block_rows(d_prime) + 17
+        # survivor blocks count their words, so only wide sides make them short
+        d = 2048 if algorithm in ("alg1", "alg2") else 40
+        predictor, d_prime = build_predictor(algorithm, d, reduction)
+        n = 2 * predictor._block_rows(d_prime) + 17
         rng = np.random.default_rng(5)
-        sides = rng.integers(0, 2, size=(n, 40), dtype=np.uint8)
+        sides = rng.integers(0, 2, size=(n, d), dtype=np.uint8)
         sides[1::3] = sides[::3][: len(sides[1::3])]  # repeats, some relabelled
         labels = rng.integers(0, 2, size=n, dtype=np.uint8)
         labels[: n // 2] = sides[: n // 2, :3].all(axis=1)
-        reference = build_predictor(algorithm, 40, reduction)[0]
+        reference = build_predictor(algorithm, d, reduction)[0]
         want = sequential(reference, sides, labels)
         assert_same_scores(predictor.score_trace(sides, labels), want)
         assert_same_state(predictor, reference)
 
     @pytest.mark.parametrize("reduction,k", [("none", None), ("conj", None), ("disj", None), ("kcnf", 2)])
     def test_alg1_finds_memorised_steps_once_per_trace(self, reduction, k, monkeypatch):
-        d = 12
+        # each d gives about 4,096 features, so the survivor blocks are 960 rows
+        d = {"none": 4096, "kcnf": 46}.get(reduction, 2048)
         calls, blocks = [], []
         memorise, score_columns = predictors.memorise_negatives, HybridPredictor._score_columns
 
@@ -573,7 +584,7 @@ class TestScoreTraceMatchesSequentialLoop:
         assert calls == [n] and len(blocks) >= 2 and sum(blocks) == n
 
     def test_unmapped_trace_arrives_in_row_blocks(self, monkeypatch):
-        d, n = 1024, 200
+        d, n = 16384, 700
         blocks = []
         score_columns = PracticalPredictor._score_columns
 
@@ -612,7 +623,7 @@ class TestScoreTraceMatchesSequentialLoop:
 
     @pytest.mark.parametrize("algorithm", ["alg1", "alg2"])
     def test_kcnf_trace_crossing_survivor_blocks(self, algorithm, monkeypatch):
-        d, n = 10, 3000
+        d, n = 46, 3000  # 4,232 clauses, in 960-row blocks while all survive
         predictor, d_prime = build_predictor(algorithm, d, "kcnf", 2)
         reference = build_predictor(algorithm, d, "kcnf", 2)[0]
         blocks = []
@@ -701,7 +712,7 @@ class TestScoreTraceMatchesSequentialLoop:
         assert np.isneginf(sequential(make(), *cases[0])[0][1])
 
     def test_unmapped_alg1_second_block_reads_the_negative_store(self, monkeypatch):
-        d = 8
+        d = 4096
         n = block_rows(d) + 300
         stored = []
         score_columns = HybridPredictor._score_columns
@@ -712,7 +723,8 @@ class TestScoreTraceMatchesSequentialLoop:
 
         monkeypatch.setattr(HybridPredictor, "_score_columns", recorded)
         rng = np.random.default_rng(21)
-        sides = rng.integers(0, 2, size=(n, d), dtype=np.uint8)
+        sides = np.ones((n, d), dtype=np.uint8)
+        sides[:, :8] = rng.integers(0, 2, size=(n, 8), dtype=np.uint8)  # 256 sides, so they repeat
         labels = sides[:, :2].all(axis=1).astype(np.uint8)
         labels[-300::7] = 1  # stored negatives relabelled 1 cost +inf
         reference = HybridPredictor(d)
@@ -744,6 +756,69 @@ class TestScoreTraceMatchesSequentialLoop:
             predictor.score_trace(np.zeros((2, 3), dtype=np.uint8), [0, 2])
         with pytest.raises(ValueError, match="expected 2 labels"):
             predictor.score_trace(np.zeros((2, 3), dtype=np.uint8), [0])
+
+
+class TestSurvivorBlocks:
+    """alg1, alg2 and xi-plus size a `score_trace` block by the packed words
+    it holds: a word per surviving column per 64 rows, about BLOCK_BITS in
+    all, and never more than BLOCK_BITS rows."""
+
+    def recorded_blocks(self, algorithm, d, reduction, k, sides, labels, monkeypatch):
+        """(width, words, rows) of each block the predictor scores."""
+        blocks = []
+        cls = ALGORITHMS[algorithm]
+        score_columns = cls._score_columns
+
+        def recorded(self, sides, columns, values, labels):
+            blocks.append((len(columns), values.shape[1], labels.shape[0]))
+            return score_columns(self, sides, columns, values, labels)
+
+        monkeypatch.setattr(cls, "_score_columns", recorded)
+        build_predictor(algorithm, d, reduction, k)[0].score_trace(sides, labels)
+        return blocks
+
+    def assert_sized_by_words(self, blocks, n):
+        assert len(blocks) >= 2 and sum(rows for _, _, rows in blocks) == n
+        assert all(rows == block_rows(width) for width, _, rows in blocks[:-1])
+        for width, words, rows in blocks:
+            assert words == -(-rows // 64) and width * words <= BLOCK_BITS and rows <= BLOCK_BITS
+
+    @pytest.mark.parametrize("algorithm", ["alg1", "alg2", "xi-plus"])
+    @pytest.mark.parametrize("d", [1, 1024])
+    def test_unmapped_blocks(self, algorithm, d, monkeypatch):
+        d = max(d, 2) if algorithm == "alg1" else d  # the hybrid construction needs d >= 2
+        n = 2 * block_rows(d) + 17
+        rng = np.random.default_rng(d)
+        sides = rng.integers(0, 2, size=(n, d), dtype=np.uint8)
+        sides[:, d // 2 :] = 1  # half the columns survive every positive
+        labels = rng.integers(0, 2, size=n, dtype=np.uint8)
+        blocks = self.recorded_blocks(algorithm, d, "none", None, sides, labels, monkeypatch)
+        assert blocks[0][::2] == (d, block_rows(d))
+        self.assert_sized_by_words(blocks, n)
+
+    @pytest.mark.parametrize("algorithm", ["alg1", "alg2", "xi-plus"])
+    def test_kcnf2_blocks_on_the_generated_table(self, algorithm, table, monkeypatch):
+        sides, labels = table
+        blocks = self.recorded_blocks(algorithm, sides.shape[1], "kcnf", 2, sides, labels, monkeypatch)
+        # 27,378 clauses survive before the first row, in 128-row blocks;
+        # 64-row blocks took 127 to cover the table
+        assert blocks[0] == (27378, 2, 128) and len(blocks) == 5
+        self.assert_sized_by_words(blocks, labels.shape[0])
+
+    @pytest.mark.parametrize("algorithm", ["alg1", "alg2", "xi-plus"])
+    def test_kcnf2_trace_in_bounded_memory(self, algorithm, table):
+        # about 1.2-1.6 MiB with 64-row blocks and 1.7-2.1 MiB with these,
+        # the clause matrix built beforehand as by the first block
+        sides, labels = table
+        predictor = build_predictor(algorithm, sides.shape[1], "kcnf", 2)[0]
+        predictor.basis.clause_matrix
+        tracemalloc.start()
+        try:
+            predictor.score_trace(sides, labels)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 2**20
 
 
 class TestBoundCheck:
@@ -935,12 +1010,15 @@ class TestRunDataset:
         assert (code, capsys.readouterr().err) == (2, f"error: {message}\n")
 
     def test_blocks_match_sequential_loop(self, tmp_path):
-        rows = ["color,size,shape,class"]
-        rng = np.random.default_rng(8)
-        for _ in range(3000):
+        # eight three-valued columns the label ignores widen the sides to 32
+        # indicators, 2,048 clauses, so the survivor blocks are 1,984 rows
+        rows = ["color,size,shape," + ",".join(f"n{j}" for j in range(8)) + ",class"]
+        rng, noise = np.random.default_rng(8), np.random.default_rng(9).choice(list("uvw"), size=(3000, 8))
+        for extra in noise:
             color, size, shape = rng.choice(list("rgb")), rng.choice(list("sl")), rng.choice(list("xyz"))
             noisy = rng.random() < 0.05
-            rows.append(f"{color},{size},{shape},{'e' if (color == 'r' or size == 'l') != noisy else 'p'}")
+            label = "e" if (color == "r" or size == "l") != noisy else "p"
+            rows.append(f"{color},{size},{shape},{','.join(extra)},{label}")
         path = write_csv(tmp_path, "big.csv", "\n".join(rows) + "\n")
         config = DatasetConfig(path, "class", "e")
         report = run_dataset(config, "alg2", "kcnf", 2)

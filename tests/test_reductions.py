@@ -365,6 +365,37 @@ class TestReducedPredictor:
         assert predictor.tie_label(rng.integers(0, 2, d, dtype=np.uint8)) is None
         assert calls == []
 
+    @pytest.mark.parametrize(
+        "inner,reduction,k,d",
+        [
+            (Madnb, "conj", None, 6),
+            (Madnb, "disj", None, 6),
+            (Madnb, "kcnf", 2, 6),
+            (ExactMixture, "conj", None, 6),
+            (ExactMixture, "kcnf", 2, 3),
+        ],
+    )
+    def test_feature_row_reader_builds_a_side_once_a_step(self, inner, reduction, k, d, monkeypatch):
+        mapping = make_map(reduction, d, k)
+        predictor = ReducedPredictor(inner(mapping.d_prime), mapping)
+        rng = np.random.default_rng(109)
+        sides = rng.integers(0, 2, size=(24, d), dtype=np.uint8)
+        sides[1::2] = 1 - sides[::2]
+        assert (sides[1:] != sides[:-1]).any(axis=1).all()  # no side repeats the one before
+        labels = sides[:, 0]  # x0: a conjunction, a disjunction and a 2-CNF
+        zeros, calls = ClauseBasis.zeros, []
+
+        def recorded(self, bits):
+            calls.append(pack_key(bits))
+            return zeros(self, bits)
+
+        monkeypatch.setattr(ClauseBasis, "zeros", recorded)
+        for step, (side, label) in enumerate(zip(sides, labels)):
+            predictor.predict(side)
+            predictor.update(side, label)
+            # predict and update read the side's feature row once between them
+            assert calls == [pack_key(side) for side in sides[: step + 1]]
+
     @pytest.mark.parametrize("reduction,k", MAP_KINDS)
     def test_memorizer_keys_the_unmapped_side_and_reads_no_column(self, reduction, k, monkeypatch):
         d = 4
