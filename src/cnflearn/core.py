@@ -288,12 +288,13 @@ class OnlinePredictor:
     A predictor owns mutable state. `predict` must not change state;
     `update` folds one labelled example in. A step is three methods on a
     validated side: `_predict`, `_update` and `_tie_label`. The reader
-    (`_reader`: `Unmapped`, or behind a map what `read_through` returns)
+    (`_reader`: `Unmapped`, or behind a map what `read_through` installs)
     gives a step's input, `read(bits)`, and a `score_trace` block's,
     `values(sides, columns)`. Behind a map `_tie_label` takes the side
     unread, right only because alg2, the one predictor with a tie label,
     reads a side unchanged. Subclasses implement `_predict` and `_update`,
-    and may batch `score_trace` by overriding `_score_columns` and `_block_rows`.
+    and may batch `score_trace` by overriding `_score_columns` and `_block_rows`,
+    or wrap its block loop, `_score_blocks`, in work on the whole trace.
     """
 
     _reader = Unmapped()
@@ -325,13 +326,14 @@ class OnlinePredictor:
         the per-step correctness: probability above 1/2, or an exact 1/2
         tie whose `tie_label` is the realised label. Leaves the predictor
         in the state that `predict`/`update` over the same rows would.
-
-        This is the one loop over row blocks. The columns read are read
-        again before each block, whose rows `_block_rows` sizes from their width.
         """
         sides = as_bit_matrix(sides, self.d)
-        labels = _check_labels(labels, sides.shape[0])
-        self._start_trace(sides, labels)
+        return self._score_blocks(sides, _check_labels(labels, sides.shape[0]))
+
+    def _score_blocks(self, sides: np.ndarray, labels: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+        """`score_trace` on a validated trace: the one loop over row blocks.
+        The columns read are read again before each block, whose rows
+        `_block_rows` sizes from their width."""
         parts = []  # an empty trace is one empty block
         start = 0
         while not parts or start < labels.shape[0]:
@@ -353,13 +355,10 @@ class OnlinePredictor:
     def _tie_label(self, bits: np.ndarray) -> Optional[int]:
         return None
 
-    def _start_trace(self, sides: np.ndarray, labels: np.ndarray) -> None:
-        """What a predictor does once per `score_trace`, given the whole validated trace first."""
-
-    def read_through(self, mapping):
-        """This predictor's reader behind `mapping`; by default a `HeldRow`,
-        which reads a side as the map's feature row, built once a side."""
-        return HeldRow(mapping)
+    def read_through(self, mapping) -> None:
+        """Read behind `mapping`; by default through a `HeldRow`, which
+        reads a side as the map's feature row, built once a side."""
+        self._reader = HeldRow(mapping)
 
     def _block_rows(self, width: int) -> int:
         """Rows of a `score_trace` block of `width` columns: whole 64-row words, about BLOCK_BITS

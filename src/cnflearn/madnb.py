@@ -47,7 +47,6 @@ _BLOCK_SCALE = 4
 __all__ = [
     "Madnb",
     "factored_joint_log2",
-    "kt_next_prob",
     "log2_kt",
     "nb_joint_log2",
     "nb_mixture_log2",
@@ -80,14 +79,6 @@ def log2_kt(zeros: int, ones: int) -> float:
         - _LN_PI
         - math.lgamma(zeros + ones + 1)
     ) / LN2
-
-
-def kt_next_prob(zeros: int, ones: int, symbol: int) -> float:
-    """Add-half predictive probability of the next symbol."""
-    if symbol not in (0, 1):
-        raise ValueError(f"symbol must be 0 or 1, got {symbol!r}")
-    count = ones if symbol else zeros
-    return (count + 0.5) / (zeros + ones + 1)
 
 
 def _trace_counts(trace, d: int):

@@ -24,20 +24,22 @@ on the complemented side (`DisjunctionMap`, `flip`), with flipped labels.
 A map gives a side's zero set, the features that are 0 on it, and a word
 formula for chosen feature columns on a block of sides packed 64 rows to a
 uint64 word (`pack_rows`): literal words ORed into a clause, negated by
-`~`. `ReducedPredictor` is the one reduction path: the inner predictor's
-reader behind the map (`read_through`) gives a step's input (`read`) and
-a trace block's (`values`). alg1, alg2 and xi-plus step as in Valiant's
+`~`. `ReducedPredictor` is the one reduction path, which adds to the inner
+predictor only the map's label flip. `read_through` installs the inner
+predictor's reader behind the map, which gives a step's input (`read`) and
+a trace block's (`values`), and a trace runs the inner predictor's own
+block loop (`_score_blocks`). alg1, alg2 and xi-plus step as in Valiant's
 elimination, in a survivor form the map hands each of them (`survivors`):
 one word per variable subset, bit p set while the feature that sign
-pattern p on the subset switches off survives. A side falsifies one
-clause per variable subset, signed by its own bits, so a step ANDs each
-of sum_s C(d,s) words with a byte that has only that clause's bit, built
-once a side into the form's own buffer; it ranks no clause, shifts no bit
-and writes nothing on the basis, which every predictor of a run shares.
-A block is read as the surviving columns' words. MADNB and bayes-exact
-read through the map, in a `HeldRow` each: a side as its feature row, from
-its zero set, kept for the side read last, and a block as its features'
-bytes; memorize reads the unmapped side.
+pattern p on the subset switches off survives. A side falsifies one clause
+per variable subset, signed by its own bits, so a step ANDs each of sum_s
+C(d,s) words with a byte that has only that clause's bit, built once a
+side into the form's own buffer; it ranks no clause, shifts no bit and
+writes nothing on the basis, which every predictor of a run shares. A
+block is read as the surviving columns' words. MADNB and bayes-exact read
+through the map, in a `HeldRow` each: a side as its feature row, from its
+zero set, kept for the side read last, and a block as its features' bytes;
+memorize reads the unmapped side.
 `build_predictor` returns a `ReducedPredictor` for every reduction, and
 `ExpandedPractical`/`ExpandedHybrid(basis)` are its alg2/alg1 over a basis.
 """
@@ -47,7 +49,7 @@ from __future__ import annotations
 import math
 from functools import cached_property
 from itertools import chain, combinations, product
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Optional, Tuple
 
 import numpy as np
 
@@ -278,9 +280,11 @@ class ReducedPredictor(OnlinePredictor):
     """Run any predictor over mapped features, unmapping its predictions.
 
     A step is the inner predictor's own `_predict`, `_update` and
-    `_tie_label` on the side as its reader (`read_through`) reads it, and a
-    trace block is what that reader's `values` gives, so a predictor that
-    reads the unmapped side never builds a d_prime-wide row.
+    `_tie_label` on the side as its reader, which `read_through` installs
+    behind the map, reads it; a trace is the inner predictor's own
+    `_score_blocks`, so a predictor that reads the unmapped side never
+    builds a d_prime-wide row. Behind a flipped map the inner labels are
+    flipped, which carries log_p and ties over unchanged.
     `build_predictor` returns one for every reduction, k-CNF included.
     """
 
@@ -294,15 +298,14 @@ class ReducedPredictor(OnlinePredictor):
         self.inner = inner
         self.mapping = mapping
         self.basis = mapping.basis  # a k-CNF map's clause basis, else None
-        # the inner predictor's reader, of steps and blocks: the map, or a form of its own
-        self._reader = inner.read_through(mapping)
+        inner.read_through(mapping)
 
     def _predict(self, bits: np.ndarray) -> Prediction:
-        pred = self.inner._predict(self._reader.read(bits))
+        pred = self.inner._predict(self.inner._reader.read(bits))
         return pred.flip() if self.mapping.flip else pred
 
     def _update(self, bits: np.ndarray, label: int) -> None:
-        self.inner._update(self._reader.read(bits), 1 - label if self.mapping.flip else label)
+        self.inner._update(self.inner._reader.read(bits), 1 - label if self.mapping.flip else label)
 
     def _tie_label(self, bits: np.ndarray) -> Optional[int]:
         # the side unread: only alg2 has a tie label, and its reader (SubsetWords.read) is the identity
@@ -311,25 +314,14 @@ class ReducedPredictor(OnlinePredictor):
             return None
         return 1 - tie if self.mapping.flip else tie
 
+    def _score_blocks(self, sides: np.ndarray, labels: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+        return self.inner._score_blocks(sides, 1 - labels if self.mapping.flip else labels)
+
     @property
     def surviving_count(self) -> int:
         """The count of columns the inner predictor still reads: survivors
         for alg1, alg2 and xi-plus, d' for madnb and bayes-exact, 0 for memorize."""
         return len(self.inner.read_columns())
-
-    # A trace is the inner predictor's columns read by its reader, in its blocks. A flipped
-    # map flips the inner labels, which carries log_p and ties over unchanged.
-    def read_columns(self) -> Sequence[int]:
-        return self.inner.read_columns()
-
-    def _block_rows(self, width: int) -> int:
-        return self.inner._block_rows(width)
-
-    def _start_trace(self, sides: np.ndarray, labels: np.ndarray) -> None:
-        self.inner._start_trace(sides, 1 - labels if self.mapping.flip else labels)
-
-    def _score_columns(self, sides, columns, values, labels) -> Tuple[np.ndarray, np.ndarray]:
-        return self.inner._score_columns(sides, columns, values, 1 - labels if self.mapping.flip else labels)
 
 
 class ExpandedPractical(ReducedPredictor):

@@ -175,7 +175,7 @@ class TestBuildPredictor:
         if type(inner)._tie_label is not OnlinePredictor._tie_label:
             for side in itertools.product((0, 1), repeat=3):
                 bits = np.array(side, dtype=np.uint8)
-                assert predictor._reader.read(bits) is bits
+                assert inner._reader.read(bits) is bits
 
     def test_numpy_integer_dimension_past_the_penalty_expansion(self):
         side = np.zeros(1024, dtype=np.uint8)
@@ -545,7 +545,7 @@ class TestScoreTraceMatchesSequentialLoop:
         # survivor blocks count their words, so only wide sides make them short
         d = 2048 if algorithm in ("alg1", "alg2") else 40
         predictor, d_prime = build_predictor(algorithm, d, reduction)
-        n = 2 * predictor._block_rows(d_prime) + 17
+        n = 2 * getattr(predictor, "inner", predictor)._block_rows(d_prime) + 17
         rng = np.random.default_rng(5)
         sides = rng.integers(0, 2, size=(n, d), dtype=np.uint8)
         sides[1::3] = sides[::3][: len(sides[1::3])]  # repeats, some relabelled
@@ -711,9 +711,12 @@ class TestScoreTraceMatchesSequentialLoop:
             assert_same_state(predictor, reference)
         assert np.isneginf(sequential(make(), *cases[0])[0][1])
 
-    def test_unmapped_alg1_second_block_reads_the_negative_store(self, monkeypatch):
-        d = 4096
-        n = block_rows(d) + 300
+    @pytest.mark.parametrize("reduction,k", [("none", None), ("conj", None), ("disj", None), ("kcnf", 2)])
+    def test_alg1_second_block_reads_the_negative_store(self, reduction, k, monkeypatch):
+        # each d gives about 4,096 features, so the survivor blocks are 960 rows
+        d = {"none": 4096, "kcnf": 46}.get(reduction, 2048)
+        predictor, d_prime = build_predictor("alg1", d, reduction, k)
+        n = block_rows(d_prime) + 300
         stored = []
         score_columns = HybridPredictor._score_columns
 
@@ -727,14 +730,15 @@ class TestScoreTraceMatchesSequentialLoop:
         sides[:, :8] = rng.integers(0, 2, size=(n, 8), dtype=np.uint8)  # 256 sides, so they repeat
         labels = sides[:, :2].all(axis=1).astype(np.uint8)
         labels[-300::7] = 1  # stored negatives relabelled 1 cost +inf
-        reference = HybridPredictor(d)
+        if reduction == "disj":
+            labels ^= 1  # the predictor behind the map sees the labels above
+        reference = build_predictor("alg1", d, reduction, k)[0]
         want = sequential(reference, sides, labels)
         assert np.isinf(want[0][-300:]).any()
-        predictor = HybridPredictor(d)
         assert_same_scores(predictor.score_trace(sides, labels), want)
         assert_same_state(predictor, reference)
         # the store holds the trace's negatives before the first block
-        assert stored == [len(reference._neg)] * 2
+        assert stored == [len(getattr(reference, "inner", reference)._neg)] * 2
 
     def test_label_arrays_follow_the_bit_rule(self):
         sides = np.zeros((2, 3), dtype=np.uint8)

@@ -13,7 +13,6 @@ from cnflearn.madnb import (
     _BLOCK_SCALE,
     Madnb,
     factored_joint_log2,
-    kt_next_prob,
     log2_kt,
     nb_joint_log2,
     nb_mixture_log2,
@@ -31,13 +30,6 @@ class TestKtEstimator:
     def test_empty_sequence_has_probability_one(self):
         assert log2_kt(0, 0) == pytest.approx(0.0, abs=1e-12)
 
-    def test_next_prob_add_half_rule(self):
-        # counts (zeros=2, ones=1): p(1) = (1 + 1/2) / 4
-        assert kt_next_prob(2, 1, 1) == 0.375
-        assert kt_next_prob(2, 1, 0) == 0.625
-        assert kt_next_prob(0, 0, 0) == 0.5
-        assert kt_next_prob(0, 0, 1) == 0.5
-
     def test_joint_is_product_of_next_probs(self):
         rng = random.Random(3)
         for _ in range(50):
@@ -45,7 +37,8 @@ class TestKtEstimator:
             total = 0.0
             zeros = ones = 0
             for sym in seq:
-                total += math.log2(kt_next_prob(zeros, ones, sym))
+                # the add-half rule: p(sym) = (count of sym + 1/2) / (count + 1)
+                total += math.log2(((ones if sym else zeros) + 0.5) / (zeros + ones + 1))
                 zeros += 1 - sym
                 ones += sym
             assert log2_kt(zeros, ones) == pytest.approx(total, abs=1e-9)
@@ -54,14 +47,12 @@ class TestKtEstimator:
         for zeros, ones in itertools.product(range(6), repeat=2):
             step = log2_kt(zeros, ones + 1) - log2_kt(zeros, ones)
             assert step == pytest.approx(
-                math.log2(kt_next_prob(zeros, ones, 1)), abs=1e-12
+                math.log2((ones + 0.5) / (zeros + ones + 1)), abs=1e-12
             )
 
     def test_rejects_negative_counts(self):
         with pytest.raises(ValueError):
             log2_kt(-1, 0)
-        with pytest.raises(ValueError, match="symbol"):
-            kt_next_prob(1, 1, 2)
 
 
 class TestNbJoint:
