@@ -184,18 +184,18 @@ class Unmapped:
 
 
 class HeldRow:
-    """A predictor's reader behind `mapping`: a side is its feature row
-    (`mapping.read`), kept for the side read last, so a step's predict and
-    update build it once (neither writes it); a block is its features'
-    bytes (`mapping.values`)."""
+    """A reader that keeps `build(bits)` for the side read last, so a step's
+    methods build their input once (none writes it): behind a map the feature
+    row (`mapping.read`), a block its features' bytes (`values`), or a
+    survivor form's one-hot bytes."""
 
-    def __init__(self, mapping):
-        self.mapping, self.values = mapping, mapping.values
+    def __init__(self, build, values=None):
+        self.build, self.values = build, values
         self.held = self.row = None
 
-    def read(self, bits: np.ndarray) -> np.ndarray:
+    def read(self, bits: np.ndarray):
         if (key := pack_key(bits)) != self.held:
-            self.row, self.held = self.mapping.read(bits), key
+            self.row, self.held = self.build(bits), key
         return self.row
 
 
@@ -287,14 +287,13 @@ class OnlinePredictor:
 
     A predictor owns mutable state. `predict` must not change state;
     `update` folds one labelled example in. A step is three methods on a
-    validated side: `_predict`, `_update` and `_tie_label`. The reader
-    (`_reader`: `Unmapped`, or behind a map what `read_through` installs)
-    gives a step's input, `read(bits)`, and a `score_trace` block's,
-    `values(sides, columns)`. Behind a map `_tie_label` takes the side
-    unread, right only because alg2, the one predictor with a tie label,
-    reads a side unchanged. Subclasses implement `_predict` and `_update`,
-    and may batch `score_trace` by overriding `_score_columns` and `_block_rows`,
-    or wrap its block loop, `_score_blocks`, in work on the whole trace.
+    validated side, `_predict`, `_update` and `_tie_label`, and each reads
+    that side itself through the predictor's reader (`_reader`: `Unmapped`,
+    or behind a map what `read_through` installs), a step's input as
+    `read(bits)` and a `score_trace` block's as `values(sides, columns)`.
+    Subclasses implement `_predict` and `_update`, and may batch
+    `score_trace` by overriding `_score_columns` and `_block_rows`, or wrap
+    its block loop, `_score_blocks`, in work on the whole trace.
     """
 
     _reader = Unmapped()
@@ -339,9 +338,7 @@ class OnlinePredictor:
         while not parts or start < labels.shape[0]:
             columns = self.read_columns()
             rows = slice(start, start + self._block_rows(len(columns)))
-            block = sides[rows]
-            values = self._reader.values(block, columns)
-            parts.append(self._score_columns(block, columns, values, labels[rows]))
+            parts.append(self._score_columns(sides[rows], columns, labels[rows]))
             start = rows.stop
         # a trace of one block is returned as scored, without a copy
         return parts[0] if len(parts) == 1 else tuple(map(np.concatenate, zip(*parts)))
@@ -358,7 +355,7 @@ class OnlinePredictor:
     def read_through(self, mapping) -> None:
         """Read behind `mapping`; by default through a `HeldRow`, which
         reads a side as the map's feature row, built once a side."""
-        self._reader = HeldRow(mapping)
+        self._reader = HeldRow(mapping.read, mapping.values)
 
     def _block_rows(self, width: int) -> int:
         """Rows of a `score_trace` block of `width` columns: whole 64-row words, about BLOCK_BITS
@@ -372,17 +369,17 @@ class OnlinePredictor:
         return range(self.d)
 
     def _score_columns(
-        self, sides: np.ndarray, columns: np.ndarray, values: np.ndarray, labels: np.ndarray
+        self, sides: np.ndarray, columns: np.ndarray, labels: np.ndarray
     ) -> Tuple[np.ndarray, np.ndarray]:
-        """`score_trace` on a block of validated rows, given the unmapped
-        `sides` and their `values` as read for the `read_columns()` columns.
+        """`score_trace` on a block of validated rows, whose values a batching
+        override reads for the `read_columns()` columns.
 
-        The default loops `_predict`/`_update` over the rows of `values`,
-        each a step's input; a predictor batches by overriding it.
+        The default loops `_predict`/`_update` over the rows of `sides`;
+        a predictor batches by overriding it.
         """
         log_p = np.empty(labels.shape[0], dtype=np.float64)
         correct = np.empty(labels.shape[0], dtype=bool)
-        for t, (bits, label) in enumerate(zip(values, labels.tolist())):
+        for t, (bits, label) in enumerate(zip(sides, labels.tolist())):
             lp = self._predict(bits).log_prob(label)
             log_p[t] = lp
             correct[t] = lp > -1.0 or (lp == -1.0 and self._tie_label(bits) == label)

@@ -204,6 +204,7 @@ def build_predictor(
     k: Optional[int] = None,
 ) -> Tuple[OnlinePredictor, int]:
     """Predictor for original d-bit sides, plus the effective dimension."""
+    _check_run(algorithm, reduction, k)
     make, _, d_prime = _predictor_maker(algorithm, d, reduction, k)
     return make(), d_prime
 

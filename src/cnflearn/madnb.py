@@ -213,11 +213,13 @@ class Madnb(OnlinePredictor):
         self._ones = np.zeros((3, d), dtype=np.int64)
 
     def _predict(self, bits: np.ndarray) -> Prediction:
+        bits = self._reader.read(bits)
         ratio = float(_label_log_ratio(self._totals[:, None], self._ones[:, None], bits[None])[0])
         tail = float(_softplus_tail(ratio))
         return Prediction(-(max(ratio, 0.0) + tail), -(max(-ratio, 0.0) + tail))
 
     def _update(self, bits: np.ndarray, label: int) -> None:
+        bits = self._reader.read(bits)
         self._totals[label] += 1
         self._totals[2] += 1
         self._ones[label] += bits
@@ -226,7 +228,7 @@ class Madnb(OnlinePredictor):
     def _block_rows(self, width: int) -> int:
         return per_chunk(_BLOCK_SCALE * width)
 
-    def _score_columns(self, sides, columns, values, labels) -> Tuple[np.ndarray, np.ndarray]:
+    def _score_columns(self, sides, columns, labels) -> Tuple[np.ndarray, np.ndarray]:
         """Vectorised `OnlinePredictor._score_columns` by prefix sums of the counts.
 
         Every count before a row is the state plus an exclusive cumulative
@@ -236,6 +238,7 @@ class Madnb(OnlinePredictor):
         `NumericalError` as `_predict` does, with the rows before it
         absorbed.
         """
+        values = self._reader.values(sides, columns)
         n, d = values.shape
         if not n:  # an empty trace is one empty block, which holds no counts before a row
             return np.empty(0), np.empty(0, dtype=bool)

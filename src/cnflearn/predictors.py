@@ -35,7 +35,6 @@ from .core import (
     BitVector,
     OnlinePredictor,
     Prediction,
-    Unmapped,
     UnrealizableTrace,
     as_bits,
     log1mexp2,
@@ -92,12 +91,9 @@ class ExactMixture(OnlinePredictor):
         self._full = (1 << self.d) - 1
         self._pow2 = np.left_shift(np.int64(1), np.arange(self.d, dtype=np.int64))
 
-    def _side_int(self, bits: np.ndarray) -> int:
-        return int(bits.astype(np.int64) @ self._pow2)
-
     def _satisfied(self, bits: np.ndarray) -> np.ndarray:
         # h_S(a) = 1 iff S is contained in the on-coordinates of a
-        off = self._full ^ self._side_int(bits)
+        off = self._full ^ int(self._reader.read(bits).astype(np.int64) @ self._pow2)
         return (self._masks & off) == 0
 
     @property
@@ -218,17 +214,17 @@ def map_index_set(alpha: float, sides: Sequence[BitVector], d: int) -> MapEstima
     return MapEstimate(surviving, len(surviving) == 0)
 
 
-class SubsetWords(Unmapped):
+class SubsetWords:
     """Survivors as one word per variable subset: of the clause basis a
     predictor reads through, or unmapped a single variable. On each subset
     a side has a sign pattern p, and it switches off the feature that bit p
     of the subset's word stands for; the bit is set while that feature
     survives.
 
-    A step reads the unmapped side (`read`); its zero set in this form
-    (`zeros`) is per word the index of the byte with bit p (`slice(None)`
-    in one-byte words) and that byte with only bit p set, so the predictor
-    reads or clears one bit per word with an AND. A surviving column is a
+    The predictor reads a step's unmapped side itself, as its zero set in
+    this form (`zeros`): per word the index of the byte with bit p
+    (`slice(None)` in one-byte words) and that byte with only bit p set, so
+    it reads or clears one bit per word with an AND. A surviving column is a
     set bit of the state, at 8 * byte + bit, and `rows` gives its feature in
     the map's order; a block reads as those features' words (`values`),
     `column_words(words, rows)` on the block's `pack_rows` words. `full` is
@@ -268,7 +264,7 @@ class SurvivingColumns(OnlinePredictor):
     A positive step switches the side's zero set off. Subclasses price a
     step from how many survivors its zero set holds (`SubsetWords.count`)
     and a block of rows from the words of its surviving columns
-    (`_zeros_before`, in `_score_columns`).
+    (`_zeros_before`, in `_score_columns`), each read through the form.
     """
 
     @cached_property
@@ -301,19 +297,20 @@ class SurvivingColumns(OnlinePredictor):
     def _block_rows(self, width: int) -> int:
         """Rows of a block of `width` surviving columns, counted in the words
         it holds: per 64 rows, a word a column and 64 of per-row arrays
-        (`log_p`, `t`, `m`, labels), so about BLOCK_BITS words and never more
-        than BLOCK_BITS rows."""
+        (`log_p`, `t`, `m`, labels), so about one `per_chunk` budget of words
+        and never more rows than that budget."""
         return 64 * per_chunk(width + 64)
 
-    def _zeros_before(self, columns: np.ndarray, values: np.ndarray, labels: np.ndarray) -> np.ndarray:
+    def _zeros_before(self, sides: np.ndarray, columns: np.ndarray, labels: np.ndarray) -> np.ndarray:
         """The `pack_rows` words of a block's surviving `columns`, bit t set
         where row t is 0 on the column and it survives before t: through its
         first kill, a positive row 0 on it, so kill ^ (kill - 1), the bits up
         to its lowest set one, on its first nonzero kill word, all-ones before
         and 0 after. The columns that die leave `_mask`; rows past the block
-        never kill. `values`, fresh from `SubsetWords.values`, is inverted in
-        place, so at most three (columns, words) arrays are alive."""
-        zeros = np.invert(values, out=values)
+        never kill. The columns' words, fresh from `SubsetWords.values`, are
+        inverted in place, so at most three (columns, words) arrays are alive."""
+        zeros = self._reader.values(sides, columns)
+        np.invert(zeros, out=zeros)
         kill = zeros & pack_rows(labels[:, None])
         dead = np.logical_or.accumulate(kill != 0, axis=1)
         kill ^= kill - 1
@@ -339,10 +336,10 @@ class ColumnPricedPredictor(SurvivingColumns):
         m = self._reader.count(self._mask, *self._reader.zeros(bits))
         return Prediction.from_log_p1(m * self.log2_one_minus_alpha)
 
-    def _score_columns(self, sides, columns, values, labels) -> Tuple[np.ndarray, np.ndarray]:
+    def _score_columns(self, sides, columns, labels) -> Tuple[np.ndarray, np.ndarray]:
         """Price each row from m, how many columns that survive before it the row is 0 on;
         m takes at most len(columns) + 1 values, so each is priced once."""
-        zeros, n = self._zeros_before(columns, values, labels), labels.shape[0]
+        zeros, n = self._zeros_before(sides, columns, labels), labels.shape[0]
         m, part = np.zeros(n, dtype=np.intp), per_chunk(64 * zeros.shape[1])
         for i in range(0, len(zeros), part):  # a chunk of columns a part, whose counts fit 16 bits
             m += unpack_rows(zeros[i : i + part], n).sum(axis=1, dtype=np.uint16)
@@ -389,9 +386,6 @@ class Memorizer(OnlinePredictor):
         return len(self._store)
 
     # Behind a map the store keys the unmapped side, exact as every map is injective: no zero set or column.
-    def read_through(self, mapping) -> None:
-        """Keep reading through the class's `Unmapped`."""
-
     def read_columns(self) -> np.ndarray:
         return np.empty(0, dtype=np.intp)
 
@@ -478,8 +472,8 @@ class PracticalPredictor(SurvivingColumns):
         super()._update(bits, label)
         self._t += 1
 
-    def _score_columns(self, sides, columns, values, labels) -> Tuple[np.ndarray, np.ndarray]:
-        misses = np.bitwise_or.reduce(self._zeros_before(columns, values, labels), axis=0)
+    def _score_columns(self, sides, columns, labels) -> Tuple[np.ndarray, np.ndarray]:
+        misses = np.bitwise_or.reduce(self._zeros_before(sides, columns, labels), axis=0)
         structural = unpack_rows(misses[None], labels.shape[0])[:, 0] == 0
         t = self._t + np.arange(labels.shape[0], dtype=np.float64)
         self._t += labels.shape[0]

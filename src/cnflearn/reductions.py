@@ -24,11 +24,11 @@ on the complemented side (`DisjunctionMap`, `flip`), with flipped labels.
 A map gives a side's zero set, the features that are 0 on it, and a word
 formula for chosen feature columns on a block of sides packed 64 rows to a
 uint64 word (`pack_rows`): literal words ORed into a clause, negated by
-`~`. `ReducedPredictor` is the one reduction path, which adds to the inner
-predictor only the map's label flip. `read_through` installs the inner
-predictor's reader behind the map, which gives a step's input (`read`) and
-a trace block's (`values`), and a trace runs the inner predictor's own
-block loop (`_score_blocks`). alg1, alg2 and xi-plus step as in Valiant's
+`~`. `ReducedPredictor` is the one reduction path: it hands the inner
+predictor each step's side and a trace as validated, and adds only the
+map's label flip. The inner predictor reads them itself, through the
+reader that `read_through` installs behind the map (`read` for a step,
+`values` for a block). alg1, alg2 and xi-plus step as in Valiant's
 elimination, in a survivor form the map hands each of them (`survivors`):
 one word per variable subset, bit p set while the feature that sign
 pattern p on the subset switches off survives. A side falsifies one clause
@@ -37,9 +37,9 @@ C(d,s) words with a byte that has only that clause's bit, built once a
 side into the form's own buffer; it ranks no clause, shifts no bit and
 writes nothing on the basis, which every predictor of a run shares. A
 block is read as the surviving columns' words. MADNB and bayes-exact read
-through the map, in a `HeldRow` each: a side as its feature row, from its
-zero set, kept for the side read last, and a block as its features' bytes;
-memorize reads the unmapped side.
+through a `HeldRow` each: a side as its feature row, from its zero set,
+kept for the side read last, and a block as its features' bytes; memorize
+keys the unmapped side and reads nothing.
 `build_predictor` returns a `ReducedPredictor` for every reduction, and
 `ExpandedPractical`/`ExpandedHybrid(basis)` are its alg2/alg1 over a basis.
 """
@@ -53,7 +53,7 @@ from typing import List, Optional, Tuple
 
 import numpy as np
 
-from .core import OnlinePredictor, Prediction, pack_key, pack_rows, unpack_rows
+from .core import HeldRow, OnlinePredictor, Prediction, pack_rows, unpack_rows
 from .predictors import HybridPredictor, PracticalPredictor, SubsetWords
 
 DEFAULT_FEATURE_BUDGET = 4_000_000
@@ -208,8 +208,8 @@ class ClauseBasis:
         side's one-hot bytes are built into the form's own buffer, through
         views made once: 1 << bit on a variable, times 2**2**(s-1) on an
         s-subset whose first bit is 1, or for s >= 4 that bit picks the byte.
-        The form keeps the key of the side whose bytes the buffer holds, and
-        their byte index, so a step builds them once."""
+        A `HeldRow` keeps the side whose bytes the buffer holds, and their
+        byte index, so a step builds them once."""
         width = max(8, 2 ** len(self.sizes))
         full = [np.packbits(np.arange(width) < 2 ** s, bitorder="little") for s in self.sizes]
         full = np.repeat(full, [math.comb(self.d, s) for s in self.sizes], axis=0).reshape(-1)
@@ -218,20 +218,16 @@ class ClauseBasis:
         views = lambda keys: (([out[key] for key in keys], [lifted[key] for key in keys]), range(len(keys)))
         joins = [(out[at], out[prev], lifted[prev], *views(keys)) for at, prev, keys in self._suffixes]
         lift = lambda before, s, into: np.multiply(before, 2 ** 2 ** (s - 1) if s < 4 else 1, out=into)
-        held = byte = None  # the key of the side whose bytes `out` holds, and their byte index
 
-        def zeros(bits):
-            nonlocal held, byte
-            if (key := pack_key(bits)) != held:
-                side = 1 - bits if self.flip else bits
-                np.add(side, 1, out=out[: self.d])
-                self._grow(joins, side, lift)
-                byte = slice(None) if width == 8 else np.arange(0, full.size, width // 8) + (self.patterns(side) >> 3)
-                held = key
+        def fill(bits):  # the side's bytes into `out`, and their byte index
+            side = 1 - bits if self.flip else bits
+            np.add(side, 1, out=out[: self.d])
+            self._grow(joins, side, lift)
+            byte = slice(None) if width == 8 else np.arange(0, full.size, width // 8) + (self.patterns(side) >> 3)
             return byte, out
 
         # columns looked up at call time, so the words come from the map's class as it is then
-        return SubsetWords(full, zeros, rows, lambda words, cols: self.columns(words, cols))
+        return SubsetWords(full, HeldRow(fill).read, rows, lambda words, cols: self.columns(words, cols))
 
     def _grow(self, joins: list, bits: np.ndarray, lift) -> None:
         """Fill sizes 2 and up from size 1: size s joins, per first variable,
@@ -280,11 +276,10 @@ class ReducedPredictor(OnlinePredictor):
     """Run any predictor over mapped features, unmapping its predictions.
 
     A step is the inner predictor's own `_predict`, `_update` and
-    `_tie_label` on the side as its reader, which `read_through` installs
-    behind the map, reads it; a trace is the inner predictor's own
-    `_score_blocks`, so a predictor that reads the unmapped side never
-    builds a d_prime-wide row. Behind a flipped map the inner labels are
-    flipped, which carries log_p and ties over unchanged.
+    `_tie_label`, and a trace its own `_score_blocks`, each handed the
+    validated side or trace as it is: the inner predictor reads it behind
+    the map as `read_through` set it to. Behind a flipped map the inner
+    labels are flipped, which carries log_p and ties over unchanged.
     `build_predictor` returns one for every reduction, k-CNF included.
     """
 
@@ -301,18 +296,15 @@ class ReducedPredictor(OnlinePredictor):
         inner.read_through(mapping)
 
     def _predict(self, bits: np.ndarray) -> Prediction:
-        pred = self.inner._predict(self.inner._reader.read(bits))
+        pred = self.inner._predict(bits)
         return pred.flip() if self.mapping.flip else pred
 
     def _update(self, bits: np.ndarray, label: int) -> None:
-        self.inner._update(self.inner._reader.read(bits), 1 - label if self.mapping.flip else label)
+        self.inner._update(bits, 1 - label if self.mapping.flip else label)
 
     def _tie_label(self, bits: np.ndarray) -> Optional[int]:
-        # the side unread: only alg2 has a tie label, and its reader (SubsetWords.read) is the identity
         tie = self.inner._tie_label(bits)
-        if tie is None:
-            return None
-        return 1 - tie if self.mapping.flip else tie
+        return 1 - tie if tie is not None and self.mapping.flip else tie
 
     def _score_blocks(self, sides: np.ndarray, labels: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
         return self.inner._score_blocks(sides, 1 - labels if self.mapping.flip else labels)

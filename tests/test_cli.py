@@ -22,8 +22,8 @@ def overpay_alg2(monkeypatch):
     """Make alg2's batched scoring charge 64 bits a step more than it should."""
     score_columns = PracticalPredictor._score_columns
 
-    def overpaid(self, sides, columns, values, labels):
-        log_p, correct = score_columns(self, sides, columns, values, labels)
+    def overpaid(self, sides, columns, labels):
+        log_p, correct = score_columns(self, sides, columns, labels)
         return log_p - 64.0, correct
 
     monkeypatch.setattr(PracticalPredictor, "_score_columns", overpaid)

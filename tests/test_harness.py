@@ -12,9 +12,9 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from cnflearn import harness, predictors
+from cnflearn import core, harness, predictors
 from cnflearn.cli import main
-from cnflearn.core import BLOCK_BITS, BoundViolation, NumericalError, OnlinePredictor
+from cnflearn.core import BLOCK_BITS, BoundViolation, NumericalError
 from cnflearn.harness import (
     ALGORITHMS,
     DatasetConfig,
@@ -129,6 +129,17 @@ class TestBuildPredictor:
             reference.update(side, label)
         assert 0 < predictor.surviving_count == reference.surviving_count < d_prime
 
+    @pytest.mark.parametrize(
+        "algorithm,reduction,k",
+        [("alg2", "bogus", 2), ("alg2", "kcnf", None), ("nope", "none", None), ("alg2", "conj", 3)],
+    )
+    def test_rejects_a_run_as_the_configs_do(self, algorithm, reduction, k):
+        with pytest.raises(ValueError) as checked:
+            harness._check_run(algorithm, reduction, k)
+        with pytest.raises(ValueError) as raised:
+            build_predictor(algorithm, 4, reduction, k)
+        assert str(raised.value) == str(checked.value)
+
     @pytest.mark.parametrize("algorithm", sorted(ALGORITHMS))
     @pytest.mark.parametrize("reduction", ["conj", "disj"])
     def test_conj_and_disj_predictors_have_no_basis(self, algorithm, reduction):
@@ -168,14 +179,24 @@ class TestBuildPredictor:
 
     @pytest.mark.parametrize("algorithm", sorted(ALGORITHMS))
     @pytest.mark.parametrize("reduction,k", EVERY_MAP)
-    def test_a_tie_label_reads_the_side_unchanged(self, algorithm, reduction, k):
-        # ReducedPredictor._tie_label hands the inner predictor the side unread
+    def test_each_step_method_gets_the_side_as_validated(self, algorithm, reduction, k, monkeypatch):
+        # the predictor behind a map reads a side itself: no wrapper reads it first
         predictor, _ = build_predictor(algorithm, 3, reduction, k)
         inner = getattr(predictor, "inner", predictor)
-        if type(inner)._tie_label is not OnlinePredictor._tie_label:
-            for side in itertools.product((0, 1), repeat=3):
-                bits = np.array(side, dtype=np.uint8)
-                assert inner._reader.read(bits) is bits
+        validated, received = [], []
+        as_bits = core.as_bits
+        monkeypatch.setattr(core, "as_bits", lambda side, d: validated.append(as_bits(side, d)) or validated[-1])
+        for name in ("_predict", "_tie_label", "_update"):
+            spied = getattr(inner, name)
+            monkeypatch.setattr(inner, name, lambda bits, *rest, spied=spied: received.append(bits) or spied(bits, *rest))
+        step = (predictor.predict, predictor.tie_label, lambda side: predictor.update(side, side[0]))
+        for side in itertools.product((0, 1), repeat=3):  # labels x0, which every map realizes
+            for call in step:
+                validated.clear()
+                received.clear()
+                call(list(side))
+                assert len(validated) == 1 and received
+                assert all(bits is validated[0] for bits in received)
 
     def test_numpy_integer_dimension_past_the_penalty_expansion(self):
         side = np.zeros(1024, dtype=np.uint8)
@@ -567,9 +588,9 @@ class TestScoreTraceMatchesSequentialLoop:
             calls.append(labels.shape[0])
             return memorise(sides, labels, neg)
 
-        def recorded(self, sides, columns, values, labels):
+        def recorded(self, sides, columns, labels):
             blocks.append(labels.shape[0])
-            return score_columns(self, sides, columns, values, labels)
+            return score_columns(self, sides, columns, labels)
 
         monkeypatch.setattr(predictors, "memorise_negatives", counted)
         monkeypatch.setattr(HybridPredictor, "_score_columns", recorded)
@@ -588,9 +609,9 @@ class TestScoreTraceMatchesSequentialLoop:
         blocks = []
         score_columns = PracticalPredictor._score_columns
 
-        def recorded(self, sides, columns, values, labels):
+        def recorded(self, sides, columns, labels):
             blocks.append((len(columns), labels.shape[0]))
-            return score_columns(self, sides, columns, values, labels)
+            return score_columns(self, sides, columns, labels)
 
         monkeypatch.setattr(PracticalPredictor, "_score_columns", recorded)
         rng = np.random.default_rng(4)
@@ -720,9 +741,9 @@ class TestScoreTraceMatchesSequentialLoop:
         stored = []
         score_columns = HybridPredictor._score_columns
 
-        def recorded(self, sides, columns, values, labels):
+        def recorded(self, sides, columns, labels):
             stored.append(len(self._neg))
-            return score_columns(self, sides, columns, values, labels)
+            return score_columns(self, sides, columns, labels)
 
         monkeypatch.setattr(HybridPredictor, "_score_columns", recorded)
         rng = np.random.default_rng(21)
@@ -768,17 +789,20 @@ class TestSurvivorBlocks:
     all, and never more than BLOCK_BITS rows."""
 
     def recorded_blocks(self, algorithm, d, reduction, k, sides, labels, monkeypatch):
-        """(width, words, rows) of each block the predictor scores."""
+        """(width, words, rows) of each block the predictor scores, as its
+        reader packs the block's surviving columns."""
         blocks = []
-        cls = ALGORITHMS[algorithm]
-        score_columns = cls._score_columns
+        predictor = build_predictor(algorithm, d, reduction, k)[0]
+        reader = getattr(predictor, "inner", predictor)._reader
+        values = reader.values
 
-        def recorded(self, sides, columns, values, labels):
-            blocks.append((len(columns), values.shape[1], labels.shape[0]))
-            return score_columns(self, sides, columns, values, labels)
+        def recorded(sides, columns):
+            words = values(sides, columns)
+            blocks.append((len(columns), words.shape[1], sides.shape[0]))
+            return words
 
-        monkeypatch.setattr(cls, "_score_columns", recorded)
-        build_predictor(algorithm, d, reduction, k)[0].score_trace(sides, labels)
+        monkeypatch.setattr(reader, "values", recorded)
+        predictor.score_trace(sides, labels)
         return blocks
 
     def assert_sized_by_words(self, blocks, n):

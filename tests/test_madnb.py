@@ -298,20 +298,22 @@ class TestMadnbScoreTrace:
     @pytest.mark.parametrize("reduction,k,d", [("none", None, 40), ("conj", None, 40), ("kcnf", 2, 6)])
     def test_blocks_hold_the_rows_their_width_allows(self, reduction, k, d, monkeypatch):
         blocks = []
-        score_columns = Madnb._score_columns
-
-        def recorded(self, sides, columns, values, labels):
-            blocks.append(values.shape)
-            return score_columns(self, sides, columns, values, labels)
-
-        monkeypatch.setattr(Madnb, "_score_columns", recorded)
         predictor, d_prime = build_predictor("madnb", d, reduction, k)
+        reader = getattr(predictor, "inner", predictor)._reader
+        values = reader.values
+
+        def recorded(sides, columns):
+            block = values(sides, columns)
+            blocks.append(block.shape)
+            return block
+
+        monkeypatch.setattr(reader, "values", recorded)
         rows = max(1, BLOCK_BITS // (_BLOCK_SCALE * d_prime))
         rng = np.random.default_rng(23)
         sides = rng.integers(0, 2, size=(2 * rows + 17, d), dtype=np.uint8)
         labels = rng.integers(0, 2, size=2 * rows + 17, dtype=np.uint8)
         predictor.score_trace(sides, labels)
-        # one block of rows a call: the loop over blocks is score_trace's alone
+        # each block read once, in order: the loop over blocks is score_trace's alone
         assert blocks == [(rows, d_prime), (rows, d_prime), (17, d_prime)]
 
     @pytest.mark.parametrize("reduction,k", [("none", None), ("kcnf", 2)])
