@@ -154,35 +154,36 @@ def factored_joint_log2(trace, d: int) -> float:
     return class_term + float(mixed.sum())
 
 
-def _gain(totals: np.ndarray, ones: np.ndarray, half: np.ndarray, ints: np.ndarray) -> np.ndarray:
-    """Per feature, log2 KT(label-0 rows) + log2 KT(label-1 rows) - log2 KT(all rows).
-
-    `totals` (3, B) counts the rows labelled 0, the rows labelled 1 and all
-    rows, and `ones` (3, B, d) each feature's ones among them, for B states.
-    `half` and `ints` are the lgamma(c + 1/2) and lgamma(c + 1) count tables.
-    """
+def _gain(totals, ones, zeros, half, ints) -> np.ndarray:
+    """Per feature, log2 KT(label-0 rows) + log2 KT(label-1 rows) - log2 KT(all rows),
+    in `_label_log_ratio`'s shapes, from each feature's `ones` and `zeros` and the
+    lgamma(c + 1/2) and lgamma(c + 1) count tables `half` and `ints`."""
     kt = half[ones]
-    kt += half[totals[..., None] - ones]
+    kt += half[zeros]
     gain = kt[0] + kt[1]
     gain -= kt[2]
-    gain += (ints[totals[2]] - ints[totals[0]] - ints[totals[1]] - _LN_PI)[:, None]
+    rows = ints[totals]
+    gain += (rows[2] - rows[0] - rows[1] - _LN_PI)[..., None]
     gain /= LN2
     return gain
 
 
-def _label_log_ratio(totals, ones, sides) -> np.ndarray:
-    """L = log2 NB*(x, 1) - log2 NB*(x, 0) for each of B rows x.
-
-    Takes the counts before each row in `_gain`'s shapes and the rows (B, d).
-    """
+def _label_log_ratio(totals, ones, sides, top: int):
+    """L = log2 NB*(x, 1) - log2 NB*(x, 0) for each row x of `sides`, from the
+    counts before it: `totals` of the rows labelled 0, labelled 1 and all rows, and
+    `ones` each feature's ones among them. A step passes one state, (3,) and (3, d),
+    and its row (d,); a block the states before its B rows, (3, B) and (3, B, d),
+    and the rows (B, d). `top` is the largest count, the last state's all rows."""
     # the gain first, so its temporaries are freed before q's are made: at
     # d = 28,800 the other order let glibc's heap shrink and regrow, and
     # each one-row block page-faulted about 3 MB afresh
-    half, ints, log2_half, log2_next = _count_tables(int(totals[2, -1]))  # row counts only grow along the B states
-    gain = _gain(totals, ones, half, ints)
+    half, ints, log2_half, log2_next = _count_tables(top)
+    counts = totals[..., None] - ones  # each feature's zeros
+    gain = _gain(totals, ones, counts, half, ints)
     # log2 of the add-half predictive of x_i under label 0, label 1 and all
     # rows; validated sides hold only 0 and 1, so they view as booleans
-    q = log2_half[np.where(sides.view(bool), ones, totals[..., None] - ones)]
+    counts = np.where(sides.view(bool), ones, counts)  # x_i's count; the zeros are freed
+    q = log2_half[counts]
     q -= log2_next[totals][..., None]
     # sp(r1) - sp(r0) = log2(1 + (2**(r1 - r0) - 1) / (1 + 2**-r0)), where
     # r0 = gain + q0 - q2 and r1 - r0 = q1 - q0; no term can overflow
@@ -190,7 +191,8 @@ def _label_log_ratio(totals, ones, sides) -> np.ndarray:
     neg_r0 = q[2] - q[0]
     neg_r0 -= gain
     z /= np.exp2(neg_r0, out=neg_r0) + 1.0
-    return log2_half[totals[1]] - log2_half[totals[0]] + np.log1p(z).sum(axis=-1) / LN2
+    prior = log2_half[totals]
+    return prior[1] - prior[0] + np.log1p(z).sum(axis=-1) / LN2
 
 
 def _softplus_tail(ratio):
@@ -214,7 +216,7 @@ class Madnb(OnlinePredictor):
 
     def _predict(self, bits: np.ndarray) -> Prediction:
         bits = self._reader.read(bits)
-        ratio = float(_label_log_ratio(self._totals[:, None], self._ones[:, None], bits[None])[0])
+        ratio = float(_label_log_ratio(self._totals, self._ones, bits, int(self._totals[2])))
         tail = float(_softplus_tail(ratio))
         return Prediction(-(max(ratio, 0.0) + tail), -(max(-ratio, 0.0) + tail))
 
@@ -254,7 +256,7 @@ class Madnb(OnlinePredictor):
         np.subtract(ones[2], ones[1], out=ones[0])
         totals += self._totals[:, None]
         ones += self._ones[:, None]
-        ratio = _label_log_ratio(totals[:, :-1], ones[:, :-1], values)
+        ratio = _label_log_ratio(totals[:, :-1], ones[:, :-1], values, int(totals[2, -2]))
         tail = _softplus_tail(ratio)
         log_p0 = -(np.maximum(ratio, 0.0) + tail)
         log_p1 = -(np.maximum(-ratio, 0.0) + tail)

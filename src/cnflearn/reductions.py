@@ -220,8 +220,10 @@ class ClauseBasis:
         lift = lambda before, s, into: np.multiply(before, 2 ** 2 ** (s - 1) if s < 4 else 1, out=into)
 
         def fill(bits):  # the side's bytes into `out`, and their byte index
+            np.subtract(2, bits, out=out[: self.d]) if self.flip else np.add(bits, 1, out=out[: self.d])
+            if not joins:  # subsets of one variable alone, as behind conj and disj
+                return slice(None), out
             side = 1 - bits if self.flip else bits
-            np.add(side, 1, out=out[: self.d])
             self._grow(joins, side, lift)
             byte = slice(None) if width == 8 else np.arange(0, full.size, width // 8) + (self.patterns(side) >> 3)
             return byte, out

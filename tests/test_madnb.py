@@ -5,6 +5,8 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cnflearn import madnb
 from cnflearn.core import BLOCK_BITS, NumericalError, cumulative_loss
@@ -385,3 +387,66 @@ def reference_log_ratio(sides, labels, side):
             total += mp.log((mp.exp(marg) + mp.exp(pair)) / 2)
         joints.append(total)
     return float((joints[1] - joints[0]) / mp.log(2))
+
+
+# total bits and (log_p0, log_p1) at SAMPLED_STEPS of 2,048 seeded steps of
+# the public predict/update loop; a change to how a step is priced must keep
+# each within a relative 1e-12
+SAMPLED_STEPS = (0, 1, 7, 63, 255, 1023, 2000, 2047)
+PINNED_STEPS = [
+    ('coin', 'none', 8, 2063.340711796151, [(-1.0, -1.0), (-0.8590170418800971, -1.156267163051803), (-4.419184433467103, -0.06905902206342418), (-0.8108090774331275, -1.2177997078645144), (-0.6074453123777442, -1.5410214499013954), (-1.0195532969638423, -0.9807081751195412), (-1.0063570104680168, -0.9936708778655082), (-1.0083495985692907, -0.9916984468090076)]),
+    ('coin', 'none', 117, 2153.638039277809, [(-1.0, -1.0), (-8.348297104184436, -0.004433572821863961), (-4.649250552347018, -0.05866936107285733), (-2.751322384827847, -0.23194646682580303), (-0.7213257723020706, -1.3457103969802495), (-1.060262667154092, -0.9421539514871854), (-0.9971304538759984, -1.0028752650793287), (-1.096553851274345, -0.9095047552470662)]),
+    ('coin', 'none', 1024, 2828.2546699547224, [(-1.0, -1.0), (-6.704504547531346e-47, -153.91425610950398), (-6.802224237691681, -0.012985361120580538), (-1.4608109176456747, -0.6512891173780788), (-2.5941306870124365, -0.2612077394500686), (-1.2811367063654941, -0.7648150316024835), (-0.9011814189698344, -1.1060882321297263), (-1.3184731388251407, -0.7392735034000604)]),
+    ('realizable', 'none', 8, 226.7002276933081, [(-1.0, -1.0), (-0.8590170418800971, -1.156267163051803), (-0.06592991567638223, -4.484528747400284), (-0.05962496493748171, -4.626415857542859), (-5.14684356847665e-05, -14.774744647125598), (-3.782983074001118e-06, -18.540812512331744), (-1.984061213717245, -0.4203898009104881), (-0.0020533860125093325, -9.457572366134587)]),
+    ('realizable', 'none', 117, 372.6245113245254, [(-1.0, -1.0), (-8.348297104184436, -0.004433572821863961), (-3.8248954482534208, -0.10557472480732727), (-2.1587428640182407, -0.3657809598907105), (-0.0058256962199968905, -7.955032051191893), (-0.00517486173492397, -8.125616998730147), (-0.002428424015594128, -9.215744353572564), (-6.827196158335847e-07, -21.010970174669023)]),
+    ('realizable', 'none', 1024, 1609.697634429905, [(-1.0, -1.0), (-153.914256109504, -6.704504547531215e-47), (-76.51952005235857, -1.331998541772452e-23), (-2.14069105372772e-06, -19.362259412788458), (-0.32326135733162975, -2.3166073323622207), (-0.0074582368851588985, -7.599443549459334), (-0.0022555341657979943, -9.322209138252845), (-0.0016880428870709153, -9.740043038574756)]),
+    ('coin', 'conj', 8, 2087.8989427983306, [(-1.0, -1.0), (-1.5786110175075014, -0.5881487591297574), (-7.570357826393769, -0.007610527336347185), (-0.7727452125169038, -1.2698693680397366), (-0.37193782151200266, -2.1376087786934215), (-1.0379218982147953, -0.9630494191736727), (-0.9997080455981984, -1.000292013495805), (-1.0060971786129407, -0.9939284811341272)]),
+    ('realizable', 'conj', 8, 48.20877018284913, [(-1.0, -1.0), (-1.5786110175075014, -0.5881487591297574), (-0.04655624726574053, -4.9768633151050246), (-0.009576522992490528, -7.2398343276149175), (-5.232514736535179e-09, -28.03861475994244), (-2.8339126241559876e-11, -35.5671801392828), (-4.806444200984959, -0.05250116134743257), (-8.930741776345015e-06, -17.301559398852167)]),
+]
+
+
+@pytest.mark.parametrize("kind,reduction,d,total,sampled", PINNED_STEPS)
+def test_step_outputs_are_pinned(kind, reduction, d, total, sampled):
+    rng = np.random.default_rng(d)
+    sides = rng.integers(0, 2, size=(2048, d), dtype=np.uint8)
+    if kind == "coin":
+        labels = rng.integers(0, 2, size=2048, dtype=np.uint8)
+    else:  # realizable: the monotone conjunction x0 & x1
+        labels = sides[:, 0] & sides[:, 1]
+    predictor = build_predictor("madnb", d, reduction, None)[0]
+    bits, got = 0.0, []
+    for t, (side, label) in enumerate(zip(sides, labels.tolist())):
+        p = predictor.predict(side)
+        bits -= p.log_prob(label)
+        if t in SAMPLED_STEPS:
+            got.append((p.log_p0, p.log_p1))
+        predictor.update(side, label)
+    assert bits == pytest.approx(total, rel=1e-12, abs=0.0)
+    for step, pair, want in zip(SAMPLED_STEPS, got, sampled):
+        assert pair == pytest.approx(want, rel=1e-12, abs=0.0), step
+
+
+@st.composite
+def count_states(draw):
+    """A consistent state and a side: per label a row count and each feature's
+    ones among those rows, the all-rows counts their sums; counts reach 255
+    and 256, where the count tables first grow."""
+    d = draw(st.integers(1, 12))
+    count = st.sampled_from([0, 1, 255, 256]) | st.integers(0, 300)
+    totals = [draw(count), draw(count)]
+    ones = [[draw(st.integers(0, total)) for _ in range(d)] for total in totals]
+    side = draw(st.lists(st.integers(0, 1), min_size=d, max_size=d))
+    totals = np.array(totals + [sum(totals)], dtype=np.int64)
+    ones = np.array(ones + [[a + b for a, b in zip(*ones)]], dtype=np.int64)
+    return totals, ones, np.array(side, dtype=np.uint8)
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(count_states())
+def test_a_step_prices_as_a_one_row_block(state):
+    totals, ones, side = state
+    top = int(totals[2])
+    step = madnb._label_log_ratio(totals, ones, side, top)
+    block = madnb._label_log_ratio(totals[:, None], ones[:, None], side[None], top)
+    assert np.shape(step) == () and block.shape == (1,)
+    assert np.float64(step).tobytes() == block[0].tobytes()
