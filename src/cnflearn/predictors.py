@@ -237,20 +237,6 @@ class SubsetWords:
         self.rows = rows
         self.column_words = column_words
 
-    def count(self, mask: np.ndarray, byte, words: np.ndarray) -> int:
-        # int(): a NumPy count would make the float arithmetic after it slow
-        return int(np.count_nonzero(mask[byte] & words))
-
-    def clear(self, mask: np.ndarray, byte, words: np.ndarray) -> None:
-        mask[byte] &= ~words
-
-    def surviving(self, mask: np.ndarray) -> np.ndarray:
-        # NumPy finds nonzero bools several times faster than nonzero bytes
-        return np.flatnonzero(np.unpackbits(mask, bitorder="little").view(bool))
-
-    def drop(self, mask: np.ndarray, columns: np.ndarray) -> None:
-        np.bitwise_and.at(mask, columns >> 3, ~(np.uint8(1) << (columns & 7).astype(np.uint8)))
-
     def values(self, sides: np.ndarray, columns: np.ndarray) -> np.ndarray:
         return self.column_words(pack_rows(sides), self.rows(columns))
 
@@ -262,7 +248,7 @@ class SurvivingColumns(OnlinePredictor):
     and a side's one-hot bytes are 1 << bit (bit 1 stands for no feature).
 
     A positive step switches the side's zero set off. Subclasses price a
-    step from how many survivors its zero set holds (`SubsetWords.count`)
+    step from how many survivors its zero set holds (`_count`)
     and a block of rows from the words of its surviving columns
     (`_zeros_before`, in `_score_columns`), each read through the form.
     """
@@ -287,12 +273,19 @@ class SurvivingColumns(OnlinePredictor):
         mask[self._reader.rows(self.read_columns())] = 1
         return mask
 
+    def _count(self, bits: np.ndarray) -> int:
+        byte, words = self._reader.zeros(bits)
+        # int(): a NumPy count would make the float arithmetic after it slow
+        return int(np.count_nonzero(self._mask[byte] & words))
+
     def _update(self, bits: np.ndarray, label: int) -> None:
         if label:
-            self._reader.clear(self._mask, *self._reader.zeros(bits))
+            byte, words = self._reader.zeros(bits)
+            self._mask[byte] &= ~words
 
     def read_columns(self) -> np.ndarray:
-        return self._reader.surviving(self._mask)
+        # NumPy finds nonzero bools several times faster than nonzero bytes
+        return np.flatnonzero(np.unpackbits(self._mask, bitorder="little").view(bool))
 
     def _block_rows(self, width: int) -> int:
         """Rows of a block of `width` surviving columns, counted in the words
@@ -316,7 +309,8 @@ class SurvivingColumns(OnlinePredictor):
         kill ^= kill - 1
         zeros &= kill
         zeros[:, 1:][dead[:, :-1]] = 0
-        self._reader.drop(self._mask, columns[dead[:, -1]])
+        gone = columns[dead[:, -1]]
+        np.bitwise_and.at(self._mask, gone >> 3, ~(np.uint8(1) << (gone & 7).astype(np.uint8)))
         return zeros
 
 
@@ -333,7 +327,7 @@ class ColumnPricedPredictor(SurvivingColumns):
         self.log2_one_minus_alpha = float(log2_one_minus_alpha)
 
     def _predict(self, bits: np.ndarray) -> Prediction:
-        m = self._reader.count(self._mask, *self._reader.zeros(bits))
+        m = self._count(bits)
         return Prediction.from_log_p1(m * self.log2_one_minus_alpha)
 
     def _score_columns(self, sides, columns, labels) -> Tuple[np.ndarray, np.ndarray]:
@@ -459,7 +453,7 @@ class PracticalPredictor(SurvivingColumns):
         return self._t
 
     def _tie_label(self, bits: np.ndarray) -> int:
-        return 0 if self._reader.count(self._mask, *self._reader.zeros(bits)) else 1
+        return 0 if self._count(bits) else 1
 
     def _predict(self, bits: np.ndarray) -> Prediction:
         log_hi = math.log2(self._t) - math.log2(self._t + 1)

@@ -18,8 +18,8 @@ coincide with the plain conjunction transform (side then negated side).
 
 A clause basis is its own feature map, the one feature map: feature j is
 the truth of clause j. General conjunctions (negations allowed) are the
-k=1 basis (`ConjunctionMap`); disjunctions reduce through De Morgan to it
-on the complemented side (`DisjunctionMap`, `flip`), with flipped labels.
+k=1 basis (`ConjunctionMap`); by De Morgan a disjunction's map is it with
+each literal negated (`DisjunctionMap`), and `flip` complements labels.
 
 A map gives a side's zero set, the features that are 0 on it, and a word
 formula for chosen feature columns on a block of sides packed 64 rows to a
@@ -81,8 +81,8 @@ class ClauseBasis:
     """Canonical clause basis for k-CNF over d >= 1 variables, k >= 1,
     refused past `DEFAULT_FEATURE_BUDGET` clauses before it allocates, and
     the feature map through it: feature j is the truth of clause j on the
-    side or, when `flip` is set, on its complement, so the k=1 basis gives
-    the conjunction and disjunction maps. A map is given by two methods:
+    side, and a map whose `flip` is set learns complemented labels. A map
+    is given by its clause table and two methods:
     `zeros(bits)`, the features that are 0 on a side, and
     `columns(words, cols)`, the words of chosen feature columns on the
     `pack_rows` words of a block of sides, with negation as `~`.
@@ -171,7 +171,7 @@ class ClauseBasis:
 
     def zeros(self, bits: np.ndarray) -> np.ndarray:
         """Basis rows of the clauses false on a side, a subset at a time."""
-        return self.rank[self._first_slot + self.patterns(1 - bits if self.flip else bits)].astype(np.intp)
+        return self.rank[self._first_slot + self.patterns(bits)].astype(np.intp)
 
     def features(self, bits: np.ndarray) -> np.ndarray:
         row = np.ones(self.d_prime, dtype=np.uint8)
@@ -187,7 +187,7 @@ class ClauseBasis:
     def columns(self, words: np.ndarray, cols) -> np.ndarray:
         """Truth of the chosen clauses, each the OR of its literal words."""
         clauses = self.clause_matrix[cols]
-        lits = np.concatenate([~words, words] if self.flip else [words, ~words])
+        lits = np.concatenate([words, ~words])
         values = lits[clauses[:, 0]]
         for j in range(1, clauses.shape[1]):
             values |= lits[clauses[:, j]]
@@ -220,12 +220,11 @@ class ClauseBasis:
         lift = lambda before, s, into: np.multiply(before, 2 ** 2 ** (s - 1) if s < 4 else 1, out=into)
 
         def fill(bits):  # the side's bytes into `out`, and their byte index
-            np.subtract(2, bits, out=out[: self.d]) if self.flip else np.add(bits, 1, out=out[: self.d])
+            np.add(bits, 1, out=out[: self.d])
             if not joins:  # subsets of one variable alone, as behind conj and disj
                 return slice(None), out
-            side = 1 - bits if self.flip else bits
-            self._grow(joins, side, lift)
-            byte = slice(None) if width == 8 else np.arange(0, full.size, width // 8) + (self.patterns(side) >> 3)
+            self._grow(joins, bits, lift)
+            byte = slice(None) if width == 8 else np.arange(0, full.size, width // 8) + (self.patterns(bits) >> 3)
             return byte, out
 
         # columns looked up at call time, so the words come from the map's class as it is then
@@ -265,13 +264,15 @@ class ConjunctionMap(ClauseBasis):
 
 
 class DisjunctionMap(ConjunctionMap):
-    """Feature map for disjunctions: flip the side, then treat as conjunction.
-
-    The label is flipped too, so predictions must be unmapped by swapping
-    the two probabilities; `flip` signals that to the wrapper.
-    """
+    """Feature map for disjunctions, by De Morgan: the conjunction map's literals
+    negated, so feature j is its feature j on the complemented side, and the
+    labels complemented (`flip`), whose predictions the wrapper swaps back."""
 
     flip = True
+
+    @cached_property
+    def _lexicographic(self) -> Tuple[np.ndarray, np.ndarray]:
+        return tuple((table + self.d) % (2 * self.d) for table in ClauseBasis._lexicographic.func(self))
 
 
 class ReducedPredictor(OnlinePredictor):

@@ -2,10 +2,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, reject, settings
+from hypothesis import strategies as st
 
 from cnflearn.core import (
     BLOCK_BITS,
     LossLedger,
+    NumericalError,
     OnlinePredictor,
     Prediction,
     as_bits,
@@ -126,6 +129,26 @@ class TestPrediction:
     def test_flip(self):
         p = Prediction.from_p1(0.25).flip()
         assert math.isclose(p.prob(1), 0.75)
+
+    @settings(max_examples=300, derandomize=True, deadline=None)
+    @given(st.data())
+    def test_flip_is_the_checked_swapped_pair(self, data):
+        kind = data.draw(st.sampled_from(["p1", "certain", "edge"]))
+        if kind == "certain":
+            p = Prediction.certain(data.draw(st.integers(0, 1)))
+        elif kind == "p1":
+            p = Prediction.from_p1(data.draw(st.floats(0.0, 1.0)))
+        else:  # p0 + p1 off 1 by up to the check's 1e-9, either way round
+            p1 = data.draw(st.floats(0.0, 1.0))
+            p0 = 1.0 - p1 + data.draw(st.sampled_from([-1e-9, 1e-9]) | st.floats(-1e-9, 1e-9))
+            pair = (math.log2(p0) if p0 > 0.0 else -math.inf, math.log2(p1) if p1 > 0.0 else -math.inf)
+            try:
+                p = Prediction(*pair[:: data.draw(st.sampled_from([1, -1]))])
+            except NumericalError:
+                reject()
+        swapped = Prediction(p.log_p1, p.log_p0)
+        assert p.flip() == swapped and hash(p.flip()) == hash(swapped)
+        assert p.flip().flip() == p and hash(p.flip().flip()) == hash(p)
 
 
 class TestAsBits:

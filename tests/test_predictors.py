@@ -11,7 +11,6 @@ from cnflearn.predictors import (
     HybridPredictor,
     Memorizer,
     PracticalPredictor,
-    SubsetWords,
     _side_groups,
     exact_mixture_joint,
     map_index_set,
@@ -240,13 +239,13 @@ class TestHybridPredictor:
         byte, words = h._reader.zeros(side)
         assert byte == slice(None) and np.array_equal(words, np.uint8(1) << side)
         reads = []
-        count = SubsetWords.count
+        count = HybridPredictor._count
 
-        def recorded(self, mask, *zeros):
-            reads.append(zeros)
-            return count(self, mask, *zeros)
+        def recorded(self, bits):
+            reads.append(bits)
+            return count(self, bits)
 
-        monkeypatch.setattr(SubsetWords, "count", recorded)
+        monkeypatch.setattr(HybridPredictor, "_count", recorded)
         assert h.predict(side) == Prediction.certain(0)
         assert reads == []  # the negative store answered first
         h.predict(1 - side)

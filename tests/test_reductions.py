@@ -254,11 +254,34 @@ class TestTransforms:
         assert repr(ConjunctionMap(3)) == "ConjunctionMap(d=3, k=1, d_prime=6)"
         assert repr(DisjunctionMap(3)) == "DisjunctionMap(d=3, k=1, d_prime=6)"
 
-    def test_disjunction_transform_is_an_involution(self):
-        side = np.array([1, 0, 1], dtype=np.uint8)
-        assert np.array_equal(
-            DisjunctionMap(3).features(1 - side), ConjunctionMap(3).features(side)
-        )
+    @settings(max_examples=200, derandomize=True, deadline=None)
+    @given(st.integers(1, 12).flatmap(lambda d: st.lists(st.integers(0, 1), min_size=d, max_size=d)))
+    def test_disjunction_transform_is_an_involution(self, side):
+        side = np.array(side, dtype=np.uint8)
+        d = side.size
+        assert np.array_equal(DisjunctionMap(d).features(1 - side), ConjunctionMap(d).features(side))
+
+    @pytest.mark.parametrize("d", [*range(1, 9), 117])
+    def test_disjunction_features_are_the_conjunction_literals_negated(self, d):
+        mapping = DisjunctionMap(d)
+        assert [mapping.clause(j) for j in range(2 * d)] == [((j + d) % (2 * d),) for j in range(2 * d)]
+        assert mapping.clauses() == [((j + d) % (2 * d),) for j in range(2 * d)]
+        # the rank table is the conjunction map's, negated
+        assert np.array_equal(mapping.rank, (ConjunctionMap(d).rank + d) % (2 * d))
+        assert mapping.clause_matrix.dtype == mapping.rank.dtype == np.int32
+
+    @pytest.mark.parametrize("reduction", ["conj", "disj"])
+    def test_a_step_checks_one_prediction_behind_either_map(self, reduction, monkeypatch):
+        # behind disj the wrapper swaps the inner prediction without checking it again
+        predictor = build_predictor("alg2", 117, reduction)[0]
+        side = np.random.default_rng(117).integers(0, 2, 117, dtype=np.uint8)
+        checked = []
+        check = Prediction.__post_init__
+        monkeypatch.setattr(Prediction, "__post_init__", lambda p: checked.append(p) or check(p))
+        for label in (1, 0, 1):
+            predictor.predict(side)
+            predictor.update(side, label)
+        assert len(checked) == 3
 
 
 def _general_conjunction_labels(sides, on_literals, d):
@@ -598,7 +621,7 @@ class TestSubsetWords:
             got_bits = runs[0][0] + runs[0][1] + runs[0][3]
             assert np.allclose(got_bits, want_bits, rtol=0.0, atol=1e-9)
 
-    # (9, 9), (2, 4), (7, 4) and (30, 4) have words of more than one byte; "disj" is the flipped k = 1 map
+    # (9, 9), (2, 4), (7, 4) and (30, 4) have words of more than one byte; "disj" is the negated k = 1 map
     @pytest.mark.parametrize("d, k", [(117, 3), (9, 9), (1, 3), (2, 4), (7, 4), (30, 4), (6, "disj")])
     def test_one_hot_bytes_are_each_words_pattern_bit(self, d, k):
         """A side's zero set in the survivor form: per word, 1 << (p & 7) at
@@ -608,7 +631,7 @@ class TestSubsetWords:
         sides = np.random.default_rng(d).integers(0, 2, (5, d), dtype=np.uint8)
         sides[:2] = [[0], [1]]
         for side in sides:
-            p = mapping.patterns(1 - side if mapping.flip else side).astype(np.intp)
+            p = mapping.patterns(side).astype(np.intp)
             word_bytes = reader.full.size // p.size
             byte, words = reader.zeros(side)
             assert words.dtype == np.uint8 and words.shape == p.shape
