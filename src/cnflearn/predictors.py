@@ -228,14 +228,17 @@ class SubsetWords:
     set bit of the state, at 8 * byte + bit, and `rows` gives its feature in
     the map's order; a block reads as those features' words (`values`),
     `column_words(words, rows)` on the block's `pack_rows` words. `full` is
-    the state of a fresh predictor.
+    the state of a fresh predictor. Where some words are of two or more
+    variables, `variables` is the byte index of the single variables' words,
+    whose byte with bit p is `bits + 1` for every side; else it is None.
     """
 
-    def __init__(self, full: np.ndarray, zeros, rows, column_words):
+    def __init__(self, full: np.ndarray, zeros, rows, column_words, variables=None):
         self.full = full
         self.zeros = zeros
         self.rows = rows
         self.column_words = column_words
+        self.variables = variables
 
     def values(self, sides: np.ndarray, columns: np.ndarray) -> np.ndarray:
         return self.column_words(pack_rows(sides), self.rows(columns))
@@ -435,7 +438,9 @@ class PracticalPredictor(SurvivingColumns):
     all steps from 1, so no prediction is ever zero. Cumulative loss on a
     realizable trace is at most (d+1)*log2(n+1) bits, and the expensive
     branch (realized label != c) occurs at most d times when labels are
-    realizable.
+    realizable. c is 0 as soon as the side fails a surviving variable, read
+    from the variables' bytes where the form names them (behind a basis with
+    wider clauses), so only a side that fails none builds its zero set.
     """
 
     bound_bits = staticmethod(lambda d, n: (d + 1.0) * math.log2(n + 1.0))
@@ -453,7 +458,8 @@ class PracticalPredictor(SurvivingColumns):
         return self._t
 
     def _tie_label(self, bits: np.ndarray) -> int:
-        return 0 if self._count(bits) else 1
+        at = self._reader.variables
+        return 0 if at is not None and np.bitwise_and(self._mask[at], bits + 1).any() or self._count(bits) else 1
 
     def _predict(self, bits: np.ndarray) -> Prediction:
         log_hi = math.log2(self._t) - math.log2(self._t + 1)

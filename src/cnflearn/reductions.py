@@ -34,8 +34,10 @@ one word per variable subset, bit p set while the feature that sign
 pattern p on the subset switches off survives. A side falsifies one clause
 per variable subset, signed by its own bits, so a step ANDs each of sum_s
 C(d,s) words with a byte that has only that clause's bit, built once a
-side into the form's own buffer; it ranks no clause, shifts no bit and
-writes nothing on the basis, which every predictor of a run shares. A
+side into the form's own buffer from raw suffix bytes; alg2 first ANDs the
+variables' words alone, and builds nothing more for a side that fails a
+surviving literal. A step ranks no clause, shifts no bit and writes
+nothing on the basis, which every predictor of a run shares. A
 block is read as the surviving columns' words. MADNB and bayes-exact read
 through a `HeldRow` each: a side as its feature row, from its zero set,
 kept for the side read last, and a block as its features' bytes; memorize
@@ -101,10 +103,10 @@ class ClauseBasis:
     variable highest; the survivors are a word per subset, read at those
     patterns. The s-subsets that start at variable a are a over the
     (s-1)-subsets after a, a contiguous suffix of size s-1, so size s is
-    d-s+1 such suffixes joined, with a's bit on top (`_grow`). The clause
-    on the i-th s-variable subset with sign bits p (1 = negated) has slot
-    sum_{r<s} C(d,r)*2**r + i * 2**s + p, and `rank` maps slots to rows,
-    which `zeros` reads.
+    d-s+1 such suffixes joined into place as raw bytes, with a's bit on top
+    (`_grow`). The clause on the i-th s-variable subset with sign bits p
+    (1 = negated) has slot sum_{r<s} C(d,r)*2**r + i * 2**s + p, and `rank`
+    maps slots to rows, which `zeros` reads.
 
     Built at once, from `math.comb` alone: what an alg1, alg2 or xi-plus
     step reads (`d_prime`, `sizes`, the suffix slices, the first slots).
@@ -209,35 +211,39 @@ class ClauseBasis:
         views made once: 1 << bit on a variable, times 2**2**(s-1) on an
         s-subset whose first bit is 1, or for s >= 4 that bit picks the byte.
         A `HeldRow` keeps the side whose bytes the buffer holds, and their
-        byte index, so a step builds them once."""
+        byte index, so a step builds them once. Where there are wider subsets,
+        it names the variables' bytes (`variables`), for alg2 to read first."""
         width = max(8, 2 ** len(self.sizes))
         full = [np.packbits(np.arange(width) < 2 ** s, bitorder="little") for s in self.sizes]
         full = np.repeat(full, [math.comb(self.d, s) for s in self.sizes], axis=0).reshape(-1)
         rows = lambda cols: self.rank[self._first_slot[cols >> width.bit_length() - 1] + (cols & width - 1)]
         out, lifted = np.empty((2, self._first_slot.size), np.uint8)
-        views = lambda keys: (([out[key] for key in keys], [lifted[key] for key in keys]), range(len(keys)))
+        raw = lambda array, keys: [memoryview(array[key]) for key in keys]
+        views = lambda keys: ((raw(out, keys), raw(lifted, keys)), range(len(keys)))
         joins = [(out[at], out[prev], lifted[prev], *views(keys)) for at, prev, keys in self._suffixes]
         lift = lambda before, s, into: np.multiply(before, 2 ** 2 ** (s - 1) if s < 4 else 1, out=into)
+        starts = slice(None) if width == 8 else np.arange(0, full.size, width // 8)  # each word's first byte
 
         def fill(bits):  # the side's bytes into `out`, and their byte index
             np.add(bits, 1, out=out[: self.d])
             if not joins:  # subsets of one variable alone, as behind conj and disj
-                return slice(None), out
+                return starts, out
             self._grow(joins, bits, lift)
-            byte = slice(None) if width == 8 else np.arange(0, full.size, width // 8) + (self.patterns(bits) >> 3)
-            return byte, out
+            return (starts if width == 8 else starts + (self.patterns(bits) >> 3)), out
 
+        variables = slice(0, self.d * width // 8, width // 8) if joins else None
         # columns looked up at call time, so the words come from the map's class as it is then
-        return SubsetWords(full, HeldRow(fill).read, rows, lambda words, cols: self.columns(words, cols))
+        return SubsetWords(full, HeldRow(fill).read, rows, lambda words, cols: self.columns(words, cols), variables)
 
     def _grow(self, joins: list, bits: np.ndarray, lift) -> None:
-        """Fill sizes 2 and up from size 1: size s joins, per first variable,
-        its suffix `sources[bit][key]`, from a copy of size s-1 that
-        `lift(before, s, into)` gives the variable's bit where that bit is 1."""
+        """Fill sizes 2 and up from size 1: size s is, per first variable, its
+        suffix `sources[bit][key]` joined into place as raw bytes, from a copy
+        of size s-1 that `lift(before, s, into)` gives the variable's bit where
+        that bit is 1. The survivor form's suffixes are memoryviews made once."""
         bits = bits.tolist()
         for s, (block, before, lifted, sources, keys) in enumerate(joins, 2):
             lift(before, s, lifted)
-            np.concatenate([sources[bit][key] for key, bit in zip(keys, bits)], out=block)
+            memoryview(block).cast("B")[:] = b"".join([sources[bit][key] for key, bit in zip(keys, bits)])
 
     def __repr__(self) -> str:
         return f"{type(self).__name__}(d={self.d}, k={self.k}, d_prime={self.d_prime})"

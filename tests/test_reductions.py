@@ -544,6 +544,26 @@ def word_runs(draw):
     return algorithm, mapping, d, k, n, draw(st.integers(0, 2 ** 32 - 1)), draw(st.booleans()), cut1, cut2
 
 
+class CountingPractical(PracticalPredictor):
+    """alg2 whose tie label counts every failed survivor, read through `_reader.zeros`."""
+
+    def _tie_label(self, bits):
+        byte, words = self._reader.zeros(bits)
+        return 0 if np.count_nonzero(self._mask[byte] & words) else 1
+
+
+@st.composite
+def variable_first_runs(draw):
+    # (7, 4) and (30, 4) have words of more than one byte; k = None is the unmapped predictor
+    d, k = draw(st.one_of(
+        st.tuples(st.integers(3, 12), st.just(2)),
+        st.tuples(st.integers(3, 9), st.just(3)),
+        st.sampled_from([(4, 4), (7, 4), (30, 4)]),
+        st.tuples(st.integers(2, 12), st.sampled_from(["conj", "disj", None])),
+    ))
+    return d, k, draw(st.integers(0, 60)), draw(st.integers(0, 2 ** 32 - 1))
+
+
 class TestSubsetWords:
     """alg1, alg2 and xi-plus behind a clause basis keep one word per variable
     subset; each must behave as the plain predictor fed the clause rows (and,
@@ -638,6 +658,42 @@ class TestSubsetWords:
             assert np.array_equal(np.arange(reader.full.size)[byte], np.arange(p.size) * word_bytes + (p >> 3))
             assert np.array_equal(words, np.left_shift(1, p & 7).astype(np.uint8))
 
+    @settings(max_examples=120, derandomize=True, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(variable_first_runs())
+    def test_alg2_reads_the_variables_first_as_it_counts_every_failed_survivor(self, case):
+        """Per step the same prediction and tie label, and at the end the same
+        `_mask`, as alg2 counting every failed survivor. The trace starts with
+        two positives that disagree on free variables f and g, both 0 and then
+        both 1, and a side that agrees with them elsewhere and is 0 on f and 1
+        on g: it fails the surviving clause on (f, g) and no surviving literal."""
+        d, k, n, seed = case
+        k_cnf = isinstance(k, int)
+        mapping = cached_basis(d, k) if k_cnf else {"conj": ConjunctionMap(d), "disj": DisjunctionMap(d), None: None}[k]
+        rng = np.random.default_rng(seed)
+        base, free = rng.integers(0, 2, d, dtype=np.uint8), rng.permutation(d)[: rng.integers(2, d + 1)]
+        sides = np.repeat(base[None], n + 3, axis=0)
+        sides[:, free] = rng.integers(0, 2, (n + 3, free.size), dtype=np.uint8)
+        sides[:2, free], sides[2, free[:2]] = [[0], [1]], [0, 1]
+        wild = rng.random(n + 3) < 0.3  # some sides drawn whole, which may fail a literal
+        wild[:3] = False
+        sides[wild] = rng.integers(0, 2, (int(wild.sum()), d), dtype=np.uint8)
+        labels = np.where(wild, rng.integers(0, 2, n + 3), rng.random(n + 3) < 0.6).astype(np.uint8)
+        labels[:3] = 1, 1, rng.integers(0, 2)
+        make = lambda cls: cls(d) if mapping is None else ReducedPredictor(cls(mapping.d_prime), mapping)
+        got, want = make(PracticalPredictor), make(CountingPractical)
+        inner = getattr(got, "inner", got)
+        assert (inner._reader.variables is not None) == k_cnf
+        for t, (side, label) in enumerate(zip(sides, labels.tolist())):
+            if t == 2 and k_cnf:
+                assert not (inner._mask[inner._reader.variables] & (side + 1)).any() and got.tie_label(side) == 0
+            steps = []
+            for predictor in (got, want):
+                pred = predictor.predict(side)
+                steps.append(((pred.log_p0, pred.log_p1), predictor.tie_label(side)))
+                predictor.update(side, label)
+            assert steps[0] == steps[1]
+        assert np.array_equal(inner._mask, getattr(want, "inner", want)._mask)
+
     def test_two_survivor_forms_of_one_basis_step_with_their_own_bytes(self):
         basis = cached_basis(117, 3)
         rng = np.random.default_rng(23)
@@ -704,6 +760,25 @@ class TestPatternReads:
         built = len(calls)
         assert predictor.predict(side) == Prediction.certain(0)
         assert len(calls) == built
+
+    def test_a_failed_surviving_variable_builds_no_clause_bytes(self, monkeypatch):
+        """alg2 at k = 3 reads a side's failed literals from the variables'
+        bytes first, and builds the clause bytes only to count or to update."""
+        basis = cached_basis(117, 3)
+        calls = self.recorded(monkeypatch)
+        predictor = ExpandedPractical(basis)
+        first = np.random.default_rng(5).integers(0, 2, 117, dtype=np.uint8)
+        predictor.update(first, 1)
+        assert len(calls) == 1
+        side = first.copy()
+        side[0] ^= 1  # fails the surviving literal that `first` makes true on variable 0
+        pred = predictor.predict(side)
+        assert pred.log_p0 > pred.log_p1 and predictor.tie_label(side) == 0
+        predictor.update(side, 0)
+        assert len(calls) == 1
+        predictor.update(side, 1)
+        assert len(calls) == 2 and np.array_equal(calls[-1], side)
+        assert predictor.inner._mask[0] == 0
 
 
 def lexicographic_builds(monkeypatch, fail=False):
