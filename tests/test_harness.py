@@ -1163,6 +1163,42 @@ class TestBoundsTable:
         assert lines[1].split(",")[-1] == "18"  # 2 * 3^2
         assert lines[2].split(",")[-1] == "24"  # 4 * log2(65) = 24.08 -> 24
 
+    def test_each_trial_is_drawn_once(self, monkeypatch):
+        """alg1 and alg2 score the one draw of each trial of a d."""
+        draws = []
+        trial_stream = harness._trial_stream
+
+        def counted(rng, config, mapping, d_prime):
+            draws.append(config.d)
+            return trial_stream(rng, config, mapping, d_prime)
+
+        monkeypatch.setattr(harness, "_trial_stream", counted)
+        run_bounds_table([2, 3], n=64, repeats=3, seed=5)
+        assert draws == [2, 2, 2, 3, 3, 3]
+        draws.clear()
+        run_synthetic(SyntheticConfig(algorithm="alg2", d=3, n=64, repeats=3, seed=5))
+        assert draws == [3, 3, 3]
+
+    @pytest.mark.parametrize(
+        "cls,message",
+        [
+            (HybridPredictor, "alg1 lost 4100.35 bits on a realizable trial, guaranteed at most 32 (d'=4, trial 0)"),
+            (PracticalPredictor, "alg2 lost 4105.93 bits on a realizable trial, guaranteed at most 30.1118 (d'=4, trial 0)"),
+        ],
+    )
+    def test_violation_names_the_algorithm_and_trial(self, monkeypatch, cls, message):
+        """An algorithm charged 64 bits a step too many breaks its bound on trial 0."""
+        score_trace = cls.score_trace
+
+        def overpaid(self, sides, labels):
+            log_p, correct = score_trace(self, sides, labels)
+            return log_p - 64.0, correct
+
+        monkeypatch.setattr(cls, "score_trace", overpaid)
+        with pytest.raises(BoundViolation) as raised:
+            run_bounds_table([4], n=64, repeats=2, seed=0)
+        assert str(raised.value) == message
+
 
 class TestOracleChecks:
     def test_all_suites_pass(self):
