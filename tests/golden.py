@@ -1,6 +1,6 @@
 """Golden outputs: what each algorithm reports behind each map, pinned.
 
-`outputs()` runs three parts:
+`outputs()` runs four parts:
 
 * dataset: alg1, alg2, xi-plus, memorize and madnb behind none, conj, disj
   and kcnf2, `score_trace` over the first 512 rows of the seed-0 table that
@@ -10,10 +10,16 @@
   `survivor_mask()`;
 * synthetic: the `synthetic --format json` report, without `wall_time`, of
   every algorithm behind every reduction at d = 3, n = 64, 3 repeats,
-  seed 1;
+  seed 1, and of the dataset part's algorithms behind the wider kcnf3 and
+  kcnf4 bases at d = 5, n = 64, 2 repeats, seed 1;
 * coin: the dataset part's algorithms, unmapped, on 256 coin-flip steps at
   d = 3, where sides repeat with both labels, scored as in the dataset
-  part (bayes-exact refuses a trace no conjunction labels).
+  part (bayes-exact refuses a trace no conjunction labels);
+* steps: alg1, alg2, xi-plus and madnb behind conj and kcnf4 at d = 5 on
+  64 coin-flip steps, run by predict/update, which reads a side's one-hot
+  subset bytes and feature row where `score_trace` reads blocks: the bits
+  of the finite steps, the infinite losses, the correct count and, but
+  for madnb, an md5 of the final `survivor_mask()`.
 
 tests/test_golden.py compares them with tests/golden_outputs.json, floats
 at a relative 1e-12. When a change alters outputs on purpose, regenerate
@@ -39,6 +45,8 @@ ROOT = Path(__file__).resolve().parents[1]
 PATH = Path(__file__).with_name("golden_outputs.json")
 DATASET_ALGORITHMS = ("alg1", "alg2", "xi-plus", "memorize", "madnb")
 RUNS = (("none", None), ("conj", None), ("disj", None), ("kcnf", 2))
+WIDE_RUNS = (("kcnf", 3), ("kcnf", 4))
+STEP_ALGORITHMS = ("alg1", "alg2", "xi-plus", "madnb")
 
 
 def _datagen():
@@ -56,18 +64,32 @@ def _md5(bits: np.ndarray) -> str:
 
 def _scored(predictor, sides, labels) -> dict:
     log_p, correct = predictor.score_trace(sides, labels)
+    return {**_losses(log_p, correct), "correct_md5": _md5(correct), **_survivors(predictor)}
+
+
+def _stepped(predictor, sides, labels) -> dict:
+    """`_scored` of a predict/update loop, without the correct flags' md5."""
+    log_p, correct = np.empty(labels.shape[0]), np.empty(labels.shape[0], dtype=bool)
+    for t, (side, label) in enumerate(zip(sides, labels.tolist())):
+        log_p[t] = lp = predictor.predict(side).log_prob(label)
+        correct[t] = lp > -1.0 or (lp == -1.0 and predictor.tie_label(side) == label)
+        predictor.update(side, label)
+    return {**_losses(log_p, correct), **_survivors(predictor)}
+
+
+def _losses(log_p: np.ndarray, correct: np.ndarray) -> dict:
     finite = np.isfinite(log_p)
-    scored = {
+    return {
         "correct": int(np.count_nonzero(correct)),
         "infinite_losses": int(np.count_nonzero(~finite)),
         "finite_bits": 0.0 - float(log_p[finite].sum()),
-        "correct_md5": _md5(correct),
     }
+
+
+def _survivors(predictor) -> dict:
     # the survivors in the map's feature order, which the scores alone do not fix
     inner = getattr(predictor, "inner", predictor)
-    if hasattr(inner, "survivor_mask"):
-        scored["survivors_md5"] = _md5(inner.survivor_mask())
-    return scored
+    return {"survivors_md5": _md5(inner.survivor_mask())} if hasattr(inner, "survivor_mask") else {}
 
 
 def _name(algorithm: str, reduction: str, k) -> str:
@@ -88,11 +110,23 @@ def outputs() -> dict:
             report = json.loads(emit_report(run_synthetic(SyntheticConfig(algorithm, 3, 64, 3, 1, reduction, k)), "json"))
             del report["wall_time"]
             synthetic[_name(algorithm, reduction, k)] = report
+    for algorithm in DATASET_ALGORITHMS:
+        for reduction, k in WIDE_RUNS:
+            report = json.loads(emit_report(run_synthetic(SyntheticConfig(algorithm, 5, 64, 2, 1, reduction, k)), "json"))
+            del report["wall_time"]
+            synthetic[_name(algorithm, reduction, k)] = report
     rng = np.random.default_rng(3)
     coin_sides = rng.integers(0, 2, size=(256, 3), dtype=np.uint8)
     coin_labels = rng.integers(0, 2, size=256, dtype=np.uint8)
     coin = {algorithm: _scored(build_predictor(algorithm, 3)[0], coin_sides, coin_labels) for algorithm in DATASET_ALGORITHMS}
-    return {"dataset": dataset, "synthetic": synthetic, "coin": coin}
+    step_sides = rng.integers(0, 2, size=(64, 5), dtype=np.uint8)
+    step_labels = rng.integers(0, 2, size=64, dtype=np.uint8)
+    steps = {
+        _name(algorithm, reduction, k): _stepped(build_predictor(algorithm, 5, reduction, k)[0], step_sides, step_labels)
+        for algorithm in STEP_ALGORITHMS
+        for reduction, k in (("conj", None), ("kcnf", 4))
+    }
+    return {"dataset": dataset, "synthetic": synthetic, "coin": coin, "steps": steps}
 
 
 def differences(got, want, where="") -> list:
