@@ -222,15 +222,15 @@ class SubsetWords:
     survives.
 
     The predictor reads a step's unmapped side itself, as its zero set in
-    this form (`zeros`): per word the index of the byte with bit p
-    (`slice(None)` in one-byte words) and that byte with only bit p set, so
-    it reads or clears one bit per word with an AND. A surviving column is a
-    set bit of the state, at 8 * byte + bit, and `rows` gives its feature in
-    the map's order; a block reads as those features' words (`values`),
-    `column_words(words, rows)` on the block's `pack_rows` words. `full` is
-    the state of a fresh predictor. Where some words are of two or more
-    variables, `variables` is the byte index of the single variables' words,
-    whose byte with bit p is `bits + 1` for every side; else it is None.
+    this form (`zeros`): one uint8 array the size of `full`, in each word
+    byte p >> 3 with only bit p & 7 set and every other byte 0, so it reads
+    or clears one bit per word with one AND of the state. A surviving column
+    is a set bit of the state, at 8 * byte + bit, and `rows` gives its
+    feature in the map's order; a block reads as those features' words
+    (`values`), `column_words(words, rows)` on the block's `pack_rows`
+    words. `full` is the state of a fresh predictor. Where some words are
+    of two or more variables, `variables` indexes the single variables'
+    first bytes, which are `bits + 1` for every side; else it is None.
     """
 
     def __init__(self, full: np.ndarray, zeros, rows, column_words, variables=None):
@@ -258,8 +258,7 @@ class SurvivingColumns(OnlinePredictor):
 
     @cached_property
     def _reader(self) -> SubsetWords:
-        one_hot = lambda bits: (slice(None), bits + 1)
-        return SubsetWords(np.ones(self.d, np.uint8), one_hot, lambda cols: cols >> 3, getitem)
+        return SubsetWords(np.ones(self.d, np.uint8), lambda bits: bits + 1, lambda cols: cols >> 3, getitem)
 
     @cached_property
     def _mask(self) -> np.ndarray:
@@ -277,14 +276,12 @@ class SurvivingColumns(OnlinePredictor):
         return mask
 
     def _count(self, bits: np.ndarray) -> int:
-        byte, words = self._reader.zeros(bits)
         # int(): a NumPy count would make the float arithmetic after it slow
-        return int(np.count_nonzero(self._mask[byte] & words))
+        return int(np.count_nonzero(self._mask & self._reader.zeros(bits)))
 
     def _update(self, bits: np.ndarray, label: int) -> None:
         if label:
-            byte, words = self._reader.zeros(bits)
-            self._mask[byte] &= ~words
+            self._mask &= ~self._reader.zeros(bits)
 
     def read_columns(self) -> np.ndarray:
         # NumPy finds nonzero bools several times faster than nonzero bytes

@@ -32,16 +32,17 @@ reader that `read_through` installs behind the map (`read` for a step,
 elimination, in a survivor form the map hands each of them (`survivors`):
 one word per variable subset, bit p set while the feature that sign
 pattern p on the subset switches off survives. A side falsifies one clause
-per variable subset, signed by its own bits, so a step ANDs each of sum_s
-C(d,s) words with a byte that has only that clause's bit, built once a
-side into the form's own buffer from raw suffix bytes; alg2 first ANDs the
-variables' words alone, and builds nothing more for a side that fails a
-surviving literal. A step ranks no clause, shifts no bit and writes
-nothing on the basis, which every predictor of a run shares. A
-block is read as the surviving columns' words. MADNB and bayes-exact read
-through a `HeldRow` each: a side as its feature row, from its zero set,
-kept for the side read last, and a block as its features' bytes; memorize
-keys the unmapped side and reads nothing.
+per variable subset, signed by its own bits, so its zero set, the one
+statement of its sign patterns, is one-hot bytes the size of the state,
+built once a side into the form's own buffer from raw suffix bytes; a step
+ANDs the state with them. alg2 first ANDs the variables' words alone, and
+builds nothing more for a side that fails a surviving literal. A survivor
+step ranks no clause, shifts no bit and writes nothing on the basis, which
+every predictor of a run shares. A block is read as the surviving columns'
+words. MADNB and bayes-exact read through a `HeldRow` each: a side as its
+feature row, ranked off the bytes of a survivor form the basis keeps for
+itself, and a block as its features' bytes; memorize keys the unmapped
+side and reads nothing.
 `build_predictor` returns a `ReducedPredictor` for every reduction, and
 `ExpandedPractical`/`ExpandedHybrid(basis)` are its alg2/alg1 over a basis.
 """
@@ -91,25 +92,27 @@ class ClauseBasis:
     `survivors()` is the `SubsetWords` form that alg1, alg2 and xi-plus read
     sides in, a side as its one-hot subset bytes, built once a side into the
     form's own buffer; the other predictors read a side as its feature row
-    (`read`) and a block as all its features' bytes (`values`). No step
-    writes the basis, so every predictor of a run may share one.
+    (`read`) and a block as all its features' bytes (`values`). No survivor
+    step writes the basis, so every predictor of a run may share one; `zeros`
+    writes only the survivor form the basis keeps for itself, keyed by side.
 
     `clause_matrix` has one row per clause, padded to width k by repeating
     the first literal (a duplicate literal never changes a disjunction).
 
     A side falsifies one clause on each variable subset: the one signed by
-    the side's own bits there. `patterns` gives those signs for every
-    subset, by size and then in `combinations` order, with the first
-    variable highest; the survivors are a word per subset, read at those
-    patterns. The s-subsets that start at variable a are a over the
-    (s-1)-subsets after a, a contiguous suffix of size s-1, so size s is
-    d-s+1 such suffixes joined into place as raw bytes, with a's bit on top
-    (`_grow`). The clause on the i-th s-variable subset with sign bits p
-    (1 = negated) has slot sum_{r<s} C(d,r)*2**r + i * 2**s + p, and `rank`
-    maps slots to rows, which `zeros` reads.
+    the side's own bits there, its sign pattern p. The survivor form states
+    them, a word per subset, by size and then in `combinations` order with
+    the first variable highest, as one-hot bytes: bit p & 7 of byte p >> 3.
+    The s-subsets that start at variable a are a over the (s-1)-subsets
+    after a, a contiguous suffix of size s-1, so size s is d-s+1 such
+    suffixes joined into place as raw bytes, with a's bit on top (`_grow`).
+    The clause on the i-th s-variable subset with sign bits p (1 = negated)
+    has slot sum_{r<s} C(d,r)*2**r + i * 2**s + p, so byte j of its word
+    starts at slot sum_{r<s} C(d,r)*2**r + i * 2**s + 8j (`_byte_slot`);
+    `rank` maps slots to rows, which `rows` and `zeros` read.
 
     Built at once, from `math.comb` alone: what an alg1, alg2 or xi-plus
-    step reads (`d_prime`, `sizes`, the suffix slices, the first slots).
+    step reads (`d_prime`, `sizes`, the suffix slices, the byte slots).
     `clause_matrix` and `rank` are built together on first read, by madnb
     and bayes-exact feature rows (`zeros`), `score_trace` blocks
     (`columns`), `clause`/`clauses`, `survivor_mask` and `expand_matrix`.
@@ -128,7 +131,6 @@ class ClauseBasis:
             )
         self.d, self.k = d, k
         self.sizes = range(1, min(d, k) + 1)
-        self._dtype = np.min_scalar_type(2 ** len(self.sizes) - 1)
         # From s = 2, per size s: its subsets' slice, size s-1's, and per first variable a its
         # suffix, the (s-1)-subsets after a, which ends where size s starts.
         self._suffixes, before, start = [], 0, d
@@ -136,9 +138,11 @@ class ClauseBasis:
             keys = [slice(start - math.comb(d - a - 1, s - 1), start) for a in range(d - s + 1)]
             self._suffixes.append((slice(start, start + math.comb(d, s)), slice(before, start), keys))
             before, start = start, start + math.comb(d, s)
-        self._first_slot = np.concatenate(
-            [basis_size(d, s - 1) + (np.arange(math.comb(d, s)) << s) for s in self.sizes]
-        )
+        # Per byte of a word of 2**K bits or 8, built in place (a temporary is 1 MB at K = 3).
+        slots = np.empty((start, max(1, 2 ** len(self.sizes) // 8)), np.int32)
+        np.concatenate([basis_size(d, s - 1) + (np.arange(math.comb(d, s)) << s) for s in self.sizes], out=slots[:, 0])
+        slots[:, 1:] = slots[:, :1] + 8 * np.arange(1, slots.shape[1], dtype=np.int32)
+        self._byte_slot = slots.reshape(-1)
 
     @cached_property
     def _lexicographic(self) -> Tuple[np.ndarray, np.ndarray]:
@@ -163,6 +167,7 @@ class ClauseBasis:
 
     clause_matrix = property(lambda self: self._lexicographic[0])
     rank = property(lambda self: self._lexicographic[1])
+    _bytes = cached_property(lambda self: self.survivors().zeros)  # the form `zeros` reads, built on its first call
 
     def clause(self, j: int) -> Tuple[int, ...]:
         row = self.clause_matrix[j]
@@ -173,7 +178,8 @@ class ClauseBasis:
 
     def zeros(self, bits: np.ndarray) -> np.ndarray:
         """Basis rows of the clauses false on a side, a subset at a time."""
-        return self.rank[self._first_slot + self.patterns(bits)].astype(np.intp)
+        b = self._bytes(bits)  # one-hot: a byte's set bit is the count of bits below it
+        return self.rank.take((self._byte_slot + np.bitwise_count(b - 1))[b != 0]).astype(np.intp)
 
     def features(self, bits: np.ndarray) -> np.ndarray:
         row = np.ones(self.d_prime, dtype=np.uint8)
@@ -195,54 +201,50 @@ class ClauseBasis:
             values |= lits[clauses[:, j]]
         return values
 
-    def patterns(self, bits: np.ndarray) -> np.ndarray:
-        """The side's sign pattern on each variable subset, a size at a time:
-        per first variable, the smaller patterns after it, its bit on top."""
-        out = np.empty(self._first_slot.size, dtype=self._dtype)
-        out[: self.d] = bits
-        lifted = np.empty_like(out)
-        joins = [(out[at], out[prev], lifted[prev], (out, lifted), keys) for at, prev, keys in self._suffixes]
-        self._grow(joins, bits, lambda before, s, into: np.bitwise_or(before, 1 << s - 1, out=into))
-        return out
-
     def survivors(self) -> SubsetWords:
-        """Each subset's word has a bit per clause on it, in 2**k bits or 8. A
-        side's one-hot bytes are built into the form's own buffer, through
-        views made once: 1 << bit on a variable, times 2**2**(s-1) on an
-        s-subset whose first bit is 1, or for s >= 4 that bit picks the byte.
-        A `HeldRow` keeps the side whose bytes the buffer holds, and their
-        byte index, so a step builds them once. Where there are wider subsets,
-        it names the variables' bytes (`variables`), for alg2 to read first."""
-        width = max(8, 2 ** len(self.sizes))
-        full = [np.packbits(np.arange(width) < 2 ** s, bitorder="little") for s in self.sizes]
-        full = np.repeat(full, [math.comb(self.d, s) for s in self.sizes], axis=0).reshape(-1)
-        rows = lambda cols: self.rank[self._first_slot[cols >> width.bit_length() - 1] + (cols & width - 1)]
-        out, lifted = np.empty((2, self._first_slot.size), np.uint8)
+        """Each subset's word has a bit per clause on it, in 2**K bits or 8,
+        and one layout: all its bytes. A side's zero set is its one-hot bytes,
+        an array the size of `full`, built into the form's own buffer through
+        views made once: `bits + 1` in byte 0 of a variable's word, and each
+        wider subset's word from the size below (`_grow`). A `HeldRow` keeps
+        the side whose bytes the buffer holds, so a step builds them once.
+        Where there are wider subsets, it names the variables' bytes
+        (`variables`), for alg2 to read first."""
+        words = [math.comb(self.d, s) for s in self.sizes]
+        size = self._byte_slot.size // sum(words)  # bytes a word
+        full = [np.packbits(np.arange(8 * size) < 2 ** s, bitorder="little") for s in self.sizes]
+        full = np.repeat(full, words, axis=0).reshape(-1)
+        rows = lambda cols: self.rank[self._byte_slot[cols >> 3] + (cols & 7)]
+        out = np.zeros((sum(words), size), np.uint8)
+        flat = out.reshape(-1)
+        lifted = np.zeros_like(out[: -words[-1]])  # the top size is never lifted
         raw = lambda array, keys: [memoryview(array[key]) for key in keys]
         views = lambda keys: ((raw(out, keys), raw(lifted, keys)), range(len(keys)))
         joins = [(out[at], out[prev], lifted[prev], *views(keys)) for at, prev, keys in self._suffixes]
-        lift = lambda before, s, into: np.multiply(before, 2 ** 2 ** (s - 1) if s < 4 else 1, out=into)
-        starts = slice(None) if width == 8 else np.arange(0, full.size, width // 8)  # each word's first byte
 
-        def fill(bits):  # the side's bytes into `out`, and their byte index
-            np.add(bits, 1, out=out[: self.d])
-            if not joins:  # subsets of one variable alone, as behind conj and disj
-                return starts, out
-            self._grow(joins, bits, lift)
-            return (starts if width == 8 else starts + (self.patterns(bits) >> 3)), out
+        def fill(bits):  # the side's bytes into `out`
+            np.add(bits, 1, out=out[: self.d, 0])
+            if joins:  # not subsets of one variable alone, as behind conj and disj
+                self._grow(joins, bits)
+            return flat
 
-        variables = slice(0, self.d * width // 8, width // 8) if joins else None
+        variables = slice(0, self.d * size, size) if joins else None
         # columns looked up at call time, so the words come from the map's class as it is then
         return SubsetWords(full, HeldRow(fill).read, rows, lambda words, cols: self.columns(words, cols), variables)
 
-    def _grow(self, joins: list, bits: np.ndarray, lift) -> None:
+    def _grow(self, joins: list, bits: np.ndarray) -> None:
         """Fill sizes 2 and up from size 1: size s is, per first variable, its
         suffix `sources[bit][key]` joined into place as raw bytes, from a copy
-        of size s-1 that `lift(before, s, into)` gives the variable's bit where
-        that bit is 1. The survivor form's suffixes are memoryviews made once."""
+        of size s-1 lifted where the variable's bit is 1. The lift adds
+        2**(s-1) to each pattern: times 2**2**(s-1) within byte 0 for s < 4,
+        and from s = 4 on the word's bytes copied 2**(s-4) up. The suffixes
+        are memoryviews that the survivor form makes once."""
         bits = bits.tolist()
         for s, (block, before, lifted, sources, keys) in enumerate(joins, 2):
-            lift(before, s, lifted)
+            if s < 4:
+                np.multiply(before, 2 ** 2 ** (s - 1), out=lifted)
+            else:
+                lifted[:, 2 ** (s - 4) : 2 ** (s - 3)] = before[:, : 2 ** (s - 4)]
             memoryview(block).cast("B")[:] = b"".join([sources[bit][key] for key, bit in zip(keys, bits)])
 
     def __repr__(self) -> str:

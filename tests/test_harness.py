@@ -212,10 +212,12 @@ class TestBuildPredictor:
     def test_no_step_writes_the_shared_map(self, algorithm, reduction, k):
         """Two predictors from one maker, stepped interleaved, each run as it
         runs alone, and the map they share is left as it was but for its
-        clause matrix and rank table, built on first read."""
+        clause matrix and rank table, built on first read, and the survivor
+        form it reads feature rows through, built on the first `zeros` and
+        rewritten for each side."""
         d, n = 6, 40
         make, mapping, d_prime = _predictor_maker(algorithm, d, reduction, k)
-        fields = lambda: {name: value for name, value in vars(mapping).items() if name != "_lexicographic"}
+        fields = lambda: {name: value for name, value in vars(mapping).items() if name not in ("_lexicographic", "_bytes")}
         before = arrays_copied(fields())
         config = SyntheticConfig(algorithm, d, n, 1, 0, reduction, k)
         streams = [_trial_stream(np.random.default_rng(seed), config, mapping, d_prime) for seed in (1, 2)]

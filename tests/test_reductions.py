@@ -40,6 +40,25 @@ def clause_true(clause, side, d):
     return any(literal_true(lit, side, d) for lit in clause)
 
 
+def sign_patterns(side, k):
+    """The side's sign pattern on each variable subset of at most k variables,
+    by size and then in `combinations` order, the first variable highest."""
+    signs = side.tolist()
+    return [
+        sum(signs[v] << (s - 1 - i) for i, v in enumerate(subset))
+        for s in range(1, min(len(signs), k) + 1)
+        for subset in itertools.combinations(range(len(signs)), s)
+    ]
+
+
+def one_hot_bytes(patterns, word_bytes):
+    """Per word of `word_bytes` bytes, byte p >> 3 is 1 << (p & 7) and every other byte is 0."""
+    p = np.array(patterns, dtype=np.intp)
+    out = np.zeros((p.size, word_bytes), dtype=np.uint8)
+    out[np.arange(p.size), p >> 3] = np.left_shift(1, p & 7)
+    return out.reshape(-1)
+
+
 def reference_clause_matrix(d, k):
     """The basis by direct enumeration: every signed variable subset as a
     sorted literal tuple, in tuple order, padded with its first literal."""
@@ -88,7 +107,7 @@ class TestBuildBasis:
         assert matrix.dtype == want.dtype and matrix.shape == want.shape
         assert np.array_equal(matrix, want)
 
-    @pytest.mark.parametrize("d, k", [(9, 3), (9, 9), (117, 2)])
+    @pytest.mark.parametrize("d, k", [(9, 3), (9, 9), (117, 2), (7, 4)])
     def test_falsified_rows_are_the_clauses_false_on_the_side(self, d, k):
         basis = build_basis(d, k)
         clauses = basis.clauses()
@@ -100,27 +119,23 @@ class TestBuildBasis:
             assert got.shape[0] == sum(math.comb(d, s) for s in range(1, k + 1))
             assert np.sort(got).tolist() == want
 
-    # (117, 3) is the kcnf3 width; (9, 9) has uint16 patterns; d < k in the rest
-    @pytest.mark.parametrize(
-        "d, k, dtype", [(117, 3, np.uint8), (9, 9, np.uint16), (1, 3, np.uint8), (2, 4, np.uint8)]
-    )
-    def test_patterns_are_the_side_signs_on_each_subset(self, d, k, dtype):
-        """By size, in `combinations` order, the first variable highest."""
+    # (117, 3) is the kcnf3 width; (9, 9) has 64-byte words; d < k in the rest
+    @pytest.mark.parametrize("d, k, word_bytes", [(117, 3, 1), (9, 9, 64), (1, 3, 1), (2, 4, 1)])
+    def test_patterns_are_the_side_signs_on_each_subset(self, d, k, word_bytes):
+        """The set bit of each survivor word's bytes is the side's sign pattern
+        on the word's subset: by size, in `combinations` order, the first
+        variable highest."""
         basis = cached_basis(d, k)
         rng = np.random.default_rng(d + k)
         sizes = range(1, min(d, k) + 1)
         for side in [np.ones(d, dtype=np.uint8)] + [rng.integers(0, 2, d, dtype=np.uint8) for _ in range(3)]:
             before = side.copy()
-            signs = side.tolist()
-            want = [
-                sum(signs[v] << (s - 1 - i) for i, v in enumerate(subset))
-                for s in sizes
-                for subset in itertools.combinations(range(d), s)
-            ]
-            got = basis.patterns(side)
-            assert got.dtype == dtype
-            assert got.shape == (sum(math.comb(d, s) for s in sizes),)
-            assert got.tolist() == want
+            words = basis.survivors().zeros(side).reshape(-1, word_bytes)
+            assert words.shape[0] == sum(math.comb(d, s) for s in sizes)
+            assert (np.bitwise_count(words).sum(axis=1) == 1).all()
+            byte = np.argmax(words != 0, axis=1)
+            got = 8 * byte + np.log2(words[np.arange(len(words)), byte]).astype(np.intp)
+            assert got.tolist() == sign_patterns(side, k)
             assert np.array_equal(side, before)
 
     def test_falsified_rows_are_the_zero_columns_at_k3(self):
@@ -383,7 +398,7 @@ class TestReducedPredictor:
             return recorded
 
         # `read` is bound to `features` when the class is made, so spy on both
-        for name in ("read", "features", "patterns"):
+        for name in ("read", "features", "zeros"):
             monkeypatch.setattr(ClauseBasis, name, spy(name))
         assert predictor.tie_label(rng.integers(0, 2, d, dtype=np.uint8)) is None
         assert calls == []
@@ -418,6 +433,28 @@ class TestReducedPredictor:
             predictor.update(side, label)
             # predict and update read the side's feature row once between them
             assert calls == [pack_key(side) for side in sides[: step + 1]]
+
+    def test_two_madnb_predictors_on_one_basis_step_as_each_alone(self):
+        """The basis keeps one survivor form for its feature rows, rebuilt for
+        each side it reads, so MADNB predictors stepped alternately on one
+        kcnf2 basis predict as each does alone."""
+        basis = build_basis(6, 2)
+        rng = np.random.default_rng(61)
+        streams = rng.integers(0, 2, (2, 30, 6), dtype=np.uint8)
+        labels = rng.integers(0, 2, (2, 30))
+
+        def step(predictor, side, label):
+            pred = predictor.predict(side)
+            predictor.update(side, label)
+            return pred
+
+        alone, shared = ([ReducedPredictor(Madnb(basis.d_prime), basis) for _ in streams] for _ in range(2))
+        want = [[step(p, *row) for row in zip(sides, ys.tolist())] for p, sides, ys in zip(alone, streams, labels)]
+        got = [[], []]
+        for rows in zip(*(zip(sides, ys.tolist()) for sides, ys in zip(streams, labels))):
+            for predictor, row, out in zip(shared, rows, got):
+                out.append(step(predictor, *row))
+        assert got == want
 
     @pytest.mark.parametrize("reduction,k", MAP_KINDS)
     def test_memorizer_keys_the_unmapped_side_and_reads_no_column(self, reduction, k, monkeypatch):
@@ -548,8 +585,7 @@ class CountingPractical(PracticalPredictor):
     """alg2 whose tie label counts every failed survivor, read through `_reader.zeros`."""
 
     def _tie_label(self, bits):
-        byte, words = self._reader.zeros(bits)
-        return 0 if np.count_nonzero(self._mask[byte] & words) else 1
+        return 0 if np.count_nonzero(self._mask & self._reader.zeros(bits)) else 1
 
 
 @st.composite
@@ -644,19 +680,18 @@ class TestSubsetWords:
     # (9, 9), (2, 4), (7, 4) and (30, 4) have words of more than one byte; "disj" is the negated k = 1 map
     @pytest.mark.parametrize("d, k", [(117, 3), (9, 9), (1, 3), (2, 4), (7, 4), (30, 4), (6, "disj")])
     def test_one_hot_bytes_are_each_words_pattern_bit(self, d, k):
-        """A side's zero set in the survivor form: per word, 1 << (p & 7) at
-        its byte p >> 3, p the side's sign pattern on the word's subset."""
+        """A side's zero set in the survivor form, one byte array the size of
+        the state: per word, byte p >> 3 is 1 << (p & 7) and every other byte
+        is 0, p the side's sign pattern on the word's subset."""
         mapping = DisjunctionMap(d) if k == "disj" else cached_basis(d, k)
         reader = mapping.survivors()
         sides = np.random.default_rng(d).integers(0, 2, (5, d), dtype=np.uint8)
         sides[:2] = [[0], [1]]
         for side in sides:
-            p = mapping.patterns(side).astype(np.intp)
-            word_bytes = reader.full.size // p.size
-            byte, words = reader.zeros(side)
-            assert words.dtype == np.uint8 and words.shape == p.shape
-            assert np.array_equal(np.arange(reader.full.size)[byte], np.arange(p.size) * word_bytes + (p >> 3))
-            assert np.array_equal(words, np.left_shift(1, p & 7).astype(np.uint8))
+            p = sign_patterns(side, 1 if k == "disj" else k)
+            zeros = reader.zeros(side)
+            assert zeros.dtype == np.uint8 and zeros.shape == reader.full.shape
+            assert np.array_equal(zeros, one_hot_bytes(p, reader.full.size // len(p)))
 
     @settings(max_examples=120, derandomize=True, deadline=None, suppress_health_check=[HealthCheck.too_slow])
     @given(variable_first_runs())
@@ -700,9 +735,9 @@ class TestSubsetWords:
         streams = rng.integers(0, 2, (2, 6, 117), dtype=np.uint8)
         readers = [basis.survivors() for _ in streams]
         for sides in zip(*streams):
-            got = [reader.zeros(side)[1] for reader, side in zip(readers, sides)]
-            for words, side in zip(got, sides):
-                assert np.array_equal(words, np.left_shift(1, basis.patterns(side) & 7).astype(np.uint8))
+            got = [reader.zeros(side) for reader, side in zip(readers, sides)]
+            for zeros, side in zip(got, sides):
+                assert np.array_equal(zeros, one_hot_bytes(sign_patterns(side, 3), 1))
 
         # alg2 on one basis twice, both predicting before either updates, against each run alone
         def step(predictor, side):
@@ -723,32 +758,53 @@ class TestSubsetWords:
 
 
 class TestPatternReads:
-    """Behind the k = 3 basis a step's one-hot subset bytes, built by the
-    suffix recurrence that also builds sign patterns, are its costliest read."""
+    """Behind a basis of wider clauses a step's one-hot subset bytes, built
+    by the suffix recurrence (`_grow`), are its costliest read."""
 
     @staticmethod
     def recorded(monkeypatch):
         calls = []
         grow = ClauseBasis._grow
 
-        def recorded(self, joins, bits, lift):
+        def recorded(self, joins, bits):
             calls.append(bits.copy())
-            return grow(self, joins, bits, lift)
+            return grow(self, joins, bits)
 
         monkeypatch.setattr(ClauseBasis, "_grow", recorded)
         return calls
 
-    @pytest.mark.parametrize("algorithm", sorted(WORD_PREDICTORS))
-    def test_one_step_builds_its_patterns_once(self, algorithm, monkeypatch):
-        basis = cached_basis(117, 3)
+    # at K = 4 too, whose words are two bytes
+    @pytest.mark.parametrize(
+        "algorithm, d, k",
+        [pytest.param(a, 117, 3, id=a) for a in sorted(WORD_PREDICTORS)]
+        + [pytest.param(a, 12, 4, id=f"{a}-k4") for a in sorted(WORD_PREDICTORS)],
+    )
+    def test_one_step_builds_its_patterns_once(self, algorithm, d, k, monkeypatch):
+        basis = cached_basis(d, k)
         calls = self.recorded(monkeypatch)
         predictor = ReducedPredictor(WORD_PREDICTORS[algorithm](basis.d_prime), basis)
-        side = np.random.default_rng(117).integers(0, 2, 117, dtype=np.uint8)
+        side = np.random.default_rng(117).integers(0, 2, d, dtype=np.uint8)
         predictor.predict(side)
         predictor.tie_label(side)
         predictor.update(side, 1)
         assert len(calls) == 1 and np.array_equal(calls[0], side)
         assert predictor.inner.read_columns().size < basis.d_prime
+
+    def test_survivor_steps_write_nothing_on_the_basis(self):
+        """alg1, alg2 and xi-plus steps at k = 3 leave the shared basis's
+        attributes as they were: no survivor form, rank or clause table."""
+        basis = build_basis(9, 3)
+        before = dict(vars(basis))
+        rng = np.random.default_rng(9)
+        sides, labels = rng.integers(0, 2, (24, 9), dtype=np.uint8), rng.integers(0, 2, 24)
+        for cls in WORD_PREDICTORS.values():
+            predictor = ReducedPredictor(cls(basis.d_prime), basis)
+            for side, label in zip(sides, labels.tolist()):
+                predictor.predict(side)
+                predictor.tie_label(side)
+                predictor.update(side, label)
+        assert vars(basis).keys() == before.keys()
+        assert all(vars(basis)[name] is value for name, value in before.items())
 
     def test_memorised_negative_builds_no_patterns(self, monkeypatch):
         basis = cached_basis(117, 3)
